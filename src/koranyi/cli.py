@@ -30,12 +30,13 @@ import numpy as np
 from .hgroup import (
     GroupContext,
     HPoint,
-    a_matrix,
+    a_apply,
     compose,
     inverse,
     knorm_of,
     psi,
     psi_of,
+    random_points,
 )
 from .hcalc import egrad, hlap, hlap_divform, radial_lift, radial_lap
 from .hquad import Annulus, mc_annulus, radial_integral, c_n
@@ -343,26 +344,13 @@ def _plot_sweep(out, rows, ctx):
 # verify-identities
 # ---------------------------------------------------------------------------
 
-def _flat(pt: HPoint) -> np.ndarray:
-    return np.concatenate([pt.x, pt.y, [pt.phi]])
-
-
-def _random_points(ctx, rng, n, rho_floor=1e-2):
-    """Uniform box points with the gauge bounded away from the origin."""
-    pts = []
-    while len(pts) < n:
-        draw = rng.uniform(-1.0, 1.0, size=(n, 2 * ctx.N + 1))
-        for row in draw:
-            x, y, phi = row[: ctx.N], row[ctx.N : 2 * ctx.N], row[-1]
-            if knorm_of(x, y, phi) >= rho_floor:
-                pts.append(HPoint(x.copy(), y.copy(), float(phi)))
-                if len(pts) == n:
-                    break
-    return pts
+def _max_abs(values) -> float:
+    """Largest absolute value (NaN propagates); 0 for no values."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def cmd_verify_identities(cfg: dict) -> int:
-    ctx = GroupContext(int(cfg["N"]))
+    ctx = GroupContext(cfg["N"])
     rng = np.random.default_rng(int(cfg["seed"]))
     scale = float(cfg["tol_scale"])
     checks = []
@@ -370,17 +358,13 @@ def cmd_verify_identities(cfg: dict) -> int:
     def tol(key):
         return float(cfg[key]) * scale
 
-    # group axioms on random triples
+    # group axioms on random triples, all triples in one batch
     trip = rng.uniform(-1.0, 1.0, size=(int(cfg["n_triples"]), 3, 2 * ctx.N + 1))
-    worst_assoc = 0.0
-    worst_inv = 0.0
-    for t in trip:
-        g = [HPoint(row[: ctx.N], row[ctx.N : 2 * ctx.N], float(row[-1])) for row in t]
-        left = compose(compose(g[0], g[1]), g[2])
-        right = compose(g[0], compose(g[1], g[2]))
-        worst_assoc = max(worst_assoc, float(np.max(np.abs(_flat(left) - _flat(right)))))
-        back = compose(g[0], inverse(g[0]))
-        worst_inv = max(worst_inv, float(np.max(np.abs(_flat(back)))))
+    g = [HPoint.from_flat(trip[:, k]) for k in range(3)]
+    left = compose(compose(g[0], g[1]), g[2])
+    right = compose(g[0], compose(g[1], g[2]))
+    worst_assoc = _max_abs(left.flat() - right.flat())
+    worst_inv = _max_abs(compose(g[0], inverse(g[0])).flat())
     checks.append(_check(
         "group-associativity", worst_assoc <= tol("tol_group"), worst_assoc, 0.0,
         tol("tol_group"), "composing three elements is independent of bracketing",
@@ -391,12 +375,11 @@ def cmd_verify_identities(cfg: dict) -> int:
     ))
 
     # |grad of the gauge|^2 equals the angular weight
-    gauge = radial_lift(lambda r: r)
-    worst = 0.0
-    for pt in _random_points(ctx, rng, int(cfg["n_points"])):
-        grad = egrad(gauge, pt)
-        q = float(grad @ a_matrix(pt) @ grad)
-        worst = max(worst, abs(q - psi(pt)) / (psi(pt) + 1e-15))
+    pts = random_points(ctx, rng, int(cfg["n_points"]))
+    grad = egrad(radial_lift(lambda r: r), pts)
+    weight = psi(pts)
+    q = (a_apply(pts, grad) * grad).sum(axis=-1)
+    worst = _max_abs((q - weight) / (weight + 1e-15))
     checks.append(_check(
         "gauge-gradient", worst <= tol("tol_grad"), worst, 0.0, tol("tol_grad"),
         "the horizontal gradient of the gauge has squared length psi",
@@ -404,23 +387,23 @@ def cmd_verify_identities(cfg: dict) -> int:
 
     # radial form of the operator against the full AD evaluation
     profiles = [lambda r: r**2, lambda r: 1.0 / (1.0 + r**2)]
+    pts = random_points(ctx, rng, max(50, int(cfg["n_points"]) // 20))
+    rho = knorm_of(*pts.coords())
+    weight = psi(pts)
     worst = 0.0
-    for pt in _random_points(ctx, rng, max(50, int(cfg["n_points"]) // 20)):
-        rho = knorm_of(*pt.coords())
-        for F in profiles:
-            full = hlap(radial_lift(F), pt)
-            rad = psi(pt) * radial_lap(F, rho, ctx)
-            worst = max(worst, abs(full - rad) / (abs(rad) + 1e-15))
+    for F in profiles:
+        full = hlap(radial_lift(F), pts)
+        rad = weight * radial_lap(F, rho, ctx)
+        worst = max(worst, _max_abs((full - rad) / (np.abs(rad) + 1e-15)))
     checks.append(_check(
         "radial-operator", worst <= tol("tol_lap"), worst, 0.0, tol("tol_lap"),
         "on gauge-radial fields the operator reduces to its radial form times psi",
     ))
 
     # divergence form by central differences
-    worst = 0.0
-    for pt in _random_points(ctx, rng, int(cfg["n_div_points"])):
-        field = radial_lift(lambda r: r**2)
-        worst = max(worst, abs(hlap(field, pt) - hlap_divform(field, pt)))
+    pts = random_points(ctx, rng, int(cfg["n_div_points"]))
+    field = radial_lift(lambda r: r**2)
+    worst = _max_abs(hlap(field, pts) - hlap_divform(field, pts))
     checks.append(_check(
         "divergence-form", worst <= tol("tol_div"), worst, 0.0, tol("tol_div"),
         "the operator agrees with div(A grad .) assembled by finite differences",
@@ -469,7 +452,7 @@ def cmd_verify_identities(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _params_from(cfg: dict, k: int = 1) -> ProblemParams:
-    ctx = GroupContext(int(cfg["N"]))
+    ctx = GroupContext(cfg["N"])
     lam = float(cfg["lambda"])
     if cfg.get("lambda_critical"):
         lam = -((ctx.Q - 2) / 2.0) ** 2
@@ -669,7 +652,7 @@ def cmd_scaling(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_integrate(cfg: dict) -> int:
-    ctx = GroupContext(int(cfg["N"]))
+    ctx = GroupContext(cfg["N"])
     s = float(cfg["s"])
     ann = Annulus(float(cfg["r_inner"]), float(cfg["r_outer"]))
     expo = ctx.Q + s
@@ -747,7 +730,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_phase_sweep(cfg: dict) -> int:
-    ctx = GroupContext(int(cfg["N"]))
+    ctx = GroupContext(cfg["N"])
     lams = list(cfg["lambda_list"])
     avals = list(cfg["a_list"])
     pvals = list(cfg["p_list"])

@@ -20,32 +20,58 @@ derivative D^2 f[v_i, v_i] with v_i = e_{x_i} + 2 y_i e_phi frozen at the
 base point, so L reduces to a sum of 2N hyper-dual evaluations.
 
 Scalar fields are callables f(x, y, phi) written against the N-axis-last
-convention of `hgroup`; the same body then accepts float batches and
-hyper-dual object arrays.
+convention of `hgroup`.  A `HyperDual` part is either a Python float or an
+ndarray, so the same field body runs on float batches, on scalar jets (the
+capacity integrands under scipy quad) and on hyper-dual arrays.
+
+Every operator below goes through one seeded evaluator, `_eval_seeded`, and
+accepts a single `HPoint` or a batch: x and y of shape (*batch, N), phi of
+shape batch.  A single point gives a float (or a (2N+1,) vector for
+`egrad`); a batch gives an array over the batch, evaluated once per seed
+direction rather than once per point.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .hgroup import GroupContext, HPoint, a_matrix, knorm_of
+from .hgroup import GroupContext, HPoint, a_apply, knorm_of
 
 ScalarField = Callable[..., object]
 
 
+def _part(v):
+    """A hyper-dual part: ndarrays of positive rank stay, everything else
+    (numpy scalars, 0-d arrays, ints) becomes a Python float."""
+    if type(v) is np.ndarray and v.ndim:
+        return v
+    return float(v)
+
+
+def _any(mask) -> bool:
+    """Truth of a scalar comparison, or whether any element of an array one holds."""
+    return mask if type(mask) is bool else bool(mask.any())
+
+
 class HyperDual:
-    """Second-order dual scalar with parts (value, d1, d2, d12)."""
+    """Second-order dual number with parts (value, d1, d2, d12).
+
+    The parts are Python floats, or ndarrays of one shape holding a batch of
+    independent hyper-dual numbers; ring operations act elementwise.
+    """
 
     __slots__ = ("value", "d1", "d2", "d12")
 
-    def __init__(self, value: float, d1: float = 0.0, d2: float = 0.0, d12: float = 0.0):
-        self.value = float(value)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d12 = float(d12)
+    # make `ndarray <op> HyperDual` defer to the reflected HyperDual method
+    __array_ufunc__ = None
+
+    def __init__(self, value, d1=0.0, d2=0.0, d12=0.0):
+        self.value = value if type(value) is float else _part(value)
+        self.d1 = d1 if type(d1) is float else _part(d1)
+        self.d2 = d2 if type(d2) is float else _part(d2)
+        self.d12 = d12 if type(d12) is float else _part(d12)
 
     def __repr__(self) -> str:
         return f"HyperDual({self.value}, {self.d1}, {self.d2}, {self.d12})"
@@ -64,7 +90,7 @@ class HyperDual:
         return HyperDual(-self.value, -self.d1, -self.d2, -self.d12)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, HyperDual) else -float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -78,12 +104,12 @@ class HyperDual:
                 self.value * other.d12 + self.d1 * other.d2
                 + self.d2 * other.d1 + self.d12 * other.value,
             )
-        o = float(other)
-        return HyperDual(self.value * o, self.d1 * o, self.d2 * o, self.d12 * o)
+        return HyperDual(self.value * other, self.d1 * other, self.d2 * other,
+                         self.d12 * other)
 
     __rmul__ = __mul__
 
-    def _chain(self, f0: float, f1: float, f2: float) -> "HyperDual":
+    def _chain(self, f0, f1, f2) -> "HyperDual":
         """Compose with a scalar map given f(a), f'(a), f''(a)."""
         return HyperDual(f0, f1 * self.d1, f1 * self.d2,
                          f1 * self.d12 + f2 * self.d1 * self.d2)
@@ -95,10 +121,10 @@ class HyperDual:
     def __truediv__(self, other):
         if isinstance(other, HyperDual):
             return self * other.reciprocal()
-        return self * (1.0 / float(other))
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * other
 
     def __pow__(self, c):
         if isinstance(c, HyperDual):
@@ -109,25 +135,35 @@ class HyperDual:
         if c == 0.0:
             return HyperDual(1.0)
         if c == 1.0:
-            return HyperDual(self.value, self.d1, self.d2, self.d12)
-        if a < 0.0 and c != round(c):
-            raise ValueError(f"fractional power {c} of negative base {a}")
-        if a == 0.0:
-            if c > 2.0:
-                return HyperDual(0.0)
-            if c == 2.0:
-                return HyperDual(0.0, 0.0, 0.0, 2.0 * self.d1 * self.d2)
+            return HyperDual(a, self.d1, self.d2, self.d12)
+        if c != round(c) and _any(a < 0.0):
+            raise ValueError(f"fractional power {c} of negative base {np.min(a)}")
+        # at a zero base the chain rule below gives (0, 0, 0, 0) for c > 2 and
+        # (0, 0, 0, 2 d1 d2) for c = 2; below 2 the derivatives are singular
+        if c < 2.0 and _any(a == 0.0):
             raise ValueError(f"power {c} at zero base has singular derivatives")
         return self._chain(a ** c, c * a ** (c - 1.0), c * (c - 1.0) * a ** (c - 2.0))
 
     def __abs__(self):
         return self if self.value >= 0.0 else -self
 
+    # -- array structure (what N-axis-last field bodies need) ---------------
+
+    def sum(self, axis=None) -> "HyperDual":
+        """Sum over an axis of array parts."""
+        add = np.add.reduce
+        return HyperDual(add(self.value, axis), add(self.d1, axis),
+                         add(self.d2, axis), add(self.d12, axis))
+
+    def __getitem__(self, key) -> "HyperDual":
+        """Index array parts, e.g. x[..., 0] or w[..., None]."""
+        return HyperDual(self.value[key], self.d1[key], self.d2[key], self.d12[key])
+
     # -- value-order comparisons (branching in cutoff definitions) ----------
 
     @staticmethod
-    def _val(other) -> float:
-        return other.value if isinstance(other, HyperDual) else float(other)
+    def _val(other):
+        return other.value if isinstance(other, HyperDual) else other
 
     def __lt__(self, other):
         return self.value < self._val(other)
@@ -169,75 +205,77 @@ def hd_cos(u):
     return _unary(u, np.cos, lambda a: -np.sin(a), lambda a: -np.cos(a))
 
 
-def value_of(u) -> float:
-    """Plain float value of a float or HyperDual."""
-    return u.value if isinstance(u, HyperDual) else float(u)
+def value_of(u):
+    """Plain value of a float, float array or HyperDual (a float for scalars)."""
+    if isinstance(u, HyperDual):
+        return u.value
+    return u if type(u) is np.ndarray and u.ndim else float(u)
 
 
-def _parts(u) -> tuple[float, float, float, float]:
+def _parts(u) -> tuple:
     if isinstance(u, HyperDual):
         return u.value, u.d1, u.d2, u.d12
-    return float(u), 0.0, 0.0, 0.0
+    return u, 0.0, 0.0, 0.0
 
 
 # ---------------------------------------------------------------------------
 # seeded field evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_seeded(f: ScalarField, xi: HPoint, dir1, dir2):
-    """Evaluate f at xi with coordinates seeded along dir1 (e1) and dir2 (e2).
+def _eval_seeded(f: ScalarField, xi: HPoint, dir1, dir2) -> tuple:
+    """Parts of f at the points xi with coordinates seeded along dir1 (e1)
+    and dir2 (e2).
 
-    Directions are length-(2N+1) vectors ordered (x_1..x_N, y_1..y_N, phi).
+    Directions have shape (*batch, 2N+1), ordered (x_1..x_N, y_1..y_N, phi).
+    Each returned part is a float for a single point and an array of the
+    batch shape otherwise.
     """
     n = xi.N
-    x = np.empty(n, dtype=object)
-    y = np.empty(n, dtype=object)
-    for j in range(n):
-        x[j] = HyperDual(xi.x[j], dir1[j], dir2[j])
-        y[j] = HyperDual(xi.y[j], dir1[n + j], dir2[n + j])
-    phi = HyperDual(xi.phi, dir1[2 * n], dir2[2 * n])
-    return f(x, y, phi)
+    zero = np.zeros(xi.x.shape)
+    x = HyperDual(xi.x, dir1[..., :n], dir2[..., :n], zero)
+    y = HyperDual(xi.y, dir1[..., n : 2 * n], dir2[..., n : 2 * n], zero)
+    phi = HyperDual(xi.phi, dir1[..., 2 * n], dir2[..., 2 * n], zero[..., 0])
+    parts = _parts(f(x, y, phi))
+    if not xi.shape:
+        return tuple(float(p) for p in parts)
+    return tuple(p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in parts)
 
 
 def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
     n = xi.N
     if not 1 <= i <= n:
         raise IndexError(f"field index must be in 1..{n}, got {i}")
-    v = np.zeros(2 * n + 1)
+    v = np.zeros(xi.shape + (2 * n + 1,))
     if which == "x":
-        v[i - 1] = 1.0
-        v[2 * n] = 2.0 * xi.y[i - 1]
+        v[..., i - 1] = 1.0
+        v[..., 2 * n] = 2.0 * xi.y[..., i - 1]
     else:
-        v[n + i - 1] = 1.0
-        v[2 * n] = -2.0 * xi.x[i - 1]
+        v[..., n + i - 1] = 1.0
+        v[..., 2 * n] = -2.0 * xi.x[..., i - 1]
     return v
 
 
-def x_field(i: int, f: ScalarField, xi: HPoint) -> float:
+def x_field(i: int, f: ScalarField, xi: HPoint):
     """(X_i f)(xi) = (d/dx_i + 2 y_i d/dphi) f, exact via a dual seed."""
     v = _horizontal_direction(xi, i, "x")
-    zero = np.zeros_like(v)
-    return _parts(_eval_seeded(f, xi, v, zero))[1]
+    return _eval_seeded(f, xi, v, np.zeros_like(v))[1]
 
 
-def y_field(i: int, f: ScalarField, xi: HPoint) -> float:
+def y_field(i: int, f: ScalarField, xi: HPoint):
     """(Y_i f)(xi) = (d/dy_i - 2 x_i d/dphi) f, exact via a dual seed."""
     v = _horizontal_direction(xi, i, "y")
-    zero = np.zeros_like(v)
-    return _parts(_eval_seeded(f, xi, v, zero))[1]
+    return _eval_seeded(f, xi, v, np.zeros_like(v))[1]
 
 
 def hgrad(f: ScalarField, xi: HPoint) -> np.ndarray:
-    """Horizontal gradient (X_1 f, .., X_N f, Y_1 f, .., Y_N f)(xi)."""
+    """Horizontal gradient (X_1 f, .., X_N f, Y_1 f, .., Y_N f)(xi), last axis 2N."""
     n = xi.N
-    out = np.empty(2 * n)
-    for i in range(1, n + 1):
-        out[i - 1] = x_field(i, f, xi)
-        out[n + i - 1] = y_field(i, f, xi)
-    return out
+    xs = [x_field(i, f, xi) for i in range(1, n + 1)]
+    ys = [y_field(i, f, xi) for i in range(1, n + 1)]
+    return np.stack(xs + ys, axis=-1)
 
 
-def hlap(f: ScalarField, xi: HPoint) -> float:
+def hlap(f: ScalarField, xi: HPoint):
     """Sub-Laplacian (sum_i X_i^2 + Y_i^2) f at xi.
 
     Each square collapses to a pure second directional derivative because the
@@ -249,45 +287,38 @@ def hlap(f: ScalarField, xi: HPoint) -> float:
     for i in range(1, xi.N + 1):
         for which in ("x", "y"):
             v = _horizontal_direction(xi, i, which)
-            total += _parts(_eval_seeded(f, xi, v, v))[3]
+            total = total + _eval_seeded(f, xi, v, v)[3]
     return total
 
 
 def egrad(f: ScalarField, xi: HPoint) -> np.ndarray:
-    """Full Euclidean gradient of f on R^{2N+1}, one dual seed per axis."""
+    """Full Euclidean gradient of f on R^{2N+1}, one dual seed per axis;
+    last axis 2N+1."""
     m = 2 * xi.N + 1
-    zero = np.zeros(m)
-    out = np.empty(m)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        out[j] = _parts(_eval_seeded(f, xi, e, zero))[1]
+    zero = np.zeros(xi.shape + (m,))
+    out = np.empty(xi.shape + (m,))
+    for j, e in enumerate(np.eye(m)):
+        out[..., j] = _eval_seeded(f, xi, np.broadcast_to(e, zero.shape), zero)[1]
     return out
 
 
-def hlap_divform(f: ScalarField, xi: HPoint, h: float = 1e-4) -> float:
+def hlap_divform(f: ScalarField, xi: HPoint, h: float = 1e-4):
     """Divergence-form evaluation div(A(z) grad f) by central differences.
 
     Independent cross-check of `hlap`: the flux A grad f is assembled from
-    dual-seeded Euclidean gradients at shifted points, then differenced with
-    step h.  Expect agreement to O(h^2) only.
+    dual-seeded Euclidean gradients at the 2(2N+1) points shifted by +-h
+    along each axis (one `egrad` batch), then differenced with step h.
+    Expect agreement to O(h^2) only.
     """
     if not h > 0.0:
         raise ValueError("step h must be positive")
     m = 2 * xi.N + 1
-    n = xi.N
-
-    def flux(pt: HPoint) -> np.ndarray:
-        return a_matrix(pt) @ egrad(f, pt)
-
-    div = 0.0
-    for j in range(m):
-        delta = np.zeros(m)
-        delta[j] = h
-        up = HPoint(xi.x + delta[:n], xi.y + delta[n : 2 * n], xi.phi + delta[2 * n])
-        dn = HPoint(xi.x - delta[:n], xi.y - delta[n : 2 * n], xi.phi - delta[2 * n])
-        div += (flux(up)[j] - flux(dn)[j]) / (2.0 * h)
-    return div
+    steps = h * np.eye(m)
+    shifts = np.concatenate([steps, -steps]).reshape((2 * m,) + (1,) * len(xi.shape) + (m,))
+    shifted = HPoint.from_flat(xi.flat() + shifts)
+    flux = a_apply(shifted, egrad(f, shifted))
+    div = sum((flux[j, ..., j] - flux[m + j, ..., j]) / (2.0 * h) for j in range(m))
+    return div if xi.shape else float(div)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +334,15 @@ def radial_lift(F: Callable) -> ScalarField:
     return field
 
 
-def radial_lap(F: Callable, rho: float, ctx: GroupContext) -> float:
-    """The radial bracket F''(rho) + (2N+1) F'(rho)/rho.
+def radial_lap(F: Callable, rho, ctx: GroupContext):
+    """The radial bracket F''(rho) + (2N+1) F'(rho)/rho, elementwise over an
+    array rho.
 
     For the lift f = F(|xi|) the sub-Laplacian is psi(xi) times this bracket,
     so it equals (1/psi) L f wherever psi != 0.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not np.all(rho > 0.0):
+        raise ValueError(f"rho must be positive, got {np.min(rho)}")
     u = F(HyperDual(rho, 1.0, 1.0, 0.0))
     _, d1, _, d12 = _parts(u)
     return d12 + (2 * ctx.N + 1) * d1 / rho

@@ -19,13 +19,19 @@ Two objects recur in every radial computation downstream:
 
 Coordinate-level helpers (`knorm_of`, `psi_of`, `knorm_grad_of`) operate on
 raw arrays with the N-axis last, so the same expressions run vectorized over
-sample batches and, elementwise, over dual-number scalars.
+sample batches and over hyper-dual numbers with float or array parts.
+
+An `HPoint` is one point or a batch of points, again with the N-axis last.
+`compose`, `inverse`, `knorm`, `psi`, `dilate` and `a_matrix` accept either
+and return a float (or a single point) for a point and an array (or a batch)
+for a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,8 +44,11 @@ class GroupContext:
     N: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
 
     @property
     def Q(self) -> int:
@@ -54,11 +63,16 @@ class GroupContext:
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point xi = (x, y, phi) of H^N. Components are finite floats."""
+    """A point xi = (x, y, phi) of H^N, or a batch of points.
+
+    A single point has x and y of shape (N,) and a float phi.  A batch has x
+    and y of shape (*batch, N) and phi of shape batch, so N = x.shape[-1]
+    either way.
+    """
 
     x: NDArray[np.float64]
     y: NDArray[np.float64]
-    phi: float
+    phi: Union[float, NDArray[np.float64]]
 
     @staticmethod
     def of(x, y, phi) -> "HPoint":
@@ -71,18 +85,31 @@ class HPoint:
             raise ValueError("HPoint components must be finite")
         return pt
 
+    @staticmethod
+    def from_flat(rows: NDArray[np.float64]) -> "HPoint":
+        """Points from coordinate rows (x_1..x_N, y_1..y_N, phi), last axis 2N+1."""
+        n = (rows.shape[-1] - 1) // 2
+        return HPoint(rows[..., :n], rows[..., n : 2 * n], rows[..., 2 * n])
+
     @property
     def N(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
+
+    @property
+    def shape(self) -> tuple:
+        """Batch shape; () for a single point."""
+        return getattr(self.phi, "shape", ())
+
+    def flat(self) -> NDArray[np.float64]:
+        """Coordinate rows (x_1..x_N, y_1..y_N, phi), last axis 2N+1."""
+        return np.concatenate([self.x, self.y, np.asarray(self.phi)[..., None]], axis=-1)
 
     def finite(self) -> bool:
-        return bool(np.isfinite(self.x).all() and np.isfinite(self.y).all() and math.isfinite(self.phi))
+        return bool(np.isfinite(self.x).all() and np.isfinite(self.y).all()
+                    and np.isfinite(self.phi).all())
 
     def coords(self) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
         return self.x, self.y, self.phi
-
-
-ORIGIN1 = HPoint.of([0.0], [0.0], 0.0)
 
 
 def origin(ctx: GroupContext) -> HPoint:
@@ -95,9 +122,9 @@ def _check_same_n(xi: HPoint, eta: HPoint) -> None:
 
 
 def compose(xi: HPoint, eta: HPoint) -> HPoint:
-    """Group law xi o eta."""
+    """Group law xi o eta, pointwise over batches."""
     _check_same_n(xi, eta)
-    twist = 2.0 * float(np.dot(eta.x, xi.y) - np.dot(xi.x, eta.y))
+    twist = 2.0 * (np.add.reduce(eta.x * xi.y, -1) - np.add.reduce(xi.x * eta.y, -1))
     return HPoint(xi.x + eta.x, xi.y + eta.y, xi.phi + eta.phi + twist)
 
 
@@ -140,22 +167,27 @@ def knorm_grad_of(x, y, phi):
     return gx, gy, gphi
 
 
-def knorm(xi: HPoint) -> float:
+def _scalar_or_batch(values):
+    return values if type(values) is np.ndarray and values.ndim else float(values)
+
+
+def knorm(xi: HPoint):
     """Koranyi gauge |xi| = ((|x|^2+|y|^2)^2 + phi^2)^{1/4}."""
-    return float(knorm_of(xi.x, xi.y, xi.phi))
+    return _scalar_or_batch(knorm_of(xi.x, xi.y, xi.phi))
 
 
-def kdist(xi: HPoint, eta: HPoint) -> float:
+def kdist(xi: HPoint, eta: HPoint):
     """Left-invariant gauge distance d(xi, eta) = |eta^{-1} o xi|."""
     _check_same_n(xi, eta)
     return knorm(compose(inverse(eta), xi))
 
 
-def psi(xi: HPoint) -> float:
+def psi(xi: HPoint):
     """psi(xi) = (|x|^2 + |y|^2)/|xi|^2, in [0, 1]. Undefined at the origin."""
-    if knorm(xi) == 0.0:
+    rho = knorm(xi)
+    if (rho == 0.0) if type(rho) is float else (rho == 0.0).any():
         raise ValueError("psi is undefined at the group identity")
-    return float(psi_of(xi.x, xi.y, xi.phi))
+    return _scalar_or_batch(psi_of(xi.x, xi.y, xi.phi))
 
 
 def dilate(r: float, xi: HPoint) -> HPoint:
@@ -166,7 +198,8 @@ def dilate(r: float, xi: HPoint) -> HPoint:
 
 
 def a_matrix(xi: HPoint) -> NDArray[np.float64]:
-    """The (2N+1) x (2N+1) coefficient matrix A(z) of the sub-Laplacian.
+    """The (2N+1) x (2N+1) coefficient matrix A(z) of the sub-Laplacian,
+    of shape (*batch, 2N+1, 2N+1) for a batch.
 
     A(z) = [[ I_N,  0,    2y ],
             [ 0,    I_N, -2x ],
@@ -176,18 +209,64 @@ def a_matrix(xi: HPoint) -> NDArray[np.float64]:
     symmetric positive semidefinite with null vector (-2y, 2x, 1).
     """
     n = xi.N
-    a = np.eye(2 * n + 1)
-    a[:n, -1] = 2.0 * xi.y
-    a[n : 2 * n, -1] = -2.0 * xi.x
-    a[-1, :n] = 2.0 * xi.y
-    a[-1, n : 2 * n] = -2.0 * xi.x
-    a[-1, -1] = 4.0 * float(np.dot(xi.x, xi.x) + np.dot(xi.y, xi.y))
+    a = np.zeros(xi.shape + (2 * n + 1, 2 * n + 1))
+    diag = np.arange(2 * n)
+    a[..., diag, diag] = 1.0
+    a[..., :n, -1] = 2.0 * xi.y
+    a[..., n : 2 * n, -1] = -2.0 * xi.x
+    a[..., -1, :n] = 2.0 * xi.y
+    a[..., -1, n : 2 * n] = -2.0 * xi.x
+    a[..., -1, -1] = 4.0 * ((xi.x * xi.x).sum(axis=-1) + (xi.y * xi.y).sum(axis=-1))
     return a
+
+
+def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """A(z) v at each point; v has shape (*batch, 2N+1)."""
+    return (a_matrix(xi) @ v[..., None])[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# random sample points
+# ---------------------------------------------------------------------------
+
+def random_points(
+    ctx: GroupContext, rng: np.random.Generator, n: int, rho_floor: float = 1e-2
+) -> HPoint:
+    """A batch of n box-uniform points with the gauge bounded away from the origin.
+
+    Draws blocks of n rows from rng.uniform(-1, 1) and keeps, in draw order,
+    the rows whose gauge is at least rho_floor, until n are kept.
+    """
+    kept = [np.empty((0, ctx.dim))]
+    have = 0
+    while have < n:
+        draw = rng.uniform(-1.0, 1.0, size=(n, ctx.dim))
+        far = knorm_of(*HPoint.from_flat(draw).coords()) >= rho_floor
+        kept.append(draw[far][: n - have])
+        have += len(kept[-1])
+    return HPoint.from_flat(np.concatenate(kept))
 
 
 # ---------------------------------------------------------------------------
 # unit-sphere chart
 # ---------------------------------------------------------------------------
+
+def sphere_chart(r, omega, sign, rho=1.0) -> HPoint:
+    """Points at gauge distance rho with unit-sphere chart parameters.
+
+    On the unit sphere z = r*omega and phi = sign*sqrt(1 - r^4); the point is
+    then dilated by rho.  r, sign and rho broadcast over the batch shape and
+    omega has shape (*batch, 2N); scalar r, sign, rho with omega of shape
+    (2N,) give a single point.  No validation: see `sphere_point`.
+    """
+    omega = np.asarray(omega, dtype=float)
+    r = np.asarray(r, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    n = omega.shape[-1] // 2
+    z = rho[..., None] * (r[..., None] * omega)
+    phi = rho * rho * (sign * np.sqrt(np.maximum(1.0 - r**4, 0.0)))
+    return HPoint(z[..., :n], z[..., n:], phi if phi.ndim else float(phi))
+
 
 def sphere_point(r: float, omega: NDArray[np.float64], sign: int) -> tuple[HPoint, float]:
     """Chart of the unit gauge sphere {|z|^4 + phi^2 = 1}.
@@ -214,9 +293,7 @@ def sphere_point(r: float, omega: NDArray[np.float64], sign: int) -> tuple[HPoin
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     n = omega.shape[0] // 2
-    z = r * omega
-    phi = sign * math.sqrt(max(1.0 - r**4, 0.0))
-    pt = HPoint(z[:n].copy(), z[n:].copy(), phi)
+    pt = sphere_chart(r, omega, sign)
     if r == 1.0:
         return pt, math.inf
     jac = r ** (2 * n - 1) * math.sqrt(1.0 + 4.0 * r**6 / (1.0 - r**4))

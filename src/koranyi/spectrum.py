@@ -43,12 +43,12 @@ from .hcalc import HyperDual, hd_log, hlap, radial_lift, egrad, value_of
 from .hgroup import (
     GroupContext,
     HPoint,
-    a_matrix,
+    a_apply,
     knorm,
     knorm_grad_of,
-    knorm_of,
     psi,
     psi_of,
+    sphere_chart,
 )
 from .hquad import Annulus, radial_integral, surface_integral
 
@@ -67,6 +67,9 @@ class ProblemParams:
     k: int = 1
 
     def __post_init__(self) -> None:
+        for label, value in (("lambda", self.lam), ("a", self.a), ("p", self.p)):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
         if not self.p > 1.0:
             raise ValueError(f"nonlinearity exponent must satisfy p > 1, got {self.p}")
         if not (isinstance(self.k, int) and self.k >= 1):
@@ -156,13 +159,8 @@ def existence_margin(params: ProblemParams) -> float:
 
 def sigma_lambda(s, params: ProblemParams):
     """The radial barrier profile; accepts float, array, or HyperDual s > 0."""
-    if isinstance(s, HyperDual):
-        positive = s.value > 0.0
-    elif isinstance(s, np.ndarray):
-        positive = bool((s > 0.0).all())
-    else:
-        positive = s > 0.0
-    if not positive:
+    v = s.value if isinstance(s, HyperDual) else s
+    if not (v > 0.0 if isinstance(v, float) else np.all(v > 0.0)):
         raise ValueError("sigma_lambda needs s > 0")
     al = alphas(params)
     if params.is_critical:
@@ -195,11 +193,15 @@ def k_func(xi: HPoint, params: ProblemParams) -> float:
 # pointwise identity checks
 # ---------------------------------------------------------------------------
 
-def _chart_point(r: float, angle_unit: np.ndarray, sign: float, rho: float, n: int) -> HPoint:
-    """Point at gauge distance rho with sphere parameters (r, omega, sign)."""
-    z = r * angle_unit
-    phi = sign * math.sqrt(max(1.0 - r**4, 0.0))
-    return HPoint(rho * z[:n], rho * z[n:], rho * rho * phi)
+def _worst(errors: np.ndarray, pts: HPoint) -> tuple[float, tuple]:
+    """The largest error (NaN counts as largest) and the point it occurs at."""
+    if errors.size == 0:
+        return 0.0, ()
+    i = int(np.argmax(errors))
+    worst = float(errors[i])
+    if worst == 0.0:
+        return worst, ()
+    return worst, (tuple(pts.x[i]), tuple(pts.y[i]), float(pts.phi[i]))
 
 
 def check_k_harmonic(
@@ -213,46 +215,50 @@ def check_k_harmonic(
     """Verify -(1/psi) L K + (lambda/rho^2) K = 0 at random interior points.
 
     The sub-Laplacian is evaluated by hyper-dual AD on the radial lift (the
-    full 2N+1-coordinate pipeline, not the 1D shortcut).  The residual is
-    scaled by 1 + |K|/rho^2 so the tolerance is meaningful where the terms
-    blow up.  Points keep psi >= psi_min and rho in rho_bounds.
+    full 2N+1-coordinate pipeline, not the 1D shortcut), over all points in
+    one batch.  The residual is scaled by 1 + |K|/rho^2 so the tolerance is
+    meaningful where the terms blow up.  Points keep psi >= psi_min and rho
+    in rho_bounds.
     """
     rng = np.random.default_rng(seed)
     n = params.ctx.N
     field = radial_lift(k_profile(params))
 
-    worst = 0.0
-    worst_pt: tuple = ()
-    for _ in range(n_points):
-        r = math.sqrt(rng.uniform(psi_min * 1.2, 0.999))
-        u = rng.normal(size=2 * n)
-        u /= np.linalg.norm(u)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        rho = math.exp(rng.uniform(math.log(rho_bounds[0]), math.log(rho_bounds[1])))
-        pt = _chart_point(r, u, sign, rho, n)
+    r = np.empty(n_points)
+    u = np.empty((n_points, 2 * n))
+    sign = np.empty(n_points)
+    rho = np.empty(n_points)
+    log_lo, log_hi = math.log(rho_bounds[0]), math.log(rho_bounds[1])
+    for i in range(n_points):
+        r[i] = math.sqrt(rng.uniform(psi_min * 1.2, 0.999))
+        u[i] = rng.normal(size=2 * n)
+        u[i] /= np.linalg.norm(u[i])
+        sign[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+        rho[i] = math.exp(rng.uniform(log_lo, log_hi))
+    pts = sphere_chart(r, u, sign, rho)
 
-        kval = float(value_of(sigma_lambda(rho, params)))
-        resid = abs(-hlap(field, pt) / psi(pt) + params.lam * kval / rho**2)
-        scaled = resid / (1.0 + abs(kval) / rho**2)
-        if scaled > worst:
-            worst = scaled
-            worst_pt = (tuple(pt.x), tuple(pt.y), pt.phi)
+    kval = sigma_lambda(rho, params)
+    resid = np.abs(-hlap(field, pts) / psi(pts) + params.lam * kval / rho**2)
+    worst, worst_pt = _worst(resid / (1.0 + np.abs(kval) / rho**2), pts)
     return PointwiseReport(worst <= tol, worst, tol, n_points, worst_pt)
 
 
-def flux_pair(params: ProblemParams, xi: HPoint) -> tuple[float, float]:
-    """(measured, predicted) boundary flux density of K at a unit-sphere point.
+def flux_pair(params: ProblemParams, xi: HPoint):
+    """(measured, predicted) boundary flux density of K at unit-sphere points.
 
     measured:  A(z) grad K . n with grad K and n = grad rho/|grad rho| from AD;
     predicted: sigma'(1) * psi / |grad rho|.
+    Floats for a single point, arrays over the batch otherwise.
     """
     field = radial_lift(k_profile(params))
     grad_k = egrad(field, xi)
     grad_rho = egrad(radial_lift(lambda s: s), xi)
-    nrm = float(np.linalg.norm(grad_rho))
-    measured = float(a_matrix(xi) @ grad_k @ grad_rho) / nrm
+    nrm = np.linalg.norm(grad_rho, axis=-1)
+    measured = (a_apply(xi, grad_k) * grad_rho).sum(axis=-1) / nrm
     predicted = sigma_prime_one(params) * psi(xi) / nrm
-    return measured, predicted
+    if xi.shape:
+        return measured, predicted
+    return float(measured), float(predicted)
 
 
 def check_k_boundary(
@@ -264,7 +270,8 @@ def check_k_boundary(
     """Verify the boundary flux identity on a deterministic unit-sphere grid.
 
     Nodes keep psi = r^2 >= psi_min; the identity degenerates to 0 = 0 at the
-    poles, which carry no information.
+    poles, which carry no information.  All nodes go through `flux_pair` as
+    one batch.
     """
     n = params.ctx.N
     n_r = max(8, int(math.sqrt(nodes / 2)))
@@ -272,22 +279,18 @@ def check_k_boundary(
     r_grid = np.linspace(math.sqrt(psi_min) + 0.01, 0.999, n_r)
 
     rng = np.random.default_rng(7)
-    worst = 0.0
-    worst_pt: tuple = ()
-    count = 0
-    for r in r_grid:
-        for _ in range(n_ang):
-            u = rng.normal(size=2 * n)
-            u /= np.linalg.norm(u)
-            for sign in (1.0, -1.0):
-                pt = _chart_point(float(r), u, sign, 1.0, n)
-                measured, predicted = flux_pair(params, pt)
-                rel = abs(measured - predicted) / max(abs(predicted), 1e-300)
-                count += 1
-                if rel > worst:
-                    worst = rel
-                    worst_pt = (tuple(pt.x), tuple(pt.y), pt.phi)
-    return PointwiseReport(worst <= tol, worst, tol, count, worst_pt)
+    u = np.empty((n_r * n_ang, 2 * n))
+    for i in range(len(u)):
+        u[i] = rng.normal(size=2 * n)
+        u[i] /= np.linalg.norm(u[i])
+    # nodes ordered by radius, then direction, then sign (+1 before -1)
+    pts = sphere_chart(np.repeat(r_grid, 2 * n_ang), np.repeat(u, 2, axis=0),
+                       np.tile([1.0, -1.0], n_r * n_ang))
+
+    measured, predicted = flux_pair(params, pts)
+    rel = np.abs(measured - predicted) / np.maximum(np.abs(predicted), 1e-300)
+    worst, worst_pt = _worst(rel, pts)
+    return PointwiseReport(worst <= tol, worst, tol, len(rel), worst_pt)
 
 
 # ---------------------------------------------------------------------------

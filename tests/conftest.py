@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koranyi import hgroup
 from koranyi.hgroup import GroupContext, HPoint
 
 
@@ -15,12 +16,7 @@ def ctx2():
 
 
 def random_points(ctx, n, seed, rho_floor=1e-2):
-    """Box-uniform points with the gauge bounded away from the origin."""
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < n:
-        row = rng.uniform(-1.0, 1.0, size=2 * ctx.N + 1)
-        x, y, phi = row[: ctx.N], row[ctx.N : 2 * ctx.N], float(row[-1])
-        if (float(x @ x + y @ y) ** 2 + phi**2) ** 0.25 >= rho_floor:
-            pts.append(HPoint(x, y, phi))
-    return pts
+    """Box-uniform points with the gauge bounded away from the origin, as a
+    list of single points drawn by `hgroup.random_points` from `seed`."""
+    batch = hgroup.random_points(ctx, np.random.default_rng(seed), n, rho_floor)
+    return [HPoint(x, y, float(phi)) for x, y, phi in zip(batch.x, batch.y, batch.phi)]

@@ -1,7 +1,13 @@
 import importlib.util
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx, raises
 
 from koranyi.cli import main
@@ -280,3 +286,43 @@ class TestReportCommand:
         code, _, err = run(capsys, "report")
         assert code == 2
         assert "at least one input" in err
+
+
+class TestNonFiniteAndIllTypedInput:
+    """Non-finite parameters and a non-integer N are usage errors (exit 2)."""
+
+    @staticmethod
+    def quiet(argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        return code, err.getvalue()
+
+    def test_classify_nan_lambda(self, capsys):
+        code, out, err = run(capsys, "classify", "--lambda", "nan")
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    @given(st.sampled_from(["classify", "simulate", "witness"]),
+           st.sampled_from(["--lambda", "--a", "--p"]),
+           st.sampled_from(["nan", "inf", "-inf"]))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_flags_exit_2(self, command, flag, bad):
+        code, err = self.quiet([command, f"{flag}={bad}"])
+        assert code == 2, err
+        assert err.startswith("error:")
+
+    @given(st.sampled_from(["classify", "simulate", "witness"]),
+           st.one_of(st.floats(), st.booleans(), st.just("2")))
+    @settings(max_examples=40, deadline=None)
+    def test_non_integer_n_in_config_exits_2(self, command, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps({"N": bad}))
+            code, err = self.quiet([command, "--config", str(cfg)])
+        assert code == 2, err
+        assert "integer" in err
+
+    def test_non_integer_n_flag_is_refused_by_the_parser(self):
+        with raises(SystemExit) as exc:
+            self.quiet(["classify", "--N", "1.5"])
+        assert exc.value.code == 2

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from koranyi.hgroup import HPoint, psi
+from koranyi.hgroup import GroupContext, HPoint, psi
+from koranyi.hgroup import random_points as batch_points
 from koranyi.hcalc import (
     HyperDual,
+    egrad,
     hd_cos,
     hd_exp,
     hd_log,
@@ -196,3 +198,111 @@ def test_operator_in_higher_layers(ctx2):
     for pt in random_points(ctx2, 15, seed=17):
         r = (float(pt.x @ pt.x + pt.y @ pt.y) ** 2 + pt.phi**2) ** 0.25
         assert hlap(field, pt) == approx(psi(pt) * 12.0, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-point path
+# ---------------------------------------------------------------------------
+
+BATCH_FIELDS = {
+    "barrier": radial_lift(lambda r: r**-1.5 - r**0.5),
+    "mixed": lambda x, y, phi: hd_exp(0.3 * (x * y).sum(axis=-1)) * hd_sin(phi + x[..., 0])
+    + (y * y * y).sum(axis=-1) / (2.0 + phi * phi),
+}
+
+
+@mark.parametrize("n", [1, 2, 4])
+@mark.parametrize("name", sorted(BATCH_FIELDS))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batched_operators_match_per_point(n, name, seed):
+    f = BATCH_FIELDS[name]
+    pts = batch_points(GroupContext(n), np.random.default_rng(seed), 6)
+    singles = random_points(GroupContext(n), 6, seed)
+
+    lap = hlap(f, pts)
+    assert lap.shape == (6,)
+    per_point = np.array([hlap(f, q) for q in singles])
+    assert np.all(np.abs(lap - per_point) <= 1e-14 * np.abs(per_point))
+
+    for op, width in ((egrad, 2 * n + 1), (hgrad, 2 * n)):
+        batched = op(f, pts)
+        assert batched.shape == (6, width)
+        per_point = np.array([op(f, q) for q in singles])
+        scale = np.abs(per_point).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(batched - per_point) <= 1e-14 * scale)
+
+
+def test_batched_fields_and_divform_shapes(ctx2):
+    pts = batch_points(ctx2, np.random.default_rng(4), 5)
+    singles = random_points(ctx2, 5, 4)
+    f = radial_lift(lambda r: r**2)
+    for i in (1, 2):
+        assert x_field(i, f, pts).shape == (5,)
+        assert y_field(i, f, pts).shape == (5,)
+    div = hlap_divform(f, pts)
+    assert div.shape == (5,)
+    assert div == approx(np.array([hlap_divform(f, q) for q in singles]), rel=1e-12)
+    assert isinstance(hlap(f, singles[0]), float)
+
+
+numpy_scalars = st.sampled_from([np.float64, np.float32, np.int64, np.array])
+
+
+@given(numpy_scalars, st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_scalar_parts_are_python_floats(make, parts):
+    u = HyperDual(*(make(p) for p in parts))
+    for v in (u, u * make(2), u + make(1), hd_exp(u), u * u):
+        assert all(type(p) is float for p in (v.value, v.d1, v.d2, v.d12))
+
+
+def _parts(u):
+    return np.array([u.value, u.d1, u.d2, u.d12])
+
+
+positive = st.floats(min_value=0.2, max_value=3.0)
+hd_pos = st.builds(HyperDual, positive, small, small, small)
+# +, -, *, / and the numpy transcendentals give bitwise equal parts; powers
+# differ by an ulp between Python's float ** and numpy's array power, so they
+# are compared relative to the size of the parts
+OPS = {
+    "add": (lambda u, v: u + v, 0.0),
+    "sub": (lambda u, v: u - v, 0.0),
+    "mul": (lambda u, v: u * v, 0.0),
+    "div": (lambda u, v: u / v, 0.0),
+    "rsub": (lambda u, v: 1.5 - u, 0.0),
+    "rdiv": (lambda u, v: 2.0 / v, 0.0),
+    "exp_log": (lambda u, v: hd_exp(u) * hd_log(v), 0.0),
+    "trig": (lambda u, v: hd_sin(u) + hd_cos(u), 0.0),
+    "pow": (lambda u, v: v**2.5, 1e-14),
+    "int_pow": (lambda u, v: u**3, 1e-14),
+    "sqrt": (lambda u, v: hd_sqrt(v), 1e-14),
+}
+
+
+@mark.parametrize("op", sorted(OPS))
+@given(st.lists(st.tuples(hd_st, hd_pos), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_array_ring_matches_scalar_ring(op, pairs):
+    fn, rel = OPS[op]
+
+    def stack(hds):
+        return HyperDual(*(np.array([getattr(h, k) for h in hds]) for k in ("value", "d1", "d2", "d12")))
+
+    batched = fn(stack([u for u, _ in pairs]), stack([v for _, v in pairs]))
+    for i, (u, v) in enumerate(pairs):
+        expect = _parts(fn(u, v))
+        got = np.array([batched.value[i], batched.d1[i], batched.d2[i], batched.d12[i]])
+        assert np.all(np.abs(got - expect) <= rel * (1.0 + np.abs(expect).max())), (got, expect)
+
+
+def test_array_power_branches_are_elementwise():
+    u = HyperDual(np.array([0.0, 2.0]), np.array([2.0, 1.0]), np.array([3.0, 1.0]), np.zeros(2))
+    sq = u**2
+    assert sq.d12 == approx(np.array([12.0, 2.0]))
+    assert (u**3).value == approx(np.array([0.0, 8.0]))
+    with raises(ValueError):
+        u**1.5
+    with raises(ValueError):
+        HyperDual(np.array([1.0, -2.0]), np.ones(2), np.zeros(2), np.zeros(2)) ** 0.5

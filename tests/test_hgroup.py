@@ -16,8 +16,10 @@ from koranyi.hgroup import (
     knorm,
     origin,
     psi,
+    sphere_chart,
     sphere_point,
 )
+from koranyi.hgroup import random_points as batch_points
 
 from conftest import random_points
 
@@ -46,6 +48,18 @@ def test_homogeneous_dimension(n, q):
 def test_context_rejects_nonpositive_layers(bad):
     with raises(ValueError):
         GroupContext(bad)
+
+
+@given(st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none()))
+@settings(max_examples=100, deadline=None)
+def test_context_rejects_non_integer_layers(bad):
+    with raises(ValueError, match="integer"):
+        GroupContext(bad)
+
+
+def test_context_accepts_numpy_integers():
+    ctx = GroupContext(np.int64(3))
+    assert ctx.N == 3 and type(ctx.N) is int
 
 
 def test_point_shape_mismatch_rejected():
@@ -193,3 +207,70 @@ def test_sphere_point_equator_element_diverges():
 def test_sphere_point_rejects_bad_charts(r, omega, sign):
     with raises(ValueError):
         sphere_point(r, omega, sign)
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+@mark.parametrize("n", [1, 2, 4])
+def test_random_points_keep_the_row_stream(n):
+    ctx = GroupContext(n)
+    pts = batch_points(ctx, np.random.default_rng(8), 300, rho_floor=0.6)
+    assert pts.shape == (300,) and pts.N == n
+    assert np.all(knorm(pts) >= 0.6)
+    # the same rows, drawn one at a time and filtered in order
+    rng = np.random.default_rng(8)
+    rows = []
+    while len(rows) < 300:
+        row = rng.uniform(-1.0, 1.0, size=2 * n + 1)
+        if knorm(HPoint.from_flat(row)) >= 0.6:
+            rows.append(row)
+    assert np.array_equal(pts.flat(), np.array(rows))
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_batched_group_operations_match_per_point(n):
+    ctx = GroupContext(n)
+    a = batch_points(ctx, np.random.default_rng(1), 50)
+    b = batch_points(ctx, np.random.default_rng(2), 50)
+    pairs = list(zip(random_points(ctx, 50, 1), random_points(ctx, 50, 2)))
+    ab = compose(a, b)
+    assert ab.shape == (50,)
+    assert np.array_equal(ab.flat(), np.array([compose(p, q).flat() for p, q in pairs]))
+    # a fractional power of an array may differ from the scalar one by an ulp
+    assert knorm(a) == approx(np.array([knorm(p) for p, _ in pairs]), rel=1e-15)
+    assert psi(a) == approx(np.array([psi(p) for p, _ in pairs]), rel=1e-15)
+    assert kdist(a, b) == approx(np.array([kdist(p, q) for p, q in pairs]), rel=1e-15)
+    A = a_matrix(a)
+    assert A.shape == (50, 2 * n + 1, 2 * n + 1)
+    assert np.array_equal(A, np.array([a_matrix(p) for p, _ in pairs]))
+
+
+def test_psi_rejects_a_batch_holding_the_identity(ctx1):
+    pts = HPoint(np.array([[0.5], [0.0]]), np.array([[0.1], [0.0]]), np.array([0.2, 0.0]))
+    with raises(ValueError):
+        psi(pts)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sphere_chart_places_points_at_gauge_rho(n, seed):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 1.0, size=20)
+    omega = rng.normal(size=(20, 2 * n))
+    omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+    sign = rng.choice([-1.0, 1.0], size=20)
+    rho = np.exp(rng.uniform(-5.0, 0.0, size=20))
+    pts = sphere_chart(r, omega, sign, rho)
+    assert pts.shape == (20,) and pts.N == n
+    assert knorm(pts) == approx(rho, rel=1e-13)
+    assert psi(pts) == approx(r * r, rel=1e-12, abs=1e-15)
+    assert np.all(np.sign(pts.phi) == sign)
+    for i in range(3):
+        unit, _ = sphere_point(float(r[i]), omega[i], int(sign[i]))
+        single = sphere_chart(r[i], omega[i], sign[i], rho[i])
+        assert isinstance(single.phi, float)
+        assert np.array_equal(single.flat(), pts.flat()[i])
+        assert np.allclose(unit.flat() * np.concatenate([np.full(2 * n, rho[i]), [rho[i] ** 2]]),
+                           single.flat(), rtol=1e-15, atol=0.0)

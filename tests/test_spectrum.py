@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from koranyi.hgroup import GroupContext, HPoint
+from koranyi.hgroup import GroupContext, HPoint, sphere_chart
 from koranyi.hcalc import HyperDual, value_of
 from koranyi.spectrum import (
     Classification,
@@ -45,6 +45,14 @@ class TestProblemParams:
             params(0.0, k=0)
         with raises(ValueError, match="time order"):
             ProblemParams(GroupContext(1), 0.0, 0.0, 2.0, k=1.5)
+
+    @given(st.sampled_from(["lam", "a", "p"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=30, deadline=None)
+    def test_rejects_non_finite_parameters(self, name, bad):
+        values = {"lam": 0.0, "a": 0.0, "p": 2.0, name: bad}
+        with raises(ValueError):
+            ProblemParams(GroupContext(1), values["lam"], values["a"], values["p"])
 
     def test_rejects_lambda_below_hardy(self):
         with raises(ValueError, match="Hardy threshold"):
@@ -141,6 +149,18 @@ class TestHarmonicAndFlux:
         # psi = 1 and |grad rho| = 1 there, so both sides are sigma'(1)
         assert predicted == approx(-2.0)
         assert measured == approx(-2.0)
+
+    def test_flux_pair_on_a_batch_matches_per_point(self):
+        rng = np.random.default_rng(2)
+        omega = rng.normal(size=(12, 4))
+        omega /= np.linalg.norm(omega, axis=-1, keepdims=True)
+        pts = sphere_chart(rng.uniform(0.3, 0.99, size=12), omega, rng.choice([-1.0, 1.0], size=12))
+        measured, predicted = flux_pair(params(0.5, N=2), pts)
+        assert measured.shape == predicted.shape == (12,)
+        for i in range(12):
+            single = HPoint(pts.x[i], pts.y[i], float(pts.phi[i]))
+            m, p = flux_pair(params(0.5, N=2), single)
+            assert (m, p) == (approx(measured[i], rel=1e-14), approx(predicted[i], rel=1e-14))
 
     @mark.parametrize("lam", [0.0, -1.0])
     def test_boundary_identity_on_grid(self, lam):
