@@ -202,6 +202,37 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, low: float = -math.inf, strict: bool = False,
+          optional: bool = False, integer: bool = False):
+    """cfg[key] as a finite float, or an int if integer, no smaller than low
+    (larger, if strict).
+
+    None passes only for optional keys.  Strings and booleans are refused, so
+    a config file cannot smuggle in "nan" or true where a number belongs.
+    """
+    value = cfg[key]
+    if value is None and optional:
+        return None
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise UsageError(f"{key} must be {kind}, got {value!r}")
+    x = int(value) if integer else float(value)
+    if not math.isfinite(x):
+        raise UsageError(f"{key} must be finite, got {value!r}")
+    if x < low or (strict and x == low):
+        raise UsageError(f"{key} must be {'>' if strict else '>='} {low:g}, got {x:g}")
+    return x
+
+
+def _numbers(cfg: dict, key: str, low: float = -math.inf, strict: bool = False) -> list[float]:
+    """Every entry of the list cfg[key] through `_number`."""
+    values = cfg[key]
+    if not isinstance(values, (list, tuple)):
+        raise UsageError(f"{key} must be a list of numbers, got {values!r}")
+    return [_number({key: v}, key, low, strict) for v in values]
+
+
 def _out_dir(cfg: dict) -> Optional[Path]:
     if not cfg.get("out"):
         return None
@@ -351,8 +382,14 @@ def _max_abs(values) -> float:
 
 def cmd_verify_identities(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
+    _number(cfg, "lambda")
+    for key in ("seed", "n_triples", "n_points", "n_div_points", "mc_samples",
+                "harmonic_points", "flux_nodes"):
+        _number(cfg, key, 0 if key == "seed" else 1, integer=True)
+    for key in ("tol_group", "tol_grad", "tol_lap", "tol_div", "tol_harmonic", "tol_flux"):
+        _number(cfg, key, 0.0)
     rng = np.random.default_rng(int(cfg["seed"]))
-    scale = float(cfg["tol_scale"])
+    scale = _number(cfg, "tol_scale", 0.0)
     checks = []
 
     def tol(key):
@@ -453,11 +490,11 @@ def cmd_verify_identities(cfg: dict) -> int:
 
 def _params_from(cfg: dict, k: int = 1) -> ProblemParams:
     ctx = GroupContext(cfg["N"])
-    lam = float(cfg["lambda"])
+    lam = _number(cfg, "lambda")
     if cfg.get("lambda_critical"):
         lam = -((ctx.Q - 2) / 2.0) ** 2
     try:
-        return ProblemParams(ctx, lam, float(cfg["a"]), float(cfg["p"]), k)
+        return ProblemParams(ctx, lam, _number(cfg, "a"), _number(cfg, "p"), k)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -492,24 +529,26 @@ def cmd_classify(cfg: dict) -> int:
 
 def cmd_witness(cfg: dict) -> int:
     params = _params_from(cfg)
+    tau, eps, beta = (_number(cfg, key, optional=True) for key in ("tau", "eps", "beta"))
+    tol = _number(cfg, "tol", 0.0)
     try:
         if params.is_critical:
-            w = build_critical(params, beta=cfg["beta"], eps=cfg["eps"])
+            w = build_critical(params, beta=beta, eps=eps)
         else:
-            w = build_subcritical(params, tau=cfg["tau"], eps=cfg["eps"])
+            w = build_subcritical(params, tau=tau, eps=eps)
     except ValueError as exc:
         raise UsageError(str(exc))
     report = verify_witness(
         w,
-        grid=int(cfg["grid"]),
-        tol=float(cfg["tol"]),
-        rho_bounds=(float(cfg["rho_min"]), 1.0),
-        seed=int(cfg["seed"]),
+        grid=_number(cfg, "grid", 2, integer=True),
+        tol=tol,
+        rho_bounds=(_number(cfg, "rho_min", 0.0, strict=True), 1.0),
+        seed=_number(cfg, "seed", 0, integer=True),
     )
     checks = [
         _check(
-            "witness-identity", report.max_identity_rel_err <= float(cfg["tol"]),
-            report.max_identity_rel_err, 0.0, float(cfg["tol"]),
+            "witness-identity", report.max_identity_rel_err <= tol,
+            report.max_identity_rel_err, 0.0, tol,
             "the built profile satisfies its stationary identity on sampled radii",
         ),
         _check(
@@ -544,9 +583,14 @@ def cmd_scaling(cfg: dict) -> int:
     for key, value in _LAW_DEFAULTS[law].items():
         if cfg.get(key) is None:
             cfg[key] = value
+    _number(cfg, "tol_slope", 0.0)
+    _number(cfg, "r2_min")
+    T = _number(cfg, "T", 0.0, strict=True)
+    if cfg["scales"] is not None:
+        _numbers(cfg, "scales", 0.0, strict=True)
 
-    params = _params_from(cfg, k=int(cfg["k"]))
-    fam = default_family(params, iota=cfg["iota"])
+    params = _params_from(cfg, k=_number(cfg, "k", 1, integer=True))
+    fam = default_family(params, iota=_number(cfg, "iota", optional=True))
     out = _out_dir(cfg)
     checks = []
     extra: dict = {}
@@ -568,7 +612,6 @@ def cmd_scaling(cfg: dict) -> int:
 
     elif law == "annulus":
         scales = cfg["scales"] or list(DEFAULT_SCALES)
-        T = float(cfg["T"])
         denom = beta_time_integral(T, fam).value
         points = [(R, j2("gamma", T, R, params, fam).value / denom) for R in scales]
         fit = scaling_fit(points)
@@ -592,7 +635,6 @@ def cmd_scaling(cfg: dict) -> int:
                 f"got margin {margin:.3e}"
             )
         scales = cfg["scales"] or [10.0**e for e in (2, 5, 8, 11, 14, 17, 20)]
-        T = float(cfg["T"])
         denom = beta_time_integral(T, fam).value
         points = [
             (math.log(R), j2("mu", T, R, params, fam).value / denom) for R in scales
@@ -653,8 +695,9 @@ def cmd_scaling(cfg: dict) -> int:
 
 def cmd_integrate(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
-    s = float(cfg["s"])
-    ann = Annulus(float(cfg["r_inner"]), float(cfg["r_outer"]))
+    s = _number(cfg, "s")
+    tol = _number(cfg, "tol", 0.0)
+    ann = Annulus(_number(cfg, "r_inner", 0.0), _number(cfg, "r_outer", 0.0, strict=True))
     expo = ctx.Q + s
     if ann.r_inner == 0.0 and expo <= 0.0:
         raise UsageError(f"power {s} is not integrable down to the origin (needs s > -Q)")
@@ -665,20 +708,27 @@ def cmd_integrate(cfg: dict) -> int:
         closed = c_n(ctx) * (ann.r_outer**expo - ann.r_inner**expo) / expo
     rel = abs(value - closed) / abs(closed)
     checks = [_check(
-        "monomial-quadrature", rel <= float(cfg["tol"]), rel, 0.0, float(cfg["tol"]),
+        "monomial-quadrature", rel <= tol, rel, 0.0, tol,
         "weighted quadrature of a gauge power matches the closed-form antiderivative",
     )]
     return _finish("integrate", cfg, checks, extra={"value": value, "closed_form": closed})
 
 
-def cmd_simulate(cfg: dict) -> int:
-    params = _params_from(cfg, k=int(cfg["k"]))
-    if params.k not in (1, 2):
-        raise UsageError("only first and second order time derivatives are supported")
+def _grid_from(cfg: dict) -> RadialGrid:
     try:
-        grid = RadialGrid(float(cfg["rho_min"]), int(cfg["n_cells"]), cfg["spacing"])
+        return RadialGrid(_number(cfg, "rho_min"), _number(cfg, "n_cells", 0, integer=True),
+                          cfg["spacing"])
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def cmd_simulate(cfg: dict) -> int:
+    params = _params_from(cfg, k=_number(cfg, "k", 1, integer=True))
+    if params.k not in (1, 2):
+        raise UsageError("only first and second order time derivatives are supported")
+    t_end = _number(cfg, "t_end", 0.0, strict=True)
+    boundary_value = _number(cfg, "boundary_value")
+    grid = _grid_from(cfg)
     rho = grid.nodes()
     if cfg["ic"] == "bump":
         u0 = canonical_bump(rho)
@@ -687,12 +737,8 @@ def cmd_simulate(cfg: dict) -> int:
     else:
         raise UsageError(f"unknown initial profile {cfg['ic']!r}")
     ic = u0 if params.k == 1 else np.stack([u0, np.zeros_like(u0)])
-    result = integrate(
-        params, ic, grid,
-        t_end=float(cfg["t_end"]),
-        boundary_value=float(cfg["boundary_value"]),
-        nonlinear=bool(cfg["nonlinear"]),
-    )
+    result = integrate(params, ic, grid, t_end=t_end, boundary_value=boundary_value,
+                       nonlinear=bool(cfg["nonlinear"]))
     payload = {
         "suite": "simulate",
         "config": {k: v for k, v in cfg.items() if k != "out"},
@@ -703,6 +749,10 @@ def cmd_simulate(cfg: dict) -> int:
         "grid": grid.describe(),
         "sup_final": result.sup_norm_history[-1][1],
         "note": result.note,
+        "end_reason": result.end_reason,
+        "steps": result.steps,
+        "rejected": result.rejected,
+        "lu": result.lu,
     }
     print(f"simulate: {result.status} (t_final={result.t_final:.6g}, "
           f"sup={payload['sup_final']:.6g})")
@@ -731,22 +781,16 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_phase_sweep(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
-    lams = list(cfg["lambda_list"])
-    avals = list(cfg["a_list"])
-    pvals = list(cfg["p_list"])
+    lams, avals, pvals = (_numbers(cfg, key) for key in ("lambda_list", "a_list", "p_list"))
     if not (lams and avals and pvals):
         raise UsageError("phase-sweep needs nonempty lambda_list, a_list, p_list")
-    try:
-        grid = RadialGrid(float(cfg["rho_min"]), int(cfg["n_cells"]), cfg["spacing"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
     rows = phase_sweep(
         lams, avals, pvals, ctx,
-        k=int(cfg["k"]),
-        grid=grid,
-        t_end=float(cfg["t_end"]),
-        boundary_value=float(cfg["boundary_value"]),
-        threads=cfg["threads"],
+        k=_number(cfg, "k", 1, integer=True),
+        grid=_grid_from(cfg),
+        t_end=_number(cfg, "t_end", 0.0, strict=True),
+        boundary_value=_number(cfg, "boundary_value"),
+        threads=_number(cfg, "threads", 1, optional=True, integer=True),
     )
     header = ("lambda", "a", "p", "k", "status", "blow_up_time",
               "classifier_verdict", "grid", "dt_policy")

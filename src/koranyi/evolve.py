@@ -7,15 +7,40 @@ For radial u the spatial operator collapses to the 1D expression
 on a truncated interval (rho_min, 1): the origin is singular, so the grid
 stops at rho_min with a Neumann condition there (a modeling choice recorded
 in output metadata), and u is pinned to a constant boundary value at rho = 1.
-The k-th-order time equation becomes a first-order system of k layers and is
-advanced by classic RK4.
 
-Step control: the base policy dt = c dr^2 (k=1) or c dr (k=2), c = 0.2, is
-additionally capped by the linear reaction rate |lambda|/rho_min^2 and by the
-instantaneous nonlinear rate p rho^a |u|^{p-1}, both of which outrun the
-diffusion limit near the inner boundary.  The nonlinear cap shrinks dt as the
-solution grows, so a genuine blow-up manifests either as max|u| crossing the
-threshold or as dt collapsing below 1e-12; both are reported as blown_up.
+`radial_rhs` is the definition of the discrete operator.  Its linear part is
+one tridiagonal matrix L per grid and lambda, built from the same stencil
+weights, plus an affine term carrying the inner slope.  Each time order gets
+the solver that fits it:
+
+- k = 1 (parabolic and stiff near rho_min): scipy's variable-order BDF
+  through `solve_ivp`, with the analytic tridiagonal Jacobian
+  L + diag(p rho^a |u|^{p-1} sign u) and a terminal event at sup|u| =
+  BLOWUP_SUP.
+- k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
+  gamma = 1/2).  It is unconditionally stable and does not damp the linear
+  part, which goes through a banded solve; the nonlinearity is explicit,
+  evaluated once per step at the Taylor predictor.  dt follows the
+  Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
+  the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
+  |u|^{p-1}), so it shrinks as a blow-up develops.
+
+A run ends in one of five ways, `SimResult.end_reason`:
+
+- completed: t_end was reached;
+- sup_threshold: sup|u| crossed BLOWUP_SUP or the state turned non-finite
+  (blown_up);
+- step_collapse: BDF's step fell below the spacing of floating-point t
+  after sup|u| grew at least STALL_GROWTH-fold, read as blow-up at the last
+  accepted t (blown_up);
+- solver_stall: the same collapse without that growth; status solver_stall,
+  with the solver's message in the note;
+- dt_floor: the Newmark step fell below DT_FLOOR (blown_up).
+
+Before a run, the spectrum of L on the free nodes is checked.  Where it has
+an eigenvalue with positive real part (the uniform grid for every lambda < 0,
+whose inner cells cannot resolve lambda/rho^2), the discretization itself
+would manufacture growth, so `integrate` refuses the grid.
 
 Everything here is illustrative: the underlying problem is an inequality
 with no prescribed dynamics, and the simulated equality case near the
@@ -32,12 +57,27 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.integrate import solve_ivp
+from scipy.linalg import lapack
 
 from .hgroup import GroupContext
 from .spectrum import ProblemParams, classify
 
 BLOWUP_SUP = 1e8
 DT_FLOOR = 1e-12
+STALL_GROWTH = 100.0  # sup growth that makes a BDF step collapse a blow-up
+BDF_RTOL = 1e-7
+BDF_ATOL = 1e-10
+NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
+NEWMARK_ATOL = 1e-12
+NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
+NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
+
+# LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
+# for one band on each side.  Called directly, it skips solve_banded's
+# per-call argument checks, which cost several times a 65-node solve.
+_gtsv = lapack.dgtsv
 
 
 @dataclass(frozen=True)
@@ -69,23 +109,27 @@ class RadialGrid:
 class SimState:
     t: float
     layers: np.ndarray  # (k, n_nodes): u, du/dt, ...
-    status: str = "running"  # running | completed | blown_up
+    status: str = "running"  # running | completed | blown_up | solver_stall
 
 
 @dataclass(frozen=True)
 class SimResult:
-    status: str
+    status: str  # completed | blown_up | solver_stall
     t_final: float
     sup_norm_history: tuple[tuple[float, float], ...]
     blow_up_time: Optional[float]
     final_state: SimState
     dt_policy: str
     note: str = ""
+    end_reason: str = "completed"  # see the module docstring
+    steps: int = 0  # accepted steps
+    rejected: int = 0  # step attempts that were not accepted
+    lu: int = 0  # BDF LU factorizations, or Newmark banded solves
 
 
 @lru_cache(maxsize=64)
 def _grid_data(grid: RadialGrid) -> tuple:
-    """Nodes, stencil weights, and spacings, computed once per grid."""
+    """Nodes, stencil weights, and the first spacing, computed once per grid."""
     rho = grid.nodes()
     hm = rho[1:-1] - rho[:-2]
     hp = rho[2:] - rho[1:-1]
@@ -98,7 +142,7 @@ def _grid_data(grid: RadialGrid) -> tuple:
         -2.0 * (hm + hp) / denom,  # d2 at i
         2.0 * hm / denom,          # d2 at i+1
     )
-    return rho, weights, float(rho[1] - rho[0]), float(np.min(np.diff(rho)))
+    return rho, weights, float(rho[1] - rho[0])
 
 
 def radial_rhs(
@@ -115,7 +159,7 @@ def radial_rhs(
     ghost carrying the prescribed slope; the boundary node is pinned (its
     time derivative is 0, matching the constant Dirichlet value).
     """
-    rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h, _ = _grid_data(grid)
+    rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h = _grid_data(grid)
     out = np.zeros_like(u)
 
     ui, um, up = u[1:-1], u[:-2], u[2:]
@@ -136,18 +180,49 @@ def radial_rhs(
     return out
 
 
-def _dt_for(
-    u: np.ndarray, rho: np.ndarray, dr_min: float, params: ProblemParams, nonlinear: bool
-) -> float:
-    """Base policy capped by the linear and instantaneous nonlinear rates."""
-    base = 0.2 * dr_min * dr_min if params.k == 1 else 0.2 * dr_min
-    rate = abs(params.lam) / float(rho[0]) ** 2
-    if nonlinear:
-        rate = max(rate, float(np.max(rho**params.a * params.p * np.abs(u) ** (params.p - 1.0))))
-    if rate > 0.0:
-        cap = 0.5 / rate if params.k == 1 else 0.5 / math.sqrt(rate)
-        return min(base, cap)
-    return base
+@dataclass(frozen=True)
+class LinearPart:
+    """The linear part of `radial_rhs`: L u + slope_coef * g e_0.
+
+    `bands` holds L in `scipy.linalg.solve_banded` storage for (1, 1):
+    bands[0, j] = L[j-1, j], bands[1, j] = L[j, j], bands[2, j] = L[j+1, j].
+    The pinned boundary row is zero.  `max_real_eig` is the largest real part
+    of the spectrum of L restricted to the free nodes.
+    """
+
+    bands: np.ndarray
+    slope_coef: float
+    max_real_eig: float
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """L u by the three bands."""
+        ab = self.bands
+        out = ab[1] * u
+        out[:-1] += ab[0, 1:] * u[1:]
+        out[1:] += ab[2, :-1] * u[:-1]
+        return out
+
+    def matrix(self) -> sparse.csc_matrix:
+        ab = self.bands
+        return sparse.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csc")
+
+
+@lru_cache(maxsize=64)
+def linear_part(grid: RadialGrid, N: int, lam: float) -> LinearPart:
+    """L for one grid, N and lambda, from the stencil weights of `_grid_data`."""
+    rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h = _grid_data(grid)
+    c = 2 * N + 1
+    ri = rho[1:-1]
+    ab = np.zeros((3, rho.size))
+    ab[0, 2:] = d2_hi + c * d1_hi / ri
+    ab[1, 1:-1] = d2_mid + c * d1_mid / ri - lam / ri**2
+    ab[2, :-2] = d2_lo + c * d1_lo / ri
+    ab[0, 1] = 2.0 / h**2  # mirror ghost at the inner node
+    ab[1, 0] = -2.0 / h**2 - lam / rho[0] ** 2
+    ab.flags.writeable = False  # shared by every caller through the cache
+    free = np.diag(ab[1, :-1]) + np.diag(ab[0, 1:-1], 1) + np.diag(ab[2, :-2], -1)
+    max_real = float(np.max(np.linalg.eigvals(free).real))
+    return LinearPart(ab, c / rho[0] - 2.0 / h, max_real)
 
 
 def integrate(
@@ -165,10 +240,15 @@ def integrate(
 
     ic is (k, n_nodes), or (n_nodes,) for k = 1.  source(t, rho) adds to the
     top layer's rate (manufactured-solution forcing); neumann_slope(t) sets
-    the inner slope (default homogeneous).
+    the inner slope (default homogeneous).  Raises ValueError for bad input
+    and for a grid whose linear part has spectrum in the right half-plane.
     """
     if params.k not in (1, 2):
         raise ValueError(f"time order must be 1 or 2, got {params.k}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not math.isfinite(boundary_value):
+        raise ValueError(f"boundary_value must be finite, got {boundary_value}")
     rho = grid.nodes()
     layers = np.array(ic, dtype=float, copy=True)
     if layers.ndim == 1:
@@ -177,71 +257,179 @@ def integrate(
         raise ValueError(f"initial data must be ({params.k}, {rho.size}), got {layers.shape}")
     if not np.all(np.isfinite(layers)):
         raise ValueError("initial data contains non-finite values")
+    op = linear_part(grid, params.ctx.N, params.lam)
+    if op.max_real_eig > 0.0:
+        raise ValueError(
+            f"the linear part on {grid.describe()} has an eigenvalue with real part "
+            f"{op.max_real_eig:.3g} > 0 at lambda = {params.lam:g}, so the grid would "
+            'manufacture growth; use a log-spaced grid (spacing "log")'
+        )
 
-    policy = f"rk4 dt=min(0.2*dr^{2 if params.k == 1 else 1}, rate caps)"
     layers[0, -1] = boundary_value
     if params.k == 2:
         layers[1, -1] = 0.0
-
     slope = neumann_slope if neumann_slope is not None else (lambda t: 0.0)
+    run = _bdf if params.k == 1 else _newmark
+    return run(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
+               max_history)
 
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        dy = np.empty_like(y)
-        if params.k == 2:
-            dy[0] = y[1]
-            dy[0, -1] = 0.0
-        top = radial_rhs(
-            y[0], grid, params, boundary_value, nonlinear=nonlinear, neumann_slope=slope(t)
-        )
+
+def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
+         max_history) -> SimResult:
+    """k = 1 through solve_ivp's BDF with the analytic tridiagonal Jacobian."""
+    rho = grid.nodes()
+    weight = rho[:-1] ** params.a
+    attempts = [0, math.nan]  # runs of right-hand-side calls at one new t, last t
+
+    def fun(t, u):
+        if t != attempts[1]:
+            attempts[0] += 1
+            attempts[1] = t
+        du = radial_rhs(u, grid, params, boundary_value, nonlinear=nonlinear,
+                        neumann_slope=slope(t))
         if source is not None:
-            top[:-1] = top[:-1] + source(t, rho[:-1])
-        dy[-1] = top
-        return dy
+            du[:-1] += source(t, rho[:-1])
+        return du
 
+    base = op.matrix()
+    if nonlinear:
+        def jac(t, u):
+            d = np.zeros_like(u)
+            d[:-1] = params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
+            return base + sparse.diags(d, format="csc")
+    else:
+        jac = base
+
+    # the event sees every accepted step once, in increasing t (its root
+    # search on a crossing step revisits earlier t and is ignored)
+    last = {"t": 0.0, "sup": float(np.max(np.abs(layers[0]))), "u": layers[0], "steps": 0}
+
+    def sup_event(t, u):
+        sup = float(np.max(np.abs(u)))
+        if t > last["t"]:
+            last.update(t=t, sup=sup, u=u.copy(), steps=last["steps"] + 1)
+        return sup - BLOWUP_SUP
+
+    sup_event.terminal = True
+
+    sol = solve_ivp(fun, (0.0, t_end), layers[0], method="BDF", jac=jac,
+                    t_eval=np.linspace(0.0, t_end, max_history + 1), events=sup_event,
+                    rtol=BDF_RTOL, atol=BDF_ATOL)
+    history = [(float(t), float(np.max(np.abs(y)))) for t, y in zip(sol.t, sol.y.T)]
+    sup0 = history[0][1]
+    steps = last["steps"]
+    # two start-up calls (f(t0) and the initial-step probe) are not attempts
+    rejected = max(0, attempts[0] - 2 - steps)
+    counters = {"steps": steps, "rejected": rejected, "lu": int(sol.nlu)}
+    policy = (f"bdf rtol={BDF_RTOL:g} atol={BDF_ATOL:g} tridiagonal jacobian; "
+              f"blow-up at sup>{BLOWUP_SUP:g} or step collapse after {STALL_GROWTH:g}x growth")
+    note = ""
+    if sol.status == 1:
+        t, u = float(sol.t_events[0][0]), sol.y_events[0][0]
+        status, reason, blow_time = "blown_up", "sup_threshold", t
+        note = f"sup norm {np.max(np.abs(u)):.3e} at t = {t:.6g}"
+    elif sol.status == 0:
+        t, u = float(sol.t[-1]), sol.y[:, -1]
+        status, reason, blow_time = "completed", "completed", None
+    else:
+        t, u = last["t"], last["u"]
+        grown = last["sup"] > 0.0 and last["sup"] >= STALL_GROWTH * sup0
+        if grown:
+            status, reason, blow_time = "blown_up", "step_collapse", t
+        else:
+            status, reason, blow_time = "solver_stall", "solver_stall", None
+        note = (f"{sol.message} at t = {t:.6g}, sup {last['sup']:.3e} "
+                f"({last['sup'] / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
+    if status != "completed":
+        history.append((t, float(np.max(np.abs(u)))))
+    state = SimState(t, np.array(u, dtype=float)[None, :], status)
+    return SimResult(status, t, tuple(history), blow_time, state, policy, note, reason,
+                     **counters)
+
+
+def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
+             max_history) -> SimResult:
+    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
+    rho = grid.nodes()
+    weight = rho[:-1] ** params.a
+    p = params.p
+
+    def forcing(t, u):
+        """Everything but L u, at the state u: the inner slope, the
+        nonlinearity and the source; and the nonlinear rate max p rho^a |u|^(p-1)."""
+        g = np.zeros_like(u)
+        rate = 0.0
+        if nonlinear:
+            mag = np.abs(u[:-1])
+            w = weight * mag ** (p - 1.0)
+            g[:-1] = w * mag
+            rate = p * w.max()
+        if source is not None:
+            g[:-1] += source(t, rho[:-1])
+        g[0] += op.slope_coef * slope(t)
+        return g, rate
+
+    u, v = layers[0].copy(), layers[1].copy()
+    g, rate = forcing(0.0, u)
+    a = op.apply(u) + g
     t = 0.0
-    history = [(0.0, float(np.max(np.abs(layers[0]))))]
+    sup = float(np.abs(u).max())
+    history = [(0.0, sup)]
     record_dt = t_end / max_history
     next_record = record_dt
-    status = "running"
-    blow_time: Optional[float] = None
-    note = ""
-
-    dr_min = _grid_data(grid)[3]
+    status, reason, blow_time, note = "running", "completed", None, ""
+    steps = rejected = 0
+    dt = NEWMARK_DT0 * t_end
+    grow_cap = 2.0
     while t < t_end:
-        dt = _dt_for(layers[0], rho, dr_min, params, nonlinear)
+        # the rate of the last predictor, a second-order guess of the current state
+        if rate > 0.0:
+            dt = min(dt, NEWMARK_RATE_CAP / math.sqrt(rate))
         if dt < DT_FLOOR:
-            status = "blown_up"
-            blow_time = t
+            status, reason, blow_time = "blown_up", "dt_floor", t
             note = f"dt underflow ({dt:.3e}) at t = {t:.6g}"
-            history.append((t, float(np.max(np.abs(layers[0])))))
+            history.append((t, sup))
             break
         dt = min(dt, t_end - t)
-
-        k1 = deriv(t, layers)
-        k2 = deriv(t + 0.5 * dt, layers + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, layers + 0.5 * dt * k2)
-        k4 = deriv(t + dt, layers + dt * k3)
-        layers = layers + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        layers[0, -1] = boundary_value
-        if params.k == 2:
-            layers[1, -1] = 0.0
+        q = 0.25 * dt * dt
+        u_star = u + dt * v + q * a
+        g, rate_new = forcing(t + dt, u_star + q * a)  # Taylor predictor u + dt v + dt^2/2 a
+        system = -q * op.bands
+        system[1] += 1.0
+        *_, u_new, info = _gtsv(system[2, :-1], system[1], system[0, 1:], u_star + q * g)
+        if info != 0:
+            raise RuntimeError(f"singular Newmark system at t = {t:.6g}, dt = {dt:.3e}")
+        a_new = op.apply(u_new) + g
+        sup_new = float(np.abs(u_new).max())
+        err = (dt * dt / 12.0) * float(np.abs(a_new - a).max()) / (
+            NEWMARK_RTOL * sup_new + NEWMARK_ATOL)
+        if err > 1.0:
+            rejected += 1
+            dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
+            grow_cap = 1.0
+            continue
+        v = v + 0.5 * dt * (a + a_new)
+        u, a, sup, rate = u_new, a_new, sup_new, rate_new
         t += dt
-
-        sup = float(np.max(np.abs(layers[0])))
-        if not np.all(np.isfinite(layers)) or sup > BLOWUP_SUP:
-            status = "blown_up"
-            blow_time = t
+        steps += 1
+        if not sup <= BLOWUP_SUP:  # also catches a non-finite state
+            status, reason, blow_time = "blown_up", "sup_threshold", t
             note = f"sup norm {sup:.3e} at t = {t:.6g}"
             history.append((t, sup))
             break
         if t >= next_record or t >= t_end:
             history.append((t, sup))
             next_record += record_dt
+        dt *= min(grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else grow_cap
+        grow_cap = 2.0
 
     if status == "running":
         status = "completed"
-    state = SimState(t, layers, status)
-    return SimResult(status, t, tuple(history), blow_time, state, policy, note)
+    policy = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
+              f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
+    state = SimState(t, np.stack([u, v]), status)
+    return SimResult(status, t, tuple(history), blow_time, state, policy, note, reason,
+                     steps=steps, rejected=rejected, lu=steps + rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ import scipy.integrate
 
 from .hgroup import GroupContext
 
+# Largest surface rule `surface_nodes` builds, in points.  It admits 200
+# nodes at N = 1 (80 000 points), 24 at N = 2 (165 888) and the smallest rule
+# at N = 3 (1 048 576, about 0.13 GB of coordinates and intermediates).
+SURFACE_NODE_BUDGET = 2_000_000
+
 __all__ = [
     "Annulus",
     "QuadResult",
@@ -318,15 +323,25 @@ def surface_nodes(nodes: int, ctx: GroupContext):
     Returns (x, y, phi, w) with the N-axis last; sum(w * g) approximates the
     surface integral of g.  `nodes` sets the chi resolution; the omega grid
     scales with it.  Gauss-Legendre chi nodes are interior, so the poles
-    (r -> 0) and the equator are never sampled exactly.
+    (r -> 0) and the equator are never sampled exactly.  The rule has
+    4 n_chi n_om^(2N-1) points; above SURFACE_NODE_BUDGET it raises
+    ValueError before allocating anything.
     """
     n_chi = max(8, nodes)
+    n_om = max(8, n_chi // 2)
+    # chi nodes x omega rule on S^{2N-1} (2 n_om^{2N-1} points) x two signs
+    count = 2 * n_chi * 2 * n_om ** (2 * ctx.N - 1)
+    if count > SURFACE_NODE_BUDGET:
+        raise ValueError(
+            f"a surface rule with {nodes} nodes at N = {ctx.N} has {count:.3g} points, "
+            f"over the budget of {SURFACE_NODE_BUDGET:.3g}"
+        )
     t, w = np.polynomial.legendre.leggauss(n_chi)
     chi = 0.25 * math.pi * (t + 1.0)
     w_chi = 0.25 * math.pi * w
     elem = 0.5 * np.cos(chi) ** (ctx.N - 1) * np.sqrt(np.sin(chi) ** 2 + 4.0 * np.cos(chi) ** 3)
 
-    om_pts, om_wts = sphere_rule(2 * ctx.N, max(8, n_chi // 2))
+    om_pts, om_wts = sphere_rule(2 * ctx.N, n_om)
     r = np.sqrt(np.cos(chi))
 
     # tensor product (chi x omega x sign), flattened

@@ -172,6 +172,8 @@ class TestSimulateCommand:
         doc = json.loads((tmp_path / "simulate.json").read_text())
         assert doc["status"] == "completed"
         assert doc["sup_final"] == 0.0
+        assert doc["end_reason"] == "completed"
+        assert doc["steps"] > 0 and doc["rejected"] >= 0 and doc["lu"] > 0
         lines = (tmp_path / "simulate-history.csv").read_text().splitlines()
         assert lines[0].startswith("# ")
         assert lines[1] == "t,sup_norm"
@@ -186,6 +188,21 @@ class TestSimulateCommand:
     def test_linear_flag(self, capsys):
         code, out, _ = run(capsys, "simulate", "--linear", "--a", "-2",
                            "--t-end", "0.02", "--n-cells", "32", "--rho-min", "0.01")
+        assert code == 0
+        assert "completed" in out
+
+
+    def test_positive_spectrum_grid_exits_2_with_a_hint(self, capsys):
+        code, out, err = run(capsys, "simulate", "--linear", "--lambda", "-1")
+        assert code == 2
+        assert "blown_up" not in out
+        assert err.startswith("error:") and 'spacing "log"' in err
+
+    def test_log_grid_from_config_runs_negative_lambda(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"spacing": "log"}))
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--linear",
+                           "--lambda", "-1", "--t-end", "0.02")
         assert code == 0
         assert "completed" in out
 
@@ -321,6 +338,45 @@ class TestNonFiniteAndIllTypedInput:
             code, err = self.quiet([command, "--config", str(cfg)])
         assert code == 2, err
         assert "integer" in err
+
+    @given(st.sampled_from([
+        ("simulate", "--t-end"), ("simulate", "--boundary-value"), ("simulate", "--rho-min"),
+        ("phase-sweep", "--t-end"), ("phase-sweep", "--rho-min"),
+        ("phase-sweep", "--lambda-list"), ("phase-sweep", "--a-list"),
+        ("integrate", "--s"), ("integrate", "--r-inner"), ("integrate", "--r-outer"),
+        ("witness", "--tau"), ("witness", "--eps"), ("verify-identities", "--tol-scale"),
+        ("scaling", "--lambda"), ("scaling", "--scales"),
+    ]), st.sampled_from(["nan", "inf", "-inf"]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_numeric_keys_exit_2(self, target, bad):
+        command, flag = target
+        code, err = self.quiet([command, f"{flag}={bad}"])
+        assert code == 2, err
+        assert err.startswith("error:") and "finite" in err
+
+    @given(st.sampled_from(["simulate", "phase-sweep"]),
+           st.one_of(st.floats(max_value=0.0, allow_nan=False), st.just(-1e-300)))
+    @settings(max_examples=40, deadline=None)
+    def test_nonpositive_t_end_exits_2(self, command, bad):
+        code, err = self.quiet([command, f"--t-end={bad!r}"])
+        assert code == 2, err
+        assert "t_end" in err
+
+    @given(st.sampled_from([
+        ("simulate", "boundary_value"), ("simulate", "t_end"), ("phase-sweep", "t_end"),
+        ("phase-sweep", "boundary_value"), ("integrate", "tol"), ("witness", "tol"),
+        ("witness", "rho_min"), ("scaling", "T"), ("verify-identities", "tol_flux"),
+        ("verify-identities", "n_points"),
+    ]), st.sampled_from(["nan", "inf", True, None, [1.0]]))
+    @settings(max_examples=60, deadline=None)
+    def test_ill_typed_numeric_config_values_exit_2(self, target, bad):
+        command, key = target
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.json"
+            cfg.write_text(json.dumps({key: bad}))
+            code, err = self.quiet([command, "--config", str(cfg)])
+        assert code == 2, err
+        assert key in err
 
     def test_non_integer_n_flag_is_refused_by_the_parser(self):
         with raises(SystemExit) as exc:

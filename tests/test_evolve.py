@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 from pytest import approx, mark, raises
@@ -6,9 +7,11 @@ from pytest import approx, mark, raises
 from koranyi.hgroup import GroupContext
 from koranyi.spectrum import ProblemParams
 from koranyi.evolve import (
+    BLOWUP_SUP,
     RadialGrid,
     canonical_bump,
     integrate,
+    linear_part,
     mms_initial_layers,
     mms_neumann,
     mms_reference,
@@ -91,6 +94,49 @@ class TestSpatialOperator:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestLinearPart:
+    @mark.parametrize("spacing", ["uniform", "log"])
+    @mark.parametrize("lam,N,a,p", [(0.0, 1, 2.0, 2.0), (3.0, 2, -2.0, 3.0), (0.75, 1, 0.5, 1.5)])
+    def test_matches_radial_rhs(self, spacing, lam, N, a, p):
+        # L u + slope term + nonlinearity is radial_rhs up to the rounding of
+        # its largest term: the stencil terms reach |lambda|/rho_min^2 |u|
+        g = RadialGrid(rho_min=1e-3, n_cells=64, spacing=spacing)
+        pr = ProblemParams(GroupContext(N), lam, a, p, 1)
+        rho = g.nodes()
+        u = canonical_bump(rho) + 0.3 * np.sin(7.0 * rho)
+        slope = -0.4
+        op = linear_part(g, N, lam)
+        nonlin = np.zeros_like(u)
+        nonlin[:-1] = rho[:-1] ** a * np.abs(u[:-1]) ** p
+        ours = op.apply(u) + nonlin
+        ours[0] += op.slope_coef * slope
+        ref = radial_rhs(u, g, pr, u[-1], nonlinear=True, neumann_slope=slope)
+        size = np.abs(op.bands).max(axis=0) * np.abs(u).max() + np.abs(nonlin) + 1.0
+        assert np.max(np.abs(ours - ref) / size) <= 1e-12
+        assert ours[-1] == ref[-1] == 0.0
+        assert op.matrix().toarray() @ u == approx(op.apply(u), rel=1e-13, abs=1e-9)
+
+    def test_spectrum_sign(self):
+        uniform = RadialGrid(rho_min=1e-3, n_cells=64)
+        log = RadialGrid(rho_min=1e-3, n_cells=64, spacing="log")
+        assert linear_part(uniform, 1, -1.0).max_real_eig > 1e5
+        assert linear_part(uniform, 1, -0.1).max_real_eig > 1e4
+        for lam in (0.0, 0.02, 0.75, 3.0):
+            assert -30.0 < linear_part(uniform, 1, lam).max_real_eig < -10.0
+        for lam in (-1.0, -0.5, -0.1, 0.0, 3.0):
+            assert linear_part(log, 1, lam).max_real_eig < 0.0
+
+    def test_positive_spectrum_is_refused(self):
+        g = RadialGrid(rho_min=1e-3, n_cells=64)
+        ic = canonical_bump(g.nodes())
+        with raises(ValueError, match="log"):
+            integrate(params(-1.0), ic, g, t_end=0.25, boundary_value=0.1, nonlinear=False)
+        log = RadialGrid(rho_min=1e-3, n_cells=64, spacing="log")
+        res = integrate(params(-1.0), canonical_bump(log.nodes()), log, t_end=0.02,
+                        boundary_value=0.1, nonlinear=False)
+        assert res.status == "completed"
+
+
 class TestIntegrate:
     def test_zero_data_stays_zero(self):
         g = RadialGrid(rho_min=0.01, n_cells=32)
@@ -119,13 +165,71 @@ class TestIntegrate:
     def test_policy_string_tracks_time_order(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
         r1 = integrate(params(0.0), np.zeros(33), g, t_end=0.01)
-        assert "dr^2" in r1.dt_policy
+        assert r1.dt_policy.startswith("bdf ")
         ic2 = np.zeros((2, 33))
         r2 = integrate(params(0.0, k=2), ic2, g, t_end=0.01)
-        assert "dr^1" in r2.dt_policy
+        assert r2.dt_policy.startswith("newmark beta=1/4 gamma=1/2")
+
+    def test_counters_and_end_reason(self):
+        g = RadialGrid(rho_min=0.05, n_cells=32)
+        ic = canonical_bump(g.nodes())
+        for k in (1, 2):
+            layers = ic if k == 1 else np.stack([ic, np.zeros_like(ic)])
+            res = integrate(params(0.0, a=2.0, k=k), layers, g, t_end=0.05)
+            assert res.end_reason == "completed"
+            assert res.steps > 0 and res.rejected >= 0 and res.lu > 0
+            assert res.t_final == approx(0.05)
+
+    def test_stall_without_growth_is_not_blow_up(self):
+        # a forcing that turns to NaN defeats every Newton iteration, so BDF
+        # halves its step down to the spacing of t while sup|u| stays put
+        g = RadialGrid(rho_min=0.05, n_cells=32)
+
+        def poisoned(t, rho):
+            return np.full_like(rho, np.nan if t > 0.005 else 0.0)
+
+        res = integrate(params(0.0, a=2.0), canonical_bump(g.nodes()), g, t_end=0.02,
+                        boundary_value=0.1, source=poisoned)
+        assert res.status == "solver_stall"
+        assert res.end_reason == "solver_stall"
+        assert res.blow_up_time is None
+        assert res.t_final == approx(0.005, rel=1e-6)
+        assert "step size" in res.note
+        assert res.rejected > 0
+        assert res.sup_norm_history[-1][1] < 1.0
+
+    def test_newmark_conserves_discrete_energy(self):
+        # linear k = 2 at lambda = 0 with zero boundary value: average
+        # acceleration keeps E = |v|_W^2/2 - u.WLu/2 for any dt sequence,
+        # where W symmetrizes L (built here from radial_rhs, not linear_part)
+        g = RadialGrid(rho_min=0.05, n_cells=32)
+        pr = params(0.0, k=2)
+        n = g.n_cells + 1
+        L = np.column_stack([
+            radial_rhs(col, g, pr, 0.0, nonlinear=False) for col in np.eye(n)
+        ])[:-1, :-1]
+        W = np.ones(n - 1)
+        for i in range(n - 2):
+            W[i + 1] = W[i] * L[i, i + 1] / L[i + 1, i]
+        S = W[:, None] * L
+        assert np.max(np.abs(S - S.T)) <= 1e-14 * np.max(np.abs(S))
+
+        def energy(u, v):
+            return 0.5 * np.sum(W * v[:-1] ** 2) - 0.5 * u[:-1] @ S @ u[:-1]
+
+        ic = np.stack([canonical_bump(g.nodes()), np.zeros(n)])
+        res = integrate(pr, ic, g, t_end=1.0, boundary_value=0.0, nonlinear=False)
+        assert res.status == "completed" and res.steps > 100
+        assert energy(*res.final_state.layers) == approx(energy(*ic), rel=1e-12)
 
     def test_validation(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
+        with raises(ValueError, match="t_end"):
+            integrate(params(0.0), np.zeros(33), g, t_end=math.nan)
+        with raises(ValueError, match="t_end"):
+            integrate(params(0.0), np.zeros(33), g, t_end=-1.0)
+        with raises(ValueError, match="boundary_value"):
+            integrate(params(0.0), np.zeros(33), g, t_end=0.1, boundary_value=math.inf)
         with raises(ValueError, match="time order"):
             integrate(params(0.0, k=3), np.zeros((3, 33)), g, t_end=0.1)
         with raises(ValueError, match="initial data must be"):
@@ -181,6 +285,26 @@ class TestReferenceCells:
         assert res.status == "blown_up"
         assert res.blow_up_time is not None and res.blow_up_time < 0.25
         assert res.sup_norm_history[-1][1] > 100.0
+        assert res.end_reason in ("sup_threshold", "step_collapse")
+
+    def test_second_order_blow_up_crosses_the_threshold(self):
+        g = RadialGrid(rho_min=1e-3, n_cells=64)
+        ic = canonical_bump(g.nodes())
+        res = integrate(params(0.0, a=-2.0, k=2), np.stack([ic, np.zeros_like(ic)]), g,
+                        t_end=0.75, boundary_value=0.1)
+        assert res.status == "blown_up"
+        assert res.end_reason == "sup_threshold"
+        assert res.sup_norm_history[-1][1] > BLOWUP_SUP
+        assert res.blow_up_time == approx(0.1541, rel=0.02)
+
+    def test_stiff_first_order_cell_is_fast(self):
+        # lambda/rho_min^2 = 3e6 capped the old explicit step; BDF does not care
+        g = RadialGrid(rho_min=1e-3, n_cells=64)
+        ic = canonical_bump(g.nodes())
+        start = time.perf_counter()
+        res = integrate(params(3.0, a=-2.0), ic, g, t_end=0.25, boundary_value=0.1)
+        assert time.perf_counter() - start < 1.0
+        assert res.status == "completed"
 
     def test_tame_weight_completes(self):
         g = RadialGrid(rho_min=1e-3, n_cells=64)
@@ -205,10 +329,18 @@ class TestPhaseSweep:
         }
         ok, bad = rows
         assert ok["status"] == "completed"
+        assert ok["dt_policy"].startswith("bdf ")
         assert ok["classifier_verdict"] == "ExistenceWitness"
         assert ok["grid"] == g.describe()
         assert bad["status"].startswith("error:")
         assert bad["classifier_verdict"] == ""
+
+    def test_refused_grid_is_an_error_row(self, monkeypatch):
+        monkeypatch.setenv("KORANYI_THREADS", "1")
+        g = RadialGrid(rho_min=1e-3, n_cells=64)
+        (row,) = phase_sweep([-0.5], [2.0], [2.0], GroupContext(1), grid=g, t_end=0.02)
+        assert row["status"].startswith("error:") and "log" in row["status"]
+        assert row["classifier_verdict"] != ""
 
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         g = RadialGrid(rho_min=0.01, n_cells=32)

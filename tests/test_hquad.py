@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 from pytest import approx, mark, raises
@@ -9,8 +10,10 @@ from koranyi.hquad import (
     c_n,
     mc_annulus,
     radial_integral,
+    SURFACE_NODE_BUDGET,
     sphere_rule,
     surface_integral,
+    surface_nodes,
 )
 
 
@@ -137,3 +140,25 @@ def test_surface_coarea_identity_higher_layers(ctx2):
 def test_surface_odd_function_cancels(ctx1):
     res = surface_integral(lambda x, y, phi: phi, nodes=100, ctx=ctx1)
     assert res.value == approx(0.0, abs=1e-12)
+
+
+@mark.parametrize("nodes,N", [(200, 1), (24, 2), (100, 1), (8, 3)])
+def test_surface_rule_size_is_the_closed_form(nodes, N):
+    from koranyi.hgroup import GroupContext
+
+    x, y, phi, w = surface_nodes(nodes, GroupContext(N))
+    n_chi = max(8, nodes)
+    assert w.size == 4 * n_chi * max(8, n_chi // 2) ** (2 * N - 1) <= SURFACE_NODE_BUDGET
+    assert x.shape == y.shape == (w.size, N) and phi.shape == w.shape
+
+
+def test_oversized_surface_rule_is_refused_before_allocating(ctx2):
+    # 400 nodes at N = 2 would be 1.28e10 points, one 48 GB coordinate array
+    tracemalloc.start()
+    try:
+        with raises(ValueError, match="budget"):
+            surface_nodes(400, ctx2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
