@@ -36,7 +36,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .hcalc import HyperDual, hd_exp, hd_log, value_of
-from .hgroup import HPoint, knorm
 from .hquad import Annulus, QuadResult, radial_integral
 from .spectrum import ProblemParams, k_profile
 
@@ -151,16 +150,6 @@ def mu_profile(R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
         return K(s) * c
 
     return profile
-
-
-def gamma_r(xi: HPoint, R: float, params: ProblemParams, fam: CutoffFamily) -> float:
-    """gamma_R at a point of the punctured closed unit ball."""
-    return float(value_of(gamma_profile(R, params, fam)(knorm(xi))))
-
-
-def mu_r(xi: HPoint, R: float, params: ProblemParams, fam: CutoffFamily) -> float:
-    """mu_R at a point of the punctured closed unit ball."""
-    return float(value_of(mu_profile(R, params, fam)(knorm(xi))))
 
 
 def _check_scale(R: float) -> None:

@@ -5,11 +5,13 @@ classifier (classify), explicit supersolutions (witness), scaling-law fits
 (scaling), quadrature cross-checks (integrate), single radial runs
 (simulate), status sweeps (phase-sweep), and report aggregation (report).
 
-Every command starts from built-in defaults, overlays an optional JSON
-config file, then overlays explicit flags, and embeds the effective
-configuration in whatever it emits, so each artifact records how it was
-produced.  Reports are JSON, sweeps and fits also land as CSV, and SVG
-plots appear only when matplotlib is importable.
+Each subcommand has one table of `Key` rows (see `COMMANDS`): name, default,
+kind, range, choices, flag and help.  The table builds the argument parser,
+and one resolver starts from its defaults, overlays an optional JSON config
+file, then overlays explicit flags, and checks every value against its row.
+The resolved configuration is embedded in whatever a command emits, so each
+artifact records how it was produced.  Reports are JSON, sweeps and fits
+also land as CSV, and SVG plots appear only when matplotlib is importable.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage
 or configuration (including inadmissible parameters).
@@ -23,7 +25,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, get_args
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from .witness import build_critical, build_subcritical, verify_witness, witness_
 from .evolve import RadialGrid, canonical_bump, integrate, phase_sweep
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, unreadable config, or inadmissible parameters; exit 2."""
 
 
@@ -70,105 +72,55 @@ class UsageError(Exception):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, dict] = {
-    "verify-identities": {
-        "N": 1,
-        "lambda": 0.0,
-        "seed": 0,
-        "n_triples": 2000,
-        "n_points": 2000,
-        "n_div_points": 40,
-        "mc_samples": 200_000,
-        "harmonic_points": 800,
-        "flux_nodes": 600,
-        "tol_group": 1e-12,
-        "tol_grad": 1e-10,
-        "tol_lap": 1e-10,
-        "tol_div": 1e-5,
-        "tol_harmonic": 1e-8,
-        "tol_flux": 1e-6,
-        "tol_scale": 1.0,
-        "out": None,
-    },
-    "classify": {
-        "N": 1,
-        "lambda": 0.0,
-        "lambda_critical": False,
-        "a": 0.0,
-        "p": 2.0,
-        "out": None,
-    },
-    "witness": {
-        "N": 1,
-        "lambda": 0.0,
-        "lambda_critical": False,
-        "a": 0.0,
-        "p": 2.0,
-        "tau": None,
-        "eps": None,
-        "beta": None,
-        "grid": 200,
-        "tol": 1e-10,
-        "rho_min": 1e-4,
-        "seed": 11,
-        "out": None,
-    },
-    "scaling": {
-        "law": "time",
-        "N": 1,
-        "k": 1,
-        "lambda": None,
-        "a": None,
-        "p": None,
-        "iota": None,
-        "scales": None,
-        "T": 50.0,
-        "tol_slope": None,
-        "r2_min": 0.95,
-        "out": None,
-    },
-    "integrate": {
-        "N": 1,
-        "s": 0.0,
-        "r_inner": 0.0,
-        "r_outer": 1.0,
-        "tol": 1e-9,
-        "out": None,
-    },
-    "simulate": {
-        "N": 1,
-        "lambda": 0.0,
-        "a": 2.0,
-        "p": 2.0,
-        "k": 1,
-        "rho_min": 1e-3,
-        "n_cells": 64,
-        "spacing": "uniform",
-        "t_end": 0.25,
-        "boundary_value": 0.1,
-        "ic": "bump",
-        "nonlinear": True,
-        "out": None,
-    },
-    "phase-sweep": {
-        "N": 1,
-        "lambda_list": [0.0],
-        "a_list": [-2.0, 2.0],
-        "p_list": [2.0],
-        "k": 1,
-        "rho_min": 1e-3,
-        "n_cells": 64,
-        "spacing": "uniform",
-        "t_end": 0.25,
-        "boundary_value": 0.1,
-        "threads": None,
-        "out": None,
-    },
-    "report": {
-        "inputs": [],
-        "out": None,
-    },
-}
+class Key(NamedTuple):
+    """One config key of a subcommand.
+
+    kind is float, int, bool, str or a list of one of them, e.g. list[float].
+    None passes only where the default is None.  Numbers must be finite and
+    no smaller than low (larger, if strict).  flag "" derives --name-with-dashes
+    and None leaves the key config-only; a bool flag sets the opposite of the
+    default.
+    """
+
+    name: str
+    default: object
+    kind: object = float
+    low: float = -math.inf
+    strict: bool = False
+    choices: tuple = ()
+    flag: Optional[str] = ""
+    help: Optional[str] = None
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _checked(key: Key, value):
+    """value checked against its row: kind, finiteness, choices and range."""
+    element = get_args(key.kind)
+    if element:
+        if not isinstance(value, list):
+            raise UsageError(f"{key.name} must be a list, got {value!r}")
+        return [_checked(key._replace(kind=element[0]), v) for v in value]
+    kind = key.kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise UsageError(f"{key.name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise UsageError(f"{key.name} must be finite, got {value!r}")
+    if key.choices and value not in key.choices:
+        raise UsageError(f"{key.name} must be one of {list(key.choices)}, got {value!r}")
+    if kind in (int, float) and (value < key.low or (key.strict and value == key.low)):
+        raise UsageError(
+            f"{key.name} must be {'>' if key.strict else '>='} {key.low:g}, got {value:g}"
+        )
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -184,53 +136,28 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, later layers winning."""
-    cfg = dict(DEFAULTS[command])
-    if getattr(args, "config", None):
+def resolve(command: str, args: argparse.Namespace) -> dict:
+    """defaults <- config file <- explicit flags, later layers winning; every
+    value is checked against its row of the command's table."""
+    keys = {key.name: key for key in COMMANDS[command][2]}
+    cfg = {name: key.default for name, key in keys.items()}
+    if args.config:
         file_cfg = _load_config(args.config)
-        unknown = set(file_cfg) - set(cfg)
+        unknown = set(file_cfg) - set(keys)
         if unknown:
-            raise UsageError(
-                f"config keys not understood by {command}: {sorted(unknown)}"
-            )
+            raise UsageError(f"config keys not understood by {command}: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        cfg[key.replace("_flag", "")] = value
+    cfg.update((name, getattr(args, name)) for name in keys
+               if getattr(args, name, None) is not None)
+    for name, key in keys.items():
+        if cfg[name] is not None or key.default is not None:
+            cfg[name] = _checked(key, cfg[name])
     return cfg
 
 
-def _number(cfg: dict, key: str, low: float = -math.inf, strict: bool = False,
-          optional: bool = False, integer: bool = False):
-    """cfg[key] as a finite float, or an int if integer, no smaller than low
-    (larger, if strict).
-
-    None passes only for optional keys.  Strings and booleans are refused, so
-    a config file cannot smuggle in "nan" or true where a number belongs.
-    """
-    value = cfg[key]
-    if value is None and optional:
-        return None
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
-        raise UsageError(f"{key} must be {kind}, got {value!r}")
-    x = int(value) if integer else float(value)
-    if not math.isfinite(x):
-        raise UsageError(f"{key} must be finite, got {value!r}")
-    if x < low or (strict and x == low):
-        raise UsageError(f"{key} must be {'>' if strict else '>='} {low:g}, got {x:g}")
-    return x
-
-
-def _numbers(cfg: dict, key: str, low: float = -math.inf, strict: bool = False) -> list[float]:
-    """Every entry of the list cfg[key] through `_number`."""
-    values = cfg[key]
-    if not isinstance(values, (list, tuple)):
-        raise UsageError(f"{key} must be a list of numbers, got {values!r}")
-    return [_number({key: v}, key, low, strict) for v in values]
+def _echo(cfg: dict) -> dict:
+    """The configuration as artifacts record it (the output directory left out)."""
+    return {k: v for k, v in cfg.items() if k != "out"}
 
 
 def _out_dir(cfg: dict) -> Optional[Path]:
@@ -285,7 +212,7 @@ def _finish(suite: str, cfg: dict, checks: list[dict], extra: Optional[dict] = N
     failed = sum(1 for c in checks if c["status"] != "pass")
     payload = {
         "suite": suite,
-        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "config": _echo(cfg),
         "checks": checks,
         "summary": {"total": len(checks), "passed": len(checks) - failed, "failed": failed},
     }
@@ -382,21 +309,15 @@ def _max_abs(values) -> float:
 
 def cmd_verify_identities(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
-    _number(cfg, "lambda")
-    for key in ("seed", "n_triples", "n_points", "n_div_points", "mc_samples",
-                "harmonic_points", "flux_nodes"):
-        _number(cfg, key, 0 if key == "seed" else 1, integer=True)
-    for key in ("tol_group", "tol_grad", "tol_lap", "tol_div", "tol_harmonic", "tol_flux"):
-        _number(cfg, key, 0.0)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    scale = _number(cfg, "tol_scale", 0.0)
+    rng = np.random.default_rng(cfg["seed"])
+    scale = cfg["tol_scale"]
     checks = []
 
     def tol(key):
-        return float(cfg[key]) * scale
+        return cfg[key] * scale
 
     # group axioms on random triples, all triples in one batch
-    trip = rng.uniform(-1.0, 1.0, size=(int(cfg["n_triples"]), 3, 2 * ctx.N + 1))
+    trip = rng.uniform(-1.0, 1.0, size=(cfg["n_triples"], 3, 2 * ctx.N + 1))
     g = [HPoint.from_flat(trip[:, k]) for k in range(3)]
     left = compose(compose(g[0], g[1]), g[2])
     right = compose(g[0], compose(g[1], g[2]))
@@ -412,7 +333,7 @@ def cmd_verify_identities(cfg: dict) -> int:
     ))
 
     # |grad of the gauge|^2 equals the angular weight
-    pts = random_points(ctx, rng, int(cfg["n_points"]))
+    pts = random_points(ctx, rng, cfg["n_points"])
     grad = egrad(radial_lift(lambda r: r), pts)
     weight = psi(pts)
     q = (a_apply(pts, grad) * grad).sum(axis=-1)
@@ -424,7 +345,7 @@ def cmd_verify_identities(cfg: dict) -> int:
 
     # radial form of the operator against the full AD evaluation
     profiles = [lambda r: r**2, lambda r: 1.0 / (1.0 + r**2)]
-    pts = random_points(ctx, rng, max(50, int(cfg["n_points"]) // 20))
+    pts = random_points(ctx, rng, max(50, cfg["n_points"] // 20))
     rho = knorm_of(*pts.coords())
     weight = psi(pts)
     worst = 0.0
@@ -438,7 +359,7 @@ def cmd_verify_identities(cfg: dict) -> int:
     ))
 
     # divergence form by central differences
-    pts = random_points(ctx, rng, int(cfg["n_div_points"]))
+    pts = random_points(ctx, rng, cfg["n_div_points"])
     field = radial_lift(lambda r: r**2)
     worst = _max_abs(hlap(field, pts) - hlap_divform(field, pts))
     checks.append(_check(
@@ -451,7 +372,7 @@ def cmd_verify_identities(cfg: dict) -> int:
     qr = radial_integral(lambda r: r**2, ann, ctx)
     mc = mc_annulus(
         lambda x, y, phi: psi_of(x, y, phi) * knorm_of(x, y, phi) ** 2,
-        ann, int(cfg["mc_samples"]), int(cfg["seed"]), ctx,
+        ann, cfg["mc_samples"], cfg["seed"], ctx,
     )
     band = 3.0 * (mc.error_estimate + qr.error_estimate) * scale
     diff = abs(qr.value - mc.value)
@@ -461,11 +382,10 @@ def cmd_verify_identities(cfg: dict) -> int:
     ))
 
     # barrier harmonicity at the configured lambda and at critical coupling
-    for lam_label, lam in (("given", float(cfg["lambda"])), ("critical", None)):
-        params = ProblemParams(ctx, lam if lam is not None else -((ctx.Q - 2) / 2.0) ** 2,
-                               0.0, 2.0)
-        rep = check_k_harmonic(params, n_points=int(cfg["harmonic_points"]),
-                               tol=tol("tol_harmonic"), seed=int(cfg["seed"]) + 1)
+    for lam_label, lam in (("given", cfg["lambda"]), ("critical", -((ctx.Q - 2) / 2.0) ** 2)):
+        params = ProblemParams(ctx, lam, 0.0, 2.0)
+        rep = check_k_harmonic(params, n_points=cfg["harmonic_points"],
+                               tol=tol("tol_harmonic"), seed=cfg["seed"] + 1)
         checks.append(_check(
             f"barrier-harmonic-{lam_label}", rep.passed, rep.max_scaled_residual,
             0.0, tol("tol_harmonic"),
@@ -473,8 +393,8 @@ def cmd_verify_identities(cfg: dict) -> int:
         ))
 
     # boundary flux identity
-    params = ProblemParams(ctx, float(cfg["lambda"]), 0.0, 2.0)
-    rep = check_k_boundary(params, nodes=int(cfg["flux_nodes"]), tol=tol("tol_flux"))
+    params = ProblemParams(ctx, cfg["lambda"], 0.0, 2.0)
+    rep = check_k_boundary(params, nodes=cfg["flux_nodes"], tol=tol("tol_flux"))
     checks.append(_check(
         "boundary-flux", rep.passed, rep.max_scaled_residual, 0.0, tol("tol_flux"),
         "the conormal flux density of the barrier matches its radial slope times "
@@ -488,15 +408,10 @@ def cmd_verify_identities(cfg: dict) -> int:
 # classify / witness
 # ---------------------------------------------------------------------------
 
-def _params_from(cfg: dict, k: int = 1) -> ProblemParams:
+def _params_from(cfg: dict) -> ProblemParams:
     ctx = GroupContext(cfg["N"])
-    lam = _number(cfg, "lambda")
-    if cfg.get("lambda_critical"):
-        lam = -((ctx.Q - 2) / 2.0) ** 2
-    try:
-        return ProblemParams(ctx, lam, _number(cfg, "a"), _number(cfg, "p"), k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    lam = -((ctx.Q - 2) / 2.0) ** 2 if cfg["lambda_critical"] else cfg["lambda"]
+    return ProblemParams(ctx, lam, cfg["a"], cfg["p"], cfg.get("k", 1))
 
 
 def cmd_classify(cfg: dict) -> int:
@@ -504,7 +419,7 @@ def cmd_classify(cfg: dict) -> int:
     result = classify(params)
     payload = {
         "suite": "classify",
-        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "config": _echo(cfg),
         "params": {
             "N": params.ctx.N,
             "Q": params.Q,
@@ -529,22 +444,13 @@ def cmd_classify(cfg: dict) -> int:
 
 def cmd_witness(cfg: dict) -> int:
     params = _params_from(cfg)
-    tau, eps, beta = (_number(cfg, key, optional=True) for key in ("tau", "eps", "beta"))
-    tol = _number(cfg, "tol", 0.0)
-    try:
-        if params.is_critical:
-            w = build_critical(params, beta=beta, eps=eps)
-        else:
-            w = build_subcritical(params, tau=tau, eps=eps)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    report = verify_witness(
-        w,
-        grid=_number(cfg, "grid", 2, integer=True),
-        tol=tol,
-        rho_bounds=(_number(cfg, "rho_min", 0.0, strict=True), 1.0),
-        seed=_number(cfg, "seed", 0, integer=True),
-    )
+    tol = cfg["tol"]
+    if params.is_critical:
+        w = build_critical(params, beta=cfg["beta"], eps=cfg["eps"])
+    else:
+        w = build_subcritical(params, tau=cfg["tau"], eps=cfg["eps"])
+    report = verify_witness(w, grid=cfg["grid"], tol=tol, rho_bounds=(cfg["rho_min"], 1.0),
+                            seed=cfg["seed"])
     checks = [
         _check(
             "witness-identity", report.max_identity_rel_err <= tol,
@@ -568,125 +474,127 @@ def cmd_witness(cfg: dict) -> int:
 # scaling laws
 # ---------------------------------------------------------------------------
 
-_LAW_DEFAULTS = {
-    "time": {"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.05},
-    "annulus": {"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.1},
-    "logdecay": {"lambda": -1.0, "a": 0.0, "p": 3.0, "tol_slope": 0.1},
-    "domination": {"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.0},
+def _slope_check(name, fit, predicted, tol, rule):
+    return _check(name, abs(fit.slope - predicted) <= tol, fit.slope, predicted, tol, rule)
+
+
+def _time_rows(scales, params, fam, T):
+    return [(s, j1_time_factor(s, params, fam).value) for s in scales]
+
+
+def _j2_rows(cutoff: str, abscissa: Callable):
+    """Rows (abscissa(R), J2 space factor over the time integral) for a cutoff."""
+    def rows(scales, params, fam, T):
+        denom = beta_time_integral(T, fam).value
+        return [(abscissa(R), j2(cutoff, T, R, params, fam).value / denom) for R in scales]
+
+    return rows
+
+
+def _domination_rows(scales, params, fam, T):
+    return [(R, j1_space_factor("gamma", R, params, fam).value, eta(R, params)) for R in scales]
+
+
+def _time_checks(fit, rows, params, cfg):
+    return [_slope_check(
+        "time-factor-slope", fit, 1.0 - params.k * params.p / (params.p - 1.0), cfg["tol_slope"],
+        "the time factor scales like T to the power 1 - k p/(p-1)",
+    )]
+
+
+def _annulus_checks(fit, rows, params, cfg):
+    predicted = (params.a + 2.0 * params.p) / (params.p - 1.0) - params.Q \
+        - alphas(params).alpha_minus
+    return [_slope_check(
+        "annulus-slope", fit, predicted, cfg["tol_slope"],
+        "the inner-cutoff elliptic factor grows like R to the predicted power",
+    )]
+
+
+def _logdecay_checks(fit, rows, params, cfg):
+    tol, r2_min = cfg["tol_slope"], cfg["r2_min"]
+    onesided = -1.0 / (params.p - 1.0)
+    return [
+        _check("logdecay-r2", fit.r_squared >= r2_min, fit.r_squared, f"≥ {r2_min}", r2_min,
+               "the log-cutoff elliptic factor follows a power of ln R"),
+        _slope_check("logdecay-slope", fit, -2.0 / (params.p - 1.0), tol,
+                     "the measured ln R power matches the exact cancellation rate -2/(p-1)"),
+        _check("logdecay-upper", fit.slope <= onesided + tol, fit.slope, f"≤ {onesided}", tol,
+               "the decay is at least as fast as the one-sided rate -1/(p-1)"),
+    ]
+
+
+def _domination_checks(fit, rows, params, cfg):
+    worst_gap = float(np.max([sf - env for _, sf, env in rows]))
+    envs = [-math.inf] + [env for *_, env in rows]
+    monotone = all(b >= a - 1e-12 * abs(b) for a, b in zip(envs, envs[1:]))
+    return [
+        _check("domination-gap", worst_gap <= 1e-9, worst_gap, "≤ 0", 1e-9,
+               "every cutoff space factor stays below the envelope integral"),
+        _check("domination-monotone", monotone, float(monotone), 1.0, 0.0,
+               "the envelope integral is nondecreasing in the scale"),
+    ]
+
+
+class Law(NamedTuple):
+    """One scaling law of `cmd_scaling`.
+
+    defaults fill lambda, a, p and tol_slope where the config leaves them
+    None.  rows(scales, params, fam, T) measures one CSV row per scale, the
+    abscissa first, under the header columns, and checks(fit, rows, params,
+    cfg) judges them.  A law with a plot title is fitted as a power law and
+    plotted; a critical law holds only at critical coupling with zero margin.
+    """
+
+    defaults: dict
+    scales: tuple
+    columns: tuple
+    rows: Callable
+    checks: Callable
+    title: Optional[str] = None
+    critical: bool = False
+
+
+LAWS = {
+    "time": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.05}, DEFAULT_SCALES,
+                ("T", "value"), _time_rows, _time_checks, "time factor"),
+    "annulus": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.1}, DEFAULT_SCALES,
+                   ("R", "value"), _j2_rows("gamma", lambda R: R), _annulus_checks,
+                   "inner-cutoff factor"),
+    "logdecay": Law({"lambda": -1.0, "a": 0.0, "p": 3.0, "tol_slope": 0.1},
+                    tuple(10.0**e for e in (2, 5, 8, 11, 14, 17, 20)), ("lnR", "value"),
+                    _j2_rows("mu", math.log), _logdecay_checks, "log-cutoff factor",
+                    critical=True),
+    "domination": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.0},
+                      tuple(10.0**e for e in (1, 1.5, 2, 2.5, 3)), ("R", "space_factor", "eta"),
+                      _domination_rows, _domination_checks),
 }
 
 
 def cmd_scaling(cfg: dict) -> int:
-    law = cfg["law"]
-    if law not in _LAW_DEFAULTS:
-        raise UsageError(f"unknown law {law!r}; pick from {sorted(_LAW_DEFAULTS)}")
-    for key, value in _LAW_DEFAULTS[law].items():
-        if cfg.get(key) is None:
+    name = cfg["law"]
+    law = LAWS[name]
+    for key, value in law.defaults.items():
+        if cfg[key] is None:
             cfg[key] = value
-    _number(cfg, "tol_slope", 0.0)
-    _number(cfg, "r2_min")
-    T = _number(cfg, "T", 0.0, strict=True)
-    if cfg["scales"] is not None:
-        _numbers(cfg, "scales", 0.0, strict=True)
-
-    params = _params_from(cfg, k=_number(cfg, "k", 1, integer=True))
-    fam = default_family(params, iota=_number(cfg, "iota", optional=True))
-    out = _out_dir(cfg)
-    checks = []
-    extra: dict = {}
-
-    if law == "time":
-        scales = cfg["scales"] or list(DEFAULT_SCALES)
-        points = [(T, j1_time_factor(T, params, fam).value) for T in scales]
-        fit = scaling_fit(points)
-        predicted = 1.0 - params.k * params.p / (params.p - 1.0)
-        checks.append(_check(
-            "time-factor-slope", abs(fit.slope - predicted) <= cfg["tol_slope"],
-            fit.slope, predicted, cfg["tol_slope"],
-            "the time factor scales like T to the power 1 - k p/(p-1)",
-        ))
-        extra["fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-        _write_csv(out, "scaling-time.csv", ("T", "value"), points,
-                   comment=json.dumps({k: v for k, v in cfg.items() if k != "out"}))
-        _plot_fit(out, "scaling-time", points, fit, "time factor")
-
-    elif law == "annulus":
-        scales = cfg["scales"] or list(DEFAULT_SCALES)
-        denom = beta_time_integral(T, fam).value
-        points = [(R, j2("gamma", T, R, params, fam).value / denom) for R in scales]
-        fit = scaling_fit(points)
-        predicted = (params.a + 2.0 * params.p) / (params.p - 1.0) - params.Q \
-            - alphas(params).alpha_minus
-        checks.append(_check(
-            "annulus-slope", abs(fit.slope - predicted) <= cfg["tol_slope"],
-            fit.slope, predicted, cfg["tol_slope"],
-            "the inner-cutoff elliptic factor grows like R to the predicted power",
-        ))
-        extra["fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-        _write_csv(out, "scaling-annulus.csv", ("R", "value"), points,
-                   comment=json.dumps({k: v for k, v in cfg.items() if k != "out"}))
-        _plot_fit(out, "scaling-annulus", points, fit, "inner-cutoff factor")
-
-    elif law == "logdecay":
+    params = _params_from(cfg)
+    fam = default_family(params, iota=cfg["iota"])
+    if law.critical:
         margin = existence_margin(params)
         if not params.is_critical or abs(margin) > 1e-9 * (1.0 + abs(params.a)):
             raise UsageError(
                 "the log-decay law applies at critical coupling with zero margin; "
                 f"got margin {margin:.3e}"
             )
-        scales = cfg["scales"] or [10.0**e for e in (2, 5, 8, 11, 14, 17, 20)]
-        denom = beta_time_integral(T, fam).value
-        points = [
-            (math.log(R), j2("mu", T, R, params, fam).value / denom) for R in scales
-        ]
-        fit = scaling_fit(points)
-        derived = -2.0 / (params.p - 1.0)
-        onesided = -1.0 / (params.p - 1.0)
-        checks.append(_check(
-            "logdecay-r2", fit.r_squared >= cfg["r2_min"], fit.r_squared,
-            f"≥ {cfg['r2_min']}", cfg["r2_min"],
-            "the log-cutoff elliptic factor follows a power of ln R",
-        ))
-        checks.append(_check(
-            "logdecay-slope", abs(fit.slope - derived) <= cfg["tol_slope"],
-            fit.slope, derived, cfg["tol_slope"],
-            "the measured ln R power matches the exact cancellation rate -2/(p-1)",
-        ))
-        checks.append(_check(
-            "logdecay-upper", fit.slope <= onesided + cfg["tol_slope"],
-            fit.slope, f"≤ {onesided}", cfg["tol_slope"],
-            "the decay is at least as fast as the one-sided rate -1/(p-1)",
-        ))
+    rows = law.rows(cfg["scales"] or law.scales, params, fam, cfg["T"])
+    out = _out_dir(cfg)
+    _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))
+    fit, extra = None, {}
+    if law.title:
+        fit = scaling_fit(rows)
         extra["fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-        _write_csv(out, "scaling-logdecay.csv", ("lnR", "value"), points,
-                   comment=json.dumps({k: v for k, v in cfg.items() if k != "out"}))
-        _plot_fit(out, "scaling-logdecay", points, fit, "log-cutoff factor")
-
-    else:  # domination
-        scales = cfg["scales"] or [10.0**e for e in (1, 1.5, 2, 2.5, 3)]
-        rows = []
-        worst_gap = -math.inf
-        prev_eta = -math.inf
-        monotone = True
-        for R in scales:
-            env = eta(R, params)
-            sf = j1_space_factor("gamma", R, params, fam).value
-            rows.append((R, sf, env))
-            worst_gap = max(worst_gap, sf - env)
-            monotone = monotone and env >= prev_eta - 1e-12 * abs(env)
-            prev_eta = env
-        checks.append(_check(
-            "domination-gap", worst_gap <= 1e-9, worst_gap, "≤ 0", 1e-9,
-            "every cutoff space factor stays below the envelope integral",
-        ))
-        checks.append(_check(
-            "domination-monotone", monotone, float(monotone), 1.0, 0.0,
-            "the envelope integral is nondecreasing in the scale",
-        ))
-        _write_csv(out, "scaling-domination.csv", ("R", "space_factor", "eta"), rows,
-                   comment=json.dumps({k: v for k, v in cfg.items() if k != "out"}))
-
-    return _finish("scaling", cfg, checks, extra=extra)
+        _plot_fit(out, f"scaling-{name}", rows, fit, law.title)
+    return _finish("scaling", cfg, law.checks(fit, rows, params, cfg), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +603,8 @@ def cmd_scaling(cfg: dict) -> int:
 
 def cmd_integrate(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
-    s = _number(cfg, "s")
-    tol = _number(cfg, "tol", 0.0)
-    ann = Annulus(_number(cfg, "r_inner", 0.0), _number(cfg, "r_outer", 0.0, strict=True))
+    s, tol = cfg["s"], cfg["tol"]
+    ann = Annulus(cfg["r_inner"], cfg["r_outer"])
     expo = ctx.Q + s
     if ann.r_inner == 0.0 and expo <= 0.0:
         raise UsageError(f"power {s} is not integrable down to the origin (needs s > -Q)")
@@ -714,34 +621,17 @@ def cmd_integrate(cfg: dict) -> int:
     return _finish("integrate", cfg, checks, extra={"value": value, "closed_form": closed})
 
 
-def _grid_from(cfg: dict) -> RadialGrid:
-    try:
-        return RadialGrid(_number(cfg, "rho_min"), _number(cfg, "n_cells", 0, integer=True),
-                          cfg["spacing"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_simulate(cfg: dict) -> int:
-    params = _params_from(cfg, k=_number(cfg, "k", 1, integer=True))
-    if params.k not in (1, 2):
-        raise UsageError("only first and second order time derivatives are supported")
-    t_end = _number(cfg, "t_end", 0.0, strict=True)
-    boundary_value = _number(cfg, "boundary_value")
-    grid = _grid_from(cfg)
+    params = _params_from(cfg)
+    grid = RadialGrid(cfg["rho_min"], cfg["n_cells"], cfg["spacing"])
     rho = grid.nodes()
-    if cfg["ic"] == "bump":
-        u0 = canonical_bump(rho)
-    elif cfg["ic"] == "zero":
-        u0 = np.zeros_like(rho)
-    else:
-        raise UsageError(f"unknown initial profile {cfg['ic']!r}")
+    u0 = canonical_bump(rho) if cfg["ic"] == "bump" else np.zeros_like(rho)
     ic = u0 if params.k == 1 else np.stack([u0, np.zeros_like(u0)])
-    result = integrate(params, ic, grid, t_end=t_end, boundary_value=boundary_value,
-                       nonlinear=bool(cfg["nonlinear"]))
+    result = integrate(params, ic, grid, t_end=cfg["t_end"],
+                       boundary_value=cfg["boundary_value"], nonlinear=cfg["nonlinear"])
     payload = {
         "suite": "simulate",
-        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "config": _echo(cfg),
         "status": result.status,
         "blow_up_time": result.blow_up_time,
         "t_final": result.t_final,
@@ -781,16 +671,13 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_phase_sweep(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
-    lams, avals, pvals = (_numbers(cfg, key) for key in ("lambda_list", "a_list", "p_list"))
+    lams, avals, pvals = cfg["lambda_list"], cfg["a_list"], cfg["p_list"]
     if not (lams and avals and pvals):
         raise UsageError("phase-sweep needs nonempty lambda_list, a_list, p_list")
     rows = phase_sweep(
-        lams, avals, pvals, ctx,
-        k=_number(cfg, "k", 1, integer=True),
-        grid=_grid_from(cfg),
-        t_end=_number(cfg, "t_end", 0.0, strict=True),
-        boundary_value=_number(cfg, "boundary_value"),
-        threads=_number(cfg, "threads", 1, optional=True, integer=True),
+        lams, avals, pvals, ctx, k=cfg["k"],
+        grid=RadialGrid(cfg["rho_min"], cfg["n_cells"], cfg["spacing"]),
+        t_end=cfg["t_end"], boundary_value=cfg["boundary_value"], threads=cfg["threads"],
     )
     header = ("lambda", "a", "p", "k", "status", "blow_up_time",
               "classifier_verdict", "grid", "dt_policy")
@@ -799,7 +686,7 @@ def cmd_phase_sweep(cfg: dict) -> int:
     ]
     out = _out_dir(cfg)
     _write_csv(out, "phase-sweep.csv", header, csv_rows,
-               comment=json.dumps({k: v for k, v in cfg.items() if k != "out"}))
+               comment=json.dumps(_echo(cfg)))
     _plot_sweep(out, rows, ctx)
     for row in rows:
         print(f"lambda={row['lambda']:g} a={row['a']:g} p={row['p']:g}: "
@@ -818,7 +705,7 @@ def cmd_report(cfg: dict) -> int:
     suites = []
     total = passed = 0
     for path in inputs:
-        doc = _load_config(str(path))
+        doc = _load_config(path)
         summary = doc.get("summary")
         if not isinstance(summary, dict) or "total" not in summary:
             raise UsageError(f"{path} does not look like a suite report")
@@ -831,7 +718,7 @@ def cmd_report(cfg: dict) -> int:
         passed += summary.get("passed", 0)
     payload = {
         "suite": "report",
-        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "config": _echo(cfg),
         "suites": suites,
         "summary": {"total": total, "passed": passed, "failed": total - passed},
     }
@@ -843,25 +730,98 @@ def cmd_report(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# key tables and argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (flags override it)")
-    sub.add_argument("--out", help="directory for JSON/CSV/SVG artifacts")
+_OUT = Key("out", None, str, help="directory for JSON/CSV/SVG artifacts")
+_N = Key("N", 1, int, 1, help="number of horizontal layer pairs")
+_LAMBDA = Key("lambda", 0.0, help="inverse-square coupling")
+_CRITICAL = Key("lambda_critical", False, bool, help="use the borderline coupling -((Q-2)/2)^2")
+_A = Key("a", 0.0, help="weight exponent")
+_P = Key("p", 2.0, help="nonlinearity power (> 1)")
+_K = Key("k", 1, int, 1, help="time-derivative order")
+_GRID = (
+    Key("rho_min", 1e-3),
+    Key("n_cells", 64, int),
+    Key("spacing", "uniform", str, choices=("uniform", "log"), flag=None),
+    Key("t_end", 0.25, low=0.0, strict=True),
+)
+_BOUNDARY = Key("boundary_value", 0.1)
 
-
-def _add_params(sub, with_k=False):
-    sub.add_argument("--N", type=int, help="number of horizontal layer pairs")
-    sub.add_argument("--lambda", dest="lambda", type=float,
-                     help="inverse-square coupling")
-    sub.add_argument("--lambda-critical", dest="lambda_critical",
-                     action="store_const", const=True,
-                     help="use the borderline coupling -((Q-2)/2)^2")
-    sub.add_argument("--a", type=float, help="weight exponent")
-    sub.add_argument("--p", type=float, help="nonlinearity power (> 1)")
-    if with_k:
-        sub.add_argument("--k", type=int, help="time-derivative order")
+# subcommand -> (help, function, key table); artifacts echo the keys in table order
+COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
+    "verify-identities": ("run the group/calculus/quadrature identity suites",
+                          cmd_verify_identities, (
+        _N,
+        _LAMBDA,
+        Key("seed", 0, int, 0),
+        *(Key(name, n, int, 1, flag=None) for name, n in (
+            ("n_triples", 2000), ("n_points", 2000), ("n_div_points", 40),
+            ("mc_samples", 200_000), ("harmonic_points", 800), ("flux_nodes", 600))),
+        *(Key(name, tol, low=0.0, flag=None) for name, tol in (
+            ("tol_group", 1e-12), ("tol_grad", 1e-10), ("tol_lap", 1e-10), ("tol_div", 1e-5),
+            ("tol_harmonic", 1e-8), ("tol_flux", 1e-6))),
+        Key("tol_scale", 1.0, low=0.0, help="multiply every tolerance (0 forces failures)"),
+        _OUT,
+    )),
+    "classify": ("verdict for a parameter tuple", cmd_classify,
+                 (_N, _LAMBDA, _CRITICAL, _A, _P, _OUT)),
+    "witness": ("build and verify an explicit supersolution", cmd_witness, (
+        _N, _LAMBDA, _CRITICAL, _A, _P,
+        Key("tau", None, help="decay exponent override"),
+        Key("eps", None, help="amplitude override"),
+        Key("beta", None, help="log-correction exponent override"),
+        Key("grid", 200, int, 2, flag=None),
+        Key("tol", 1e-10, low=0.0, flag=None),
+        Key("rho_min", 1e-4, low=0.0, strict=True, flag=None),
+        Key("seed", 11, int, 0),
+        _OUT,
+    )),
+    "scaling": ("fit a cutoff scaling law", cmd_scaling, (
+        Key("law", "time", str, choices=tuple(sorted(LAWS)), help="which scaling law to fit"),
+        _N, _K,
+        _LAMBDA._replace(default=None), _A._replace(default=None), _P._replace(default=None),
+        Key("iota", None, flag=None),
+        Key("scales", None, list[float], 0.0, strict=True, help="scale grid"),
+        Key("T", 50.0, low=0.0, strict=True, flag=None),
+        Key("tol_slope", None, low=0.0, flag=None),
+        Key("r2_min", 0.95, flag=None),
+        _OUT,
+        _CRITICAL,
+    )),
+    "integrate": ("cross-check weighted quadrature", cmd_integrate, (
+        _N,
+        Key("s", 0.0, help="gauge power to integrate"),
+        Key("r_inner", 0.0, low=0.0),
+        Key("r_outer", 1.0, low=0.0, strict=True),
+        Key("tol", 1e-9, low=0.0, flag=None),
+        _OUT,
+    )),
+    "simulate": ("run one radial evolution", cmd_simulate, (
+        _N, _LAMBDA, _A._replace(default=2.0), _P, _K._replace(choices=(1, 2)),
+        *_GRID,
+        _BOUNDARY,
+        Key("ic", "bump", str, choices=("bump", "zero")),
+        Key("nonlinear", True, bool, flag="--linear", help="drop the nonlinear term"),
+        _OUT,
+        _CRITICAL,
+    )),
+    "phase-sweep": ("status sweep over parameter grids", cmd_phase_sweep, (
+        _N,
+        Key("lambda_list", [0.0], list[float]),
+        Key("a_list", [-2.0, 2.0], list[float]),
+        Key("p_list", [2.0], list[float]),
+        _K,
+        *_GRID,
+        _BOUNDARY._replace(flag=None),
+        Key("threads", None, int, 1),
+        _OUT,
+    )),
+    "report": ("aggregate suite reports", cmd_report, (
+        Key("inputs", [], list[str], help="suite report JSON files"),
+        _OUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -871,93 +831,25 @@ def build_parser() -> argparse.ArgumentParser:
         "the gauge ball of a Heisenberg-type group",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify-identities",
-                          help="run the group/calculus/quadrature identity suites")
-    _add_common(sub)
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--lambda", dest="lambda", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tol-scale", dest="tol_scale", type=float,
-                     help="multiply every tolerance (0 forces failures)")
-
-    sub = subs.add_parser("classify", help="verdict for a parameter tuple")
-    _add_common(sub)
-    _add_params(sub)
-
-    sub = subs.add_parser("witness", help="build and verify an explicit supersolution")
-    _add_common(sub)
-    _add_params(sub)
-    sub.add_argument("--tau", type=float, help="decay exponent override")
-    sub.add_argument("--eps", type=float, help="amplitude override")
-    sub.add_argument("--beta", type=float, help="log-correction exponent override")
-    sub.add_argument("--seed", type=int)
-
-    sub = subs.add_parser("scaling", help="fit a cutoff scaling law")
-    _add_common(sub)
-    _add_params(sub, with_k=True)
-    sub.add_argument("--law", choices=sorted(_LAW_DEFAULTS),
-                     help="which scaling law to fit")
-    sub.add_argument("--scales", type=float, nargs="+", help="scale grid")
-
-    sub = subs.add_parser("integrate", help="cross-check weighted quadrature")
-    _add_common(sub)
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--s", type=float, help="gauge power to integrate")
-    sub.add_argument("--r-inner", dest="r_inner", type=float)
-    sub.add_argument("--r-outer", dest="r_outer", type=float)
-
-    sub = subs.add_parser("simulate", help="run one radial evolution")
-    _add_common(sub)
-    _add_params(sub, with_k=True)
-    sub.add_argument("--rho-min", dest="rho_min", type=float)
-    sub.add_argument("--n-cells", dest="n_cells", type=int)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--boundary-value", dest="boundary_value", type=float)
-    sub.add_argument("--ic", choices=("bump", "zero"))
-    sub.add_argument("--linear", dest="nonlinear", action="store_const", const=False,
-                     help="drop the nonlinear term")
-
-    sub = subs.add_parser("phase-sweep", help="status sweep over parameter grids")
-    _add_common(sub)
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--lambda-list", dest="lambda_list", type=float, nargs="+")
-    sub.add_argument("--a-list", dest="a_list", type=float, nargs="+")
-    sub.add_argument("--p-list", dest="p_list", type=float, nargs="+")
-    sub.add_argument("--rho-min", dest="rho_min", type=float)
-    sub.add_argument("--n-cells", dest="n_cells", type=int)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--threads", type=int)
-
-    sub = subs.add_parser("report", help="aggregate suite reports")
-    _add_common(sub)
-    sub.add_argument("--inputs", nargs="+", help="suite report JSON files")
-
+    for command, (help_text, _, keys) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON config file (flags override it)")
+        for key in keys:
+            if key.flag is None:
+                continue
+            flag = key.flag or "--" + key.name.replace("_", "-")
+            element = get_args(key.kind)
+            how = (dict(action="store_const", const=not key.default) if key.kind is bool
+                   else dict(type=element[0] if element else key.kind,
+                             nargs="+" if element else None, choices=key.choices or None))
+            sub.add_argument(flag, dest=key.name, help=key.help, **how)
     return parser
 
 
-_DISPATCH = {
-    "verify-identities": cmd_verify_identities,
-    "classify": cmd_classify,
-    "witness": cmd_witness,
-    "scaling": cmd_scaling,
-    "integrate": cmd_integrate,
-    "simulate": cmd_simulate,
-    "phase-sweep": cmd_phase_sweep,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _effective_config(args.command, args)
-        return _DISPATCH[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command][1](resolve(args.command, args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,6 @@ for a batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -221,8 +220,19 @@ def a_matrix(xi: HPoint) -> NDArray[np.float64]:
 
 
 def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """A(z) v at each point; v has shape (*batch, 2N+1)."""
-    return (a_matrix(xi) @ v[..., None])[..., 0]
+    """A(z) v at each point; v has shape (*batch, 2N+1).
+
+    The product in closed form, without building `a_matrix`:
+
+        A v = (v_x + 2y v_phi, v_y - 2x v_phi, 2y.v_x - 2x.v_y + 4|z|^2 v_phi).
+    """
+    n = xi.N
+    vx, vy, vphi = v[..., :n], v[..., n : 2 * n], v[..., 2 * n :]
+    z2 = (xi.x * xi.x).sum(axis=-1) + (xi.y * xi.y).sum(axis=-1)
+    last = 2.0 * ((xi.y * vx).sum(axis=-1) - (xi.x * vy).sum(axis=-1)) + 4.0 * z2 * vphi[..., 0]
+    return np.concatenate(
+        [vx + 2.0 * xi.y * vphi, vy - 2.0 * xi.x * vphi, np.asarray(last)[..., None]], axis=-1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,7 @@ def sphere_chart(r, omega, sign, rho=1.0) -> HPoint:
     On the unit sphere z = r*omega and phi = sign*sqrt(1 - r^4); the point is
     then dilated by rho.  r, sign and rho broadcast over the batch shape and
     omega has shape (*batch, 2N); scalar r, sign, rho with omega of shape
-    (2N,) give a single point.  No validation: see `sphere_point`.
+    (2N,) give a single point.  No validation.
     """
     omega = np.asarray(omega, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -266,35 +276,3 @@ def sphere_chart(r, omega, sign, rho=1.0) -> HPoint:
     z = rho[..., None] * (r[..., None] * omega)
     phi = rho * rho * (sign * np.sqrt(np.maximum(1.0 - r**4, 0.0)))
     return HPoint(z[..., :n], z[..., n:], phi if phi.ndim else float(phi))
-
-
-def sphere_point(r: float, omega: NDArray[np.float64], sign: int) -> tuple[HPoint, float]:
-    """Chart of the unit gauge sphere {|z|^4 + phi^2 = 1}.
-
-    z = r*omega with omega a unit vector of R^{2N}, phi = sign*sqrt(1 - r^4).
-    Returns the point together with the surface element of the chart relative
-    to dr d(sigma)(omega):
-
-        J(r) = r^{2N-1} sqrt(1 + 4 r^6 / (1 - r^4)),
-
-    the Gram determinant of (d/dr, d/domega).  J diverges at the equator
-    r = 1 (the (r, omega) chart is singular there); math.inf is returned.
-    Quadrature code should integrate in the substituted variable
-    r = sqrt(cos chi), under which the element is smooth (see hquad).
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"chart radius must lie in [0, 1], got {r}")
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1 or omega.shape[0] % 2 != 0:
-        raise ValueError("omega must be a vector of even length 2N")
-    nrm = float(np.linalg.norm(omega))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"omega must be a unit vector, |omega| = {nrm}")
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    n = omega.shape[0] // 2
-    pt = sphere_chart(r, omega, sign)
-    if r == 1.0:
-        return pt, math.inf
-    jac = r ** (2 * n - 1) * math.sqrt(1.0 + 4.0 * r**6 / (1.0 - r**4))
-    return pt, jac

@@ -44,7 +44,6 @@ from .hgroup import (
     GroupContext,
     HPoint,
     a_apply,
-    knorm,
     knorm_grad_of,
     psi,
     psi_of,
@@ -179,14 +178,6 @@ def sigma_prime_one(params: ProblemParams) -> float:
 def k_profile(params: ProblemParams) -> Callable:
     """K as a 1D profile, for radial lifts and quadrature."""
     return lambda s: sigma_lambda(s, params)
-
-
-def k_func(xi: HPoint, params: ProblemParams) -> float:
-    """K(xi) = sigma_lambda(|xi|) on the punctured closed unit ball."""
-    rho = knorm(xi)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"K is defined for 0 < |xi| <= 1, got |xi| = {rho}")
-    return float(value_of(sigma_lambda(rho, params)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from pytest import approx
 
+from koranyi import hgroup
 from koranyi.hgroup import GroupContext, HPoint, compose, inverse, knorm_of, origin, psi, psi_of
 from koranyi.hcalc import hgrad, hlap, hlap_divform, radial_lap, radial_lift
 from koranyi.hquad import Annulus, c_n, mc_annulus, radial_integral
@@ -59,7 +60,6 @@ from koranyi.evolve import (
     mms_source,
 )
 
-from conftest import random_points
 
 CTX1 = GroupContext(1)
 CTX2 = GroupContext(2)
@@ -84,11 +84,13 @@ def criterion(index, name, budget_s):
 
 
 def coord_gap(u: HPoint, v: HPoint) -> float:
-    return max(
-        float(np.abs(u.x - v.x).max()),
-        float(np.abs(u.y - v.y).max()),
-        abs(u.phi - v.phi),
-    )
+    """Largest coordinate difference over a batch of points."""
+    return float(np.abs(u.flat() - v.flat()).max())
+
+
+def batch_points(ctx, n, seed):
+    """The points `conftest.random_points` draws from `seed`, as one batch."""
+    return hgroup.random_points(ctx, np.random.default_rng(seed), n)
 
 
 # ---------------------------------------------------------------------------
@@ -98,42 +100,35 @@ def coord_gap(u: HPoint, v: HPoint) -> float:
 def test_1_group_and_calculus_identities():
     with criterion(1, "group-calculus-identities", 10.0):
         for ctx, n_triples, base in ((CTX1, 10_000, 100), (CTX2, 2_000, 200)):
-            pa = random_points(ctx, n_triples, seed=base + 1)
-            pb = random_points(ctx, n_triples, seed=base + 2)
-            pc = random_points(ctx, n_triples, seed=base + 3)
+            a, b, c = (batch_points(ctx, n_triples, seed=base + i) for i in (1, 2, 3))
             e = origin(ctx)
-            worst = 0.0
-            for a, b, c in zip(pa, pb, pc):
-                worst = max(
-                    worst,
-                    coord_gap(compose(compose(a, b), c), compose(a, compose(b, c))),
-                    coord_gap(compose(a, e), a),
-                    coord_gap(compose(a, inverse(a)), e),
-                )
+            worst = max(
+                coord_gap(compose(compose(a, b), c), compose(a, compose(b, c))),
+                coord_gap(compose(a, e), a),
+                coord_gap(compose(a, inverse(a)), e),
+            )
             assert worst <= 1e-12, f"group axiom residual {worst:.3e} at N={ctx.N}"
 
         gauge = radial_lift(lambda r: r)
-        worst_rel = 0.0
-        for pt in random_points(CTX1, 10_000, seed=11):
-            g = hgrad(gauge, pt)
-            gap = abs(float(g @ g) - psi(pt))
-            worst_rel = max(worst_rel, gap / max(psi(pt), 1e-2))
-            assert gap <= max(1e-10 * psi(pt), 1e-12)
-        assert worst_rel <= 1e-10
+        pts = batch_points(CTX1, 10_000, seed=11)
+        g = hgrad(gauge, pts)
+        weight = psi(pts)
+        gap = np.abs((g * g).sum(axis=-1) - weight)
+        assert np.all(gap <= np.maximum(1e-10 * weight, 1e-12))
+        assert np.max(gap / np.maximum(weight, 1e-2)) <= 1e-10
 
         profiles = (lambda r: r**2, lambda r: 1.0 / (1.0 + r * r))
         for ctx, n_pts in ((CTX1, 200), (CTX2, 50)):
+            pts = batch_points(ctx, n_pts, seed=23)
+            r = knorm_of(pts.x, pts.y, pts.phi)
             for F in profiles:
-                field = radial_lift(F)
-                for pt in random_points(ctx, n_pts, seed=23):
-                    r = float(knorm_of(pt.x, pt.y, pt.phi))
-                    assert hlap(field, pt) == approx(
-                        psi(pt) * radial_lap(F, r, ctx), rel=1e-10, abs=1e-12
-                    )
+                assert hlap(radial_lift(F), pts) == approx(
+                    psi(pts) * radial_lap(F, r, ctx), rel=1e-10, abs=1e-12
+                )
 
         field = radial_lift(lambda r: r**2)
-        for pt in random_points(CTX1, 40, seed=29):
-            assert hlap_divform(field, pt) == approx(hlap(field, pt), abs=1e-5)
+        pts = batch_points(CTX1, 40, seed=29)
+        assert hlap_divform(field, pts) == approx(hlap(field, pts), abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

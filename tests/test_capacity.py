@@ -4,7 +4,7 @@ import numpy as np
 from pytest import approx, mark, raises
 
 from koranyi.hcalc import HyperDual, value_of
-from koranyi.hgroup import GroupContext, HPoint
+from koranyi.hgroup import GroupContext
 from koranyi.capacity import (
     DEFAULT_SCALES,
     beta_t,
@@ -13,7 +13,6 @@ from koranyi.capacity import (
     default_family,
     eta,
     gamma_profile,
-    gamma_r,
     j1,
     j1_space_factor,
     j1_time_factor,
@@ -21,7 +20,6 @@ from koranyi.capacity import (
     j2_space_factor,
     min_iota,
     mu_profile,
-    mu_r,
     ramp_ell,
     ramp_zeta,
     scaling_fit,
@@ -146,14 +144,6 @@ class TestSpatialCutoffs:
         assert value_of(prof(0.5)) == approx(value_of(K(0.5)))
         mid = math.exp(-0.75 * math.log(R))  # inside the log transition
         assert 0.0 < value_of(prof(mid)) < value_of(K(mid))
-
-    def test_point_evaluations_match_profiles(self):
-        pr = params(0.0)
-        fam = default_family(pr)
-        pt = HPoint.of([0.1], [0.05], 0.002)
-        rho = (((0.1**2 + 0.05**2) ** 2) + 0.002**2) ** 0.25
-        assert gamma_r(pt, 20.0, pr, fam) == approx(value_of(gamma_profile(20.0, pr, fam)(rho)))
-        assert mu_r(pt, 20.0, pr, fam) == approx(value_of(mu_profile(20.0, pr, fam)(rho)))
 
     def test_rejects_small_scale(self):
         pr = params(0.0)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -8,9 +9,9 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pytest import approx, raises
+from pytest import approx, mark, raises
 
-from koranyi.cli import main
+from koranyi.cli import COMMANDS, LAWS, build_parser, main
 
 # SVG plots are written only when matplotlib is importable (see cli.py).
 HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
@@ -207,6 +208,26 @@ class TestSimulateCommand:
         assert "completed" in out
 
 
+class TestLambdaCriticalConfigKey:
+    @mark.parametrize("argv, cfg, artifact", [
+        (["scaling", "--law", "logdecay"], {}, "scaling.json"),
+        (["simulate", "--linear", "--t-end", "0.02"], {"spacing": "log"}, "simulate.json"),
+    ])
+    def test_config_key_matches_the_flag(self, capsys, tmp_path, argv, cfg, artifact):
+        flag_cfg, key_cfg = tmp_path / "flag.json", tmp_path / "key.json"
+        flag_cfg.write_text(json.dumps(cfg))
+        key_cfg.write_text(json.dumps({**cfg, "lambda_critical": True}))
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        code, _, err = run(capsys, *argv, "--config", str(flag_cfg), "--lambda-critical",
+                           "--out", str(by_flag))
+        assert code == 0, err
+        code, _, err = run(capsys, *argv, "--config", str(key_cfg), "--out", str(by_key))
+        assert code == 0, err
+        doc = json.loads((by_key / artifact).read_text())
+        assert doc["config"]["lambda_critical"] is True
+        assert doc == json.loads((by_flag / artifact).read_text())
+
+
 class TestPhaseSweepCommand:
     ARGS = ("phase-sweep", "--lambda-list", "0", "--a-list", "-2", "2",
             "--p-list", "2", "--t-end", "0.02", "--n-cells", "32",
@@ -378,7 +399,72 @@ class TestNonFiniteAndIllTypedInput:
         assert code == 2, err
         assert key in err
 
+    @mark.parametrize("command, cfg, key", [
+        ("classify", {"lambda_critical": "no", "a": 0, "p": 3}, "lambda_critical"),
+        ("simulate", {"nonlinear": "false", "a": -2}, "nonlinear"),
+        ("classify", {"out": 5}, "out"),
+        ("scaling", {"law": ["time"]}, "law"),
+        ("report", {"inputs": "abc.json"}, "inputs"),
+        ("report", {"inputs": ["abc.json", 3]}, "inputs"),
+    ])
+    def test_ill_typed_bool_str_and_list_config_values_exit_2(self, command, cfg, key):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(cfg))
+            code, err = self.quiet([command, "--config", str(path)])
+        assert code == 2, err
+        assert err.startswith("error:") and key in err
+
+    def test_every_key_of_every_table_is_type_checked(self, tmp_path):
+        bad = {float: "1", int: 1.5, bool: "no", str: 5}
+        path = tmp_path / "c.json"
+        for command, (_, _, keys) in COMMANDS.items():
+            for key in keys:
+                value = bad.get(key.kind, "not a list")
+                path.write_text(json.dumps({key.name: value}))
+                code, err = self.quiet([command, "--config", str(path)])
+                assert code == 2, (command, key.name, err)
+                assert err.startswith("error:") and key.name in err, (command, key.name, err)
+                if key.kind is float:
+                    path.write_text(json.dumps({key.name: math.inf}))
+                    code, err = self.quiet([command, "--config", str(path)])
+                    assert code == 2 and "finite" in err, (command, key.name, err)
+
     def test_non_integer_n_flag_is_refused_by_the_parser(self):
         with raises(SystemExit) as exc:
             self.quiet(["classify", "--N", "1.5"])
         assert exc.value.code == 2
+
+
+class TestCliSurface:
+    """Each subcommand's option strings; the key tables add and drop none."""
+
+    COMMON = {"-h", "--help", "--config", "--out"}
+    PARAMS = {"--N", "--lambda", "--lambda-critical", "--a", "--p"}
+    EXPECTED = {
+        "verify-identities": COMMON | {"--N", "--lambda", "--seed", "--tol-scale"},
+        "classify": COMMON | PARAMS,
+        "witness": COMMON | PARAMS | {"--tau", "--eps", "--beta", "--seed"},
+        "scaling": COMMON | PARAMS | {"--k", "--law", "--scales"},
+        "integrate": COMMON | {"--N", "--s", "--r-inner", "--r-outer"},
+        "simulate": COMMON | PARAMS | {"--k", "--rho-min", "--n-cells", "--t-end",
+                                       "--boundary-value", "--ic", "--linear"},
+        "phase-sweep": COMMON | {"--N", "--k", "--lambda-list", "--a-list", "--p-list",
+                                 "--rho-min", "--n-cells", "--t-end", "--threads"},
+        "report": COMMON | {"--inputs"},
+    }
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {s for action in sub._actions for s in action.option_strings}
+            for name, sub in subs.choices.items()
+        }
+        assert found == self.EXPECTED
+
+    def test_law_choices_come_from_the_law_table(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        law = next(a for a in subs.choices["scaling"]._actions if a.dest == "law")
+        assert list(law.choices) == sorted(LAWS) == ["annulus", "domination", "logdecay", "time"]

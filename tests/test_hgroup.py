@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +6,7 @@ from pytest import approx, mark, raises
 from koranyi.hgroup import (
     GroupContext,
     HPoint,
+    a_apply,
     a_matrix,
     compose,
     dilate,
@@ -17,7 +16,6 @@ from koranyi.hgroup import (
     origin,
     psi,
     sphere_chart,
-    sphere_point,
 )
 from koranyi.hgroup import random_points as batch_points
 
@@ -171,42 +169,30 @@ def test_a_matrix_structure(ctx1):
         assert A[-1, -1] == approx(4.0 * z2)
 
 
+@mark.parametrize("n", [1, 2, 4])
+def test_a_apply_matches_the_matrix_product(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(5)
+    pts = batch_points(ctx, rng, 500)
+    v = rng.normal(size=(500, 2 * n + 1))
+    A = a_matrix(pts)
+    # relative to the size of the terms summed in each entry of A v
+    scale = (np.abs(A) @ np.abs(v)[..., None])[..., 0]
+    got = a_apply(pts, v)
+    assert got.shape == v.shape
+    assert np.all(np.abs(got - (A @ v[..., None])[..., 0]) <= 1e-14 * scale)
+    for pt, w, size in zip(random_points(ctx, 20, seed=6), v, scale):
+        single = a_apply(pt, w)
+        assert single.shape == (2 * n + 1,)
+        assert np.all(np.abs(single - a_matrix(pt) @ w) <= 1e-14 * (np.abs(a_matrix(pt)) @ np.abs(w)))
+
+
 def test_a_matrix_null_direction(ctx1):
     # the vertical-looking direction (-2y, 2x, 1) is horizontal-orthogonal
     for pt in random_points(ctx1, 20, seed=11):
         A = a_matrix(pt)
         v = np.concatenate([-2.0 * pt.y, 2.0 * pt.x, [1.0]])
         assert np.allclose(A @ v, 0.0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# sphere chart
-# ---------------------------------------------------------------------------
-
-def test_sphere_point_lies_on_unit_sphere():
-    for r in (0.2, 0.7, 0.95):
-        pt, elem = sphere_point(r, np.array([1.0, 0.0]), +1)
-        assert knorm(pt) == approx(1.0, abs=1e-14)
-        assert elem > 0.0
-
-
-def test_sphere_point_equator_element_diverges():
-    pt, elem = sphere_point(1.0, np.array([0.0, 1.0]), -1)
-    assert knorm(pt) == approx(1.0, abs=1e-14)
-    assert math.isinf(elem)
-
-
-@mark.parametrize(
-    "r, omega, sign",
-    [
-        (1.5, np.array([1.0, 0.0]), 1),
-        (0.5, np.array([1.0, 1.0]), 1),
-        (0.5, np.array([1.0, 0.0]), 0),
-    ],
-)
-def test_sphere_point_rejects_bad_charts(r, omega, sign):
-    with raises(ValueError):
-        sphere_point(r, omega, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +254,7 @@ def test_sphere_chart_places_points_at_gauge_rho(n, seed):
     assert psi(pts) == approx(r * r, rel=1e-12, abs=1e-15)
     assert np.all(np.sign(pts.phi) == sign)
     for i in range(3):
-        unit, _ = sphere_point(float(r[i]), omega[i], int(sign[i]))
+        unit = sphere_chart(r[i], omega[i], sign[i])
         single = sphere_chart(r[i], omega[i], sign[i], rho[i])
         assert isinstance(single.phi, float)
         assert np.array_equal(single.flat(), pts.flat()[i])

@@ -18,7 +18,6 @@ from koranyi.spectrum import (
     critical_exponent,
     existence_margin,
     flux_pair,
-    k_func,
     l1plus_test,
     liminf_probe,
     sigma_lambda,
@@ -122,19 +121,6 @@ class TestSigma:
         assert sigma_prime_one(params(0.0)) == approx(-2.0)
         assert sigma_prime_one(params(3.0)) == approx(-4.0)
         assert sigma_prime_one(params(-1.0)) == approx(-1.0)
-
-
-class TestKFunc:
-    def test_matches_profile(self):
-        pt = HPoint.of([0.3], [0.1], 0.05)
-        rho = (((0.3**2 + 0.1**2) ** 2) + 0.05**2) ** 0.25
-        assert k_func(pt, params(3.0)) == approx(value_of(sigma_lambda(rho, params(3.0))))
-
-    def test_rejects_origin_and_exterior(self):
-        with raises(ValueError, match="0 < .* <= 1"):
-            k_func(HPoint.of([0.0], [0.0], 0.0), params(0.0))
-        with raises(ValueError, match="0 < .* <= 1"):
-            k_func(HPoint.of([2.0], [0.0], 0.0), params(0.0))
 
 
 class TestHarmonicAndFlux:
