@@ -4,14 +4,15 @@ Nonexistence arguments pair the evolution inequality against test functions
 
     phi(t, xi) = beta_T(t) * D_R(xi),
 
-where beta_T(t) = theta^iota(t/T) is a smooth bump in time and D_R is K
-multiplied by a spatial cutoff that removes the origin: either
+where beta_T(t) = bump^iota(t/T) is a smooth bump in time and D_R is K
+multiplied by a spatial cutoff that removes the origin, one row of `CUTOFFS`:
 
     gamma_R = K * zeta^iota(R rho)            (annulus transition (1/(2R), 1/R))
     mu_R    = K * ell^iota(1 + ln rho/ln R)    (transition (1/R, R^{-1/2})),
 
-with rho the gauge norm.  Pairing and Young's inequality leave two
-functionals whose decay in T and R drives the contradiction:
+with rho the gauge norm and zeta, ell the ramps `ramp_zeta`, `ramp_ell`.
+Pairing and Young's inequality leave two functionals whose decay in T and R
+drives the contradiction:
 
     J1 = int phi^{-1/(p-1)} |d^k phi/dt^k|^{p/(p-1)} V^{-1/(p-1)} psi
     J2 = int phi^{-1/(p-1)} |-L phi + (lambda/rho^2) psi phi|^{p/(p-1)}
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -80,13 +81,29 @@ def min_iota(k: int, p: float) -> int:
     return math.ceil(max(k, 2) * p / (p - 1.0)) + 2
 
 
+class Cutoff(NamedTuple):
+    """A spatial cutoff ramp^iota(arg_R(rho)): 0 for rho <= lo(R), 1 for rho >= hi(R)."""
+
+    ramp: Callable  # the 0 -> 1 transition
+    arg: Callable  # R -> the map rho -> ramp argument, per-R constants bound once
+    zone: Callable  # R -> (lo, hi), the transition annulus
+
+
+def _log_arg(R: float) -> Callable:
+    lnR = math.log(R)
+    return lambda s: 1.0 + hd_log(s) / lnR
+
+
+CUTOFFS: dict[str, Cutoff] = {
+    "gamma": Cutoff(ramp_zeta, lambda R: lambda s: R * s, lambda R: (0.5 / R, 1.0 / R)),
+    "mu": Cutoff(ramp_ell, _log_arg, lambda R: (1.0 / R, R ** -0.5)),
+}
+
+
 @dataclass(frozen=True)
 class CutoffFamily:
-    """The three cutoff shapes and the common power iota."""
+    """The common cutoff power iota."""
 
-    theta: Callable = bump
-    zeta: Callable = ramp_zeta
-    ell: Callable = ramp_ell
     iota: int = 6
 
 
@@ -111,43 +128,31 @@ class ScalingFit:
 # test functions
 # ---------------------------------------------------------------------------
 
+def _power(x, iota: int):
+    """x^iota for a float or HyperDual cutoff value."""
+    return x ** iota if isinstance(x, HyperDual) else float(x) ** iota
+
+
 def beta_t(t, T: float, fam: CutoffFamily):
-    """Time bump theta^iota(t/T), supported in (0, T); accepts HyperDual t."""
+    """Time bump bump^iota(t/T), supported in (0, T); accepts HyperDual t."""
     if not T > 0.0:
         raise ValueError(f"time scale must be positive, got {T}")
-    b = fam.theta(t / T)
-    return b ** fam.iota if isinstance(b, HyperDual) else float(b) ** fam.iota
+    return _power(bump(t / T), fam.iota)
 
 
-def gamma_profile(R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
-    """Radial profile of gamma_R: K(s) * zeta^iota(R s); HyperDual-ready."""
+def spatial_profile(cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
+    """Radial profile of D_R = K(s) * ramp^iota(arg_R(s)) for a `CUTOFFS` name;
+    HyperDual-ready."""
+    if cutoff not in CUTOFFS:
+        raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
     _check_scale(R)
-    K = k_profile(params)
+    ramp, arg, K = CUTOFFS[cutoff].ramp, CUTOFFS[cutoff].arg(R), k_profile(params)
 
     def profile(s):
-        cut = fam.zeta(R * s)
-        cv = value_of(cut)
-        if cv < _CUT_FLOOR:
+        cut = ramp(arg(s))
+        if value_of(cut) < _CUT_FLOOR:
             return 0.0
-        c = cut ** fam.iota if isinstance(cut, HyperDual) else float(cut) ** fam.iota
-        return K(s) * c
-
-    return profile
-
-
-def mu_profile(R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
-    """Radial profile of mu_R: K(s) * ell^iota(1 + ln s/ln R); HyperDual-ready."""
-    _check_scale(R)
-    lnR = math.log(R)
-    K = k_profile(params)
-
-    def profile(s):
-        cut = fam.ell(1.0 + hd_log(s) / lnR)
-        cv = value_of(cut)
-        if cv < _CUT_FLOOR:
-            return 0.0
-        c = cut ** fam.iota if isinstance(cut, HyperDual) else float(cut) ** fam.iota
-        return K(s) * c
+        return K(s) * _power(cut, fam.iota)
 
     return profile
 
@@ -157,33 +162,13 @@ def _check_scale(R: float) -> None:
         raise ValueError(f"spatial scale must exceed 1, got {R}")
 
 
-def _transition_zone(cutoff: str, R: float) -> Annulus:
-    if cutoff == "gamma":
-        return Annulus(0.5 / R, 1.0 / R)
-    if cutoff == "mu":
-        return Annulus(1.0 / R, R ** -0.5)
-    raise ValueError(f"cutoff must be 'gamma' or 'mu', got {cutoff!r}")
-
-
-def _support(cutoff: str, R: float) -> Annulus:
-    lo = 0.5 / R if cutoff == "gamma" else 1.0 / R
-    return Annulus(lo, 1.0)
-
-
-def _spatial_profile(cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
-    maker = gamma_profile if cutoff == "gamma" else mu_profile
-    _transition_zone(cutoff, R)  # validates the name
-    return maker(R, params, fam)
-
-
 # ---------------------------------------------------------------------------
 # J1: the time-derivative functional
 # ---------------------------------------------------------------------------
 
 def beta_time_integral(T: float, fam: CutoffFamily) -> QuadResult:
     """int_0^T beta_T dt; always <= T since 0 <= beta_T <= 1."""
-    val, err = quad(lambda t: beta_t(t, T, fam), 0.0, T, points=[0.5 * T], limit=200)
-    return QuadResult(val, err, 0, "quad")
+    return _time_quad(lambda t: beta_t(t, T, fam), T)
 
 
 def j1_time_factor(T: float, params: ProblemParams, fam: CutoffFamily) -> QuadResult:
@@ -204,21 +189,27 @@ def j1_time_factor(T: float, params: ProblemParams, fam: CutoffFamily) -> QuadRe
         der = b.d1 if params.k == 1 else b.d12
         return abs(der) ** pexp * b.value ** -mexp
 
-    val, err = quad(integrand, 0.0, T, points=[0.5 * T], limit=200)
-    return QuadResult(val, err, 0, "quad")
+    return _time_quad(integrand, T)
+
+
+def _time_quad(f: Callable[[float], float], T: float) -> QuadResult:
+    """int_0^T f dt by quad, split at the bump's peak, counting evaluations."""
+    val, err, info = quad(f, 0.0, T, points=[0.5 * T], limit=200, full_output=1)[:3]
+    return QuadResult(val, err, info["neval"], "quad")
 
 
 def j1_space_factor(
     cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily
 ) -> QuadResult:
     """radial_integral of V^{-1/(p-1)} * D_R over the support of D_R."""
-    profile = _spatial_profile(cutoff, R, params, fam)
+    profile = spatial_profile(cutoff, R, params, fam)
     mexp = params.a / (params.p - 1.0)
 
     def F(s: float) -> float:
         return s ** -mexp * float(value_of(profile(s)))
 
-    return radial_integral(F, _support(cutoff, R), params.ctx)
+    lo, _ = CUTOFFS[cutoff].zone(R)
+    return radial_integral(F, Annulus(lo, 1.0), params.ctx)
 
 
 def j1(
@@ -243,8 +234,7 @@ def j2_space_factor(
     Outside the annulus D coincides with 0 or with K, and E vanishes either
     way, so the restriction loses nothing.
     """
-    profile = _spatial_profile(cutoff, R, params, fam)
-    zone = _transition_zone(cutoff, R)
+    profile = spatial_profile(cutoff, R, params, fam)
     p = params.p
     pexp = p / (p - 1.0)
     qm1 = params.Q - 1.0
@@ -259,7 +249,7 @@ def j2_space_factor(
             raise RuntimeError(f"nonfinite capacity integrand at rho = {s}")
         return out
 
-    return radial_integral(F, zone, params.ctx)
+    return radial_integral(F, Annulus(*CUTOFFS[cutoff].zone(R)), params.ctx)
 
 
 def j2(

@@ -123,17 +123,17 @@ def _checked(key: Key, value):
     return value
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str = "config") -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+        raise UsageError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must be a JSON object")
-    return cfg
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path} must be a JSON object")
+    return doc
 
 
 def resolve(command: str, args: argparse.Namespace) -> dict:
@@ -142,7 +142,7 @@ def resolve(command: str, args: argparse.Namespace) -> dict:
     keys = {key.name: key for key in COMMANDS[command][2]}
     cfg = {name: key.default for name, key in keys.items()}
     if args.config:
-        file_cfg = _load_config(args.config)
+        file_cfg = _load_json(args.config)
         unknown = set(file_cfg) - set(keys)
         if unknown:
             raise UsageError(f"config keys not understood by {command}: {sorted(unknown)}")
@@ -705,7 +705,7 @@ def cmd_report(cfg: dict) -> int:
     suites = []
     total = passed = 0
     for path in inputs:
-        doc = _load_config(path)
+        doc = _load_json(path, "report")
         summary = doc.get("summary")
         if not isinstance(summary, dict) or "total" not in summary:
             raise UsageError(f"{path} does not look like a suite report")

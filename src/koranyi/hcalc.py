@@ -145,7 +145,7 @@ class HyperDual:
         return self._chain(a ** c, c * a ** (c - 1.0), c * (c - 1.0) * a ** (c - 2.0))
 
     def __abs__(self):
-        return self if self.value >= 0.0 else -self
+        return self * np.where(self.value >= 0.0, 1.0, -1.0)
 
     # -- array structure (what N-axis-last field bodies need) ---------------
 

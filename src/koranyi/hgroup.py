@@ -257,6 +257,15 @@ def random_points(
     return HPoint.from_flat(np.concatenate(kept))
 
 
+def random_directions(
+    rng: np.random.Generator, m: int, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """m unit vectors of R^{2N} (normalised Gaussian rows), then m random signs +-1."""
+    u = rng.normal(size=(m, 2 * N))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u, np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # unit-sphere chart
 # ---------------------------------------------------------------------------

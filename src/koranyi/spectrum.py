@@ -47,6 +47,7 @@ from .hgroup import (
     knorm_grad_of,
     psi,
     psi_of,
+    random_directions,
     sphere_chart,
 )
 from .hquad import Annulus, radial_integral, surface_integral
@@ -212,20 +213,11 @@ def check_k_harmonic(
     in rho_bounds.
     """
     rng = np.random.default_rng(seed)
-    n = params.ctx.N
     field = radial_lift(k_profile(params))
 
-    r = np.empty(n_points)
-    u = np.empty((n_points, 2 * n))
-    sign = np.empty(n_points)
-    rho = np.empty(n_points)
-    log_lo, log_hi = math.log(rho_bounds[0]), math.log(rho_bounds[1])
-    for i in range(n_points):
-        r[i] = math.sqrt(rng.uniform(psi_min * 1.2, 0.999))
-        u[i] = rng.normal(size=2 * n)
-        u[i] /= np.linalg.norm(u[i])
-        sign[i] = 1.0 if rng.uniform() < 0.5 else -1.0
-        rho[i] = math.exp(rng.uniform(log_lo, log_hi))
+    r = np.sqrt(rng.uniform(psi_min * 1.2, 0.999, n_points))
+    u, sign = random_directions(rng, n_points, params.ctx.N)
+    rho = np.exp(rng.uniform(math.log(rho_bounds[0]), math.log(rho_bounds[1]), n_points))
     pts = sphere_chart(r, u, sign, rho)
 
     kval = sigma_lambda(rho, params)
@@ -264,16 +256,11 @@ def check_k_boundary(
     poles, which carry no information.  All nodes go through `flux_pair` as
     one batch.
     """
-    n = params.ctx.N
     n_r = max(8, int(math.sqrt(nodes / 2)))
     n_ang = max(4, nodes // (2 * n_r) + 1)
     r_grid = np.linspace(math.sqrt(psi_min) + 0.01, 0.999, n_r)
 
-    rng = np.random.default_rng(7)
-    u = np.empty((n_r * n_ang, 2 * n))
-    for i in range(len(u)):
-        u[i] = rng.normal(size=2 * n)
-        u[i] /= np.linalg.norm(u[i])
+    u, _ = random_directions(np.random.default_rng(7), n_r * n_ang, params.ctx.N)
     # nodes ordered by radius, then direction, then sign (+1 before -1)
     pts = sphere_chart(np.repeat(r_grid, 2 * n_ang), np.repeat(u, 2, axis=0),
                        np.tile([1.0, -1.0], n_r * n_ang))

@@ -23,8 +23,9 @@ becomes eps^{p-1} < beta(1-beta) h_min where h_min minimizes
 
     h_beta(s) = s^{(p-1)(Q-2)/2-(a+2)} (1 - ln s)^{-beta(p-1)-2}
 
-over (0, 1].  Verification always goes through the full 2N+1-coordinate AD
-pipeline, never the 1D shortcut that produced the formulas.
+over (0, 1] in closed form (see `s0_minimize`).  Verification always goes
+through the full 2N+1-coordinate AD pipeline, never the 1D shortcut that
+produced the formulas.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hcalc import HyperDual, hd_log, hlap, radial_lift, value_of
-from .hgroup import HPoint, knorm, psi, sphere_chart
+from .hcalc import hd_log, hlap, radial_lift, value_of
+from .hgroup import HPoint, knorm, psi, random_directions, sphere_chart
 from .spectrum import ProblemParams, alphas, existence_margin
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -163,47 +162,28 @@ def h_beta(s: float, beta: float, params: ProblemParams) -> float:
     return s**A * (1.0 - math.log(s)) ** B
 
 
-def s0_minimize(
-    beta: float, params: ProblemParams, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Minimize h_beta over (0, 1]: 1000-point log-grid pre-scan, then
-    golden-section refinement to |delta s| <= tol.
+def s0_minimize(beta: float, params: ProblemParams) -> tuple[float, float]:
+    """The minimum point and value (s0, h_min) of h_beta over (0, 1].
 
-    Only meaningful when the leading exponent is negative (h blows up at 0+
-    and a positive minimum exists); otherwise raises.
+    With u = -ln s, ln h = -A u + B ln(1 + u) is convex (B < 0), so it is
+    least where 1 + u = B/A, or at s = 1 when B/A <= 1.  Only meaningful
+    when the leading exponent A is negative (h blows up at 0+ and a positive
+    minimum exists); otherwise raises.
     """
-    A, _ = _h_exponents(beta, params)
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"log power must lie in (0, 1), got {beta}")
+    A, B = _h_exponents(beta, params)
     if A >= 0.0:
         raise ValueError(
             f"h has nonnegative leading exponent {A}: the infimum sits at s = 0, not a minimum"
         )
-    grid = np.exp(np.linspace(math.log(1e-12), 0.0, 1000))
-    vals = np.array([h_beta(float(s), beta, params) for s in grid])
-    i = int(vals.argmin())
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-
-    a_, b_ = lo, hi
-    c_ = b_ - _GOLDEN * (b_ - a_)
-    d_ = a_ + _GOLDEN * (b_ - a_)
-    fc = h_beta(c_, beta, params)
-    fd = h_beta(d_, beta, params)
-    while b_ - a_ > tol:
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - _GOLDEN * (b_ - a_)
-            fc = h_beta(c_, beta, params)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + _GOLDEN * (b_ - a_)
-            fd = h_beta(d_, beta, params)
-    s0 = 0.5 * (a_ + b_)
-    return s0, h_beta(s0, beta, params)
+    u = max(B / A - 1.0, 0.0)
+    return math.exp(-u), math.exp(-A * u + B * math.log1p(u))
 
 
-def eps_bound_critical(beta: float, params: ProblemParams, tol: float = 1e-10) -> float:
+def eps_bound_critical(beta: float, params: ProblemParams) -> float:
     """Largest admissible amplitude [beta(1-beta) h_min]^{1/(p-1)}."""
-    _, h_min = s0_minimize(beta, params, tol)
+    _, h_min = s0_minimize(beta, params)
     return (beta * (1.0 - beta) * h_min) ** (1.0 / (params.p - 1.0))
 
 
@@ -276,14 +256,7 @@ def verify_witness(
         if radii.min() < rho_bounds[0] or radii.max() > rho_bounds[1]:
             raise ValueError(f"radii must lie within {rho_bounds}")
 
-    rng = np.random.default_rng(seed)
-    n = w.params.ctx.N
-    u_dir = np.empty((len(radii), 2 * n))
-    sign = np.empty(len(radii))
-    for i in range(len(radii)):
-        u_dir[i] = rng.normal(size=2 * n)
-        u_dir[i] /= np.linalg.norm(u_dir[i])
-        sign[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+    u_dir, sign = random_directions(np.random.default_rng(seed), len(radii), w.params.ctx.N)
     r_chart = 0.8  # psi = r^2 = 0.64 at every sample point
     pts = sphere_chart(r_chart, u_dir, sign, radii)
 
@@ -333,7 +306,7 @@ def witness_json(w: Witness, report: Optional[WitnessReport] = None) -> dict:
             "beta_window": [0.0, 1.0],
             "s0": s0,
             "h_min": h_min,
-            "eps_bound": (w.beta * (1.0 - w.beta) * h_min) ** (1.0 / (p.p - 1.0)),
+            "eps_bound": eps_bound_critical(w.beta, p),
         }
     if report is not None:
         out["verification"] = {

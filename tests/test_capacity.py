@@ -6,24 +6,24 @@ from pytest import approx, mark, raises
 from koranyi.hcalc import HyperDual, value_of
 from koranyi.hgroup import GroupContext
 from koranyi.capacity import (
+    CUTOFFS,
     DEFAULT_SCALES,
     beta_t,
     beta_time_integral,
     bump,
     default_family,
     eta,
-    gamma_profile,
     j1,
     j1_space_factor,
     j1_time_factor,
     j2,
     j2_space_factor,
     min_iota,
-    mu_profile,
     ramp_ell,
     ramp_zeta,
     scaling_fit,
     smooth_step,
+    spatial_profile,
 )
 from koranyi.spectrum import ProblemParams, existence_margin, k_profile
 
@@ -102,6 +102,16 @@ class TestTimeBump:
         assert q.value == approx(17.564249856758003, rel=1e-9)
         assert q.value <= 100.0
 
+    def test_counts_quad_evaluations(self):
+        fam = default_family(params(0.0))
+        assert beta_time_integral(100.0, fam).evaluations > 0
+        tf = j1_time_factor(100.0, params(0.0), fam)
+        sf = j1_space_factor("gamma", 10.0, params(0.0), fam)
+        assert tf.evaluations > 0
+        assert j1("gamma", 100.0, 10.0, params(0.0), fam).evaluations == (
+            tf.evaluations + sf.evaluations
+        )
+
     def test_mass_scales_linearly(self):
         fam = default_family(params(0.0))
         assert beta_time_integral(200.0, fam).value == approx(
@@ -127,28 +137,28 @@ class TestTimeFactor:
 
 
 class TestSpatialCutoffs:
-    def test_gamma_support(self):
-        pr = params(3.0)
-        prof = gamma_profile(100.0, pr, default_family(pr))
-        K = k_profile(pr)
-        assert prof(0.004) == 0.0
-        assert value_of(prof(0.02)) == approx(value_of(K(0.02)))
-        assert 0.0 < value_of(prof(0.007)) < value_of(K(0.007))
-
-    def test_mu_support(self):
+    @mark.parametrize("cutoff", sorted(CUTOFFS))
+    def test_support(self, cutoff):
+        # 0 below lo(R), K above hi(R), strictly between inside the annulus; the
+        # inner points span its middle half in log scale, since near lo(R) the
+        # cutoff power drops below the evaluation floor and reads 0
         pr = params(3.0)
         R = 100.0
-        prof = mu_profile(R, pr, default_family(pr))
+        prof = spatial_profile(cutoff, R, pr, default_family(pr))
         K = k_profile(pr)
-        assert prof(0.009) == 0.0
-        assert value_of(prof(0.5)) == approx(value_of(K(0.5)))
-        mid = math.exp(-0.75 * math.log(R))  # inside the log transition
-        assert 0.0 < value_of(prof(mid)) < value_of(K(mid))
+        lo, hi = CUTOFFS[cutoff].zone(R)
+        assert 0.0 < lo < hi < 1.0
+        for s in np.geomspace(1e-3 * lo, 0.999 * lo, 7):
+            assert prof(float(s)) == 0.0
+        for s in np.geomspace(1.001 * hi, 1.0, 7):
+            assert value_of(prof(float(s))) == value_of(K(float(s)))
+        for s in np.geomspace(lo**0.75 * hi**0.25, lo**0.25 * hi**0.75, 7):
+            assert 0.0 < value_of(prof(float(s))) < value_of(K(float(s)))
 
     def test_rejects_small_scale(self):
         pr = params(0.0)
         with raises(ValueError, match="must exceed 1"):
-            gamma_profile(1.0, pr, default_family(pr))
+            spatial_profile("gamma", 1.0, pr, default_family(pr))
 
     def test_rejects_unknown_cutoff_name(self):
         pr = params(0.0)

@@ -320,6 +320,16 @@ class TestReportCommand:
         assert code == 2
         assert "does not look like a suite report" in err
 
+    def test_unreadable_input_is_named_a_report(self, capsys, tmp_path):
+        code, _, err = run(capsys, "report", "--inputs", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "cannot read report" in err and "config" not in err
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        code, _, err = run(capsys, "report", "--inputs", str(broken))
+        assert code == 2
+        assert "report" in err and "is not valid JSON" in err and "config" not in err
+
     def test_no_inputs_rejected(self, capsys):
         code, _, err = run(capsys, "report")
         assert code == 2

@@ -306,3 +306,24 @@ def test_array_power_branches_are_elementwise():
         u**1.5
     with raises(ValueError):
         HyperDual(np.array([1.0, -2.0]), np.ones(2), np.zeros(2), np.zeros(2)) ** 0.5
+
+
+def test_abs_is_elementwise_on_arrays():
+    u = HyperDual(np.array([-2.0, 0.0, 3.0]), np.array([1.0, 1.0, 1.0]),
+                  np.array([2.0, 2.0, 2.0]), np.array([5.0, 5.0, 5.0]))
+    got = abs(u)
+    assert np.array_equal(got.value, [2.0, 0.0, 3.0])
+    assert np.array_equal(got.d1, [-1.0, 1.0, 1.0])
+    assert np.array_equal(got.d2, [-2.0, 2.0, 2.0])
+    assert np.array_equal(got.d12, [-5.0, 5.0, 5.0])
+
+
+@mark.parametrize("n", [1, 2])
+def test_abs_field_runs_on_a_batch(n):
+    # one field body for single points and batches, with phi of both signs
+    f = lambda x, y, phi: abs(phi) ** 3 + (x * x).sum(axis=-1)
+    pts = batch_points(GroupContext(n), np.random.default_rng(5), 40)
+    assert (pts.phi > 0.0).any() and (pts.phi < 0.0).any()
+    batched = hlap(f, pts)
+    per_point = np.array([hlap(f, q) for q in random_points(GroupContext(n), 40, 5)])
+    assert np.all(np.abs(batched - per_point) <= 1e-14 * np.abs(per_point))

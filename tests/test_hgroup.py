@@ -15,6 +15,7 @@ from koranyi.hgroup import (
     knorm,
     origin,
     psi,
+    random_directions,
     sphere_chart,
 )
 from koranyi.hgroup import random_points as batch_points
@@ -213,6 +214,19 @@ def test_random_points_keep_the_row_stream(n):
         if knorm(HPoint.from_flat(row)) >= 0.6:
             rows.append(row)
     assert np.array_equal(pts.flat(), np.array(rows))
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_random_directions_are_unit_vectors_and_signs(n):
+    u, sign = random_directions(np.random.default_rng(3), 500, n)
+    assert u.shape == (500, 2 * n) and sign.shape == (500,)
+    assert np.linalg.norm(u, axis=1) == approx(np.ones(500), rel=1e-15)
+    assert set(sign.tolist()) == {-1.0, 1.0}
+    # the same stream again: m normal rows, then m uniforms for the signs
+    rng = np.random.default_rng(3)
+    raw = rng.normal(size=(500, 2 * n))
+    assert np.array_equal(u, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    assert np.array_equal(sign, np.where(rng.uniform(size=500) < 0.5, 1.0, -1.0))
 
 
 @mark.parametrize("n", [1, 2, 4])

@@ -118,6 +118,23 @@ class TestCriticalPieces:
         assert s0 == approx(s_star, abs=1e-6)
         assert h_min == approx(h_beta(s_star, 0.5, pr), rel=1e-10)
 
+    @mark.parametrize("a, p, beta", [
+        (1.2, 2.0, 0.5), (2.0, 2.0, 0.5), (0.0, 1.5, 0.3),
+        (3.0, 3.0, 0.8), (0.5, 2.0, 0.1), (-0.8, 2.0, 0.5),
+    ])
+    def test_closed_form_matches_a_dense_scan(self, a, p, beta):
+        # h_beta on 20001 points uniform in ln s over [1e-12, 1]: the closed-form
+        # minimum lies at most one grid step from the scan's and below it
+        pr = params(-1.0, a=a, p=p)
+        s0, h_min = s0_minimize(beta, pr)
+        ln_s = np.linspace(math.log(1e-12), 0.0, 20001)
+        vals = np.array([h_beta(math.exp(x), beta, pr) for x in ln_s])
+        i = int(vals.argmin())
+        assert abs(math.log(s0) - ln_s[i]) <= ln_s[1] - ln_s[0]
+        assert h_min <= vals[i] * (1.0 + 1e-12)
+        assert h_min == approx(vals[i], rel=1e-5)
+        assert h_min == approx(h_beta(s0, beta, pr), rel=1e-12)
+
     def test_rejects_nonnegative_leading_exponent(self):
         with raises(ValueError, match="nonnegative leading exponent"):
             s0_minimize(0.5, params(-1.0, a=-1.5, p=2.0))
