@@ -1,35 +1,10 @@
 """Numerical toolkit for Hardy-potential evolution inequalities on the
 Heisenberg group: Koranyi-ball calculus, existence/nonexistence
 classification, capacity scaling laws, explicit stationary solutions, and an
-illustrative radial simulator."""
+illustrative radial simulator.
+
+Names are imported from their modules, for example
+``from koranyi.spectrum import classify``; the package itself exports only
+``__version__``."""
 
 __version__ = "0.1.0"
-
-from .hgroup import (  # noqa: F401
-    GroupContext,
-    HPoint,
-    compose,
-    inverse,
-    knorm,
-    psi,
-)
-from .hcalc import HyperDual, hgrad, hlap, radial_lift  # noqa: F401
-from .hquad import Annulus, mc_annulus, radial_integral, surface_integral  # noqa: F401
-from .spectrum import (  # noqa: F401
-    Classification,
-    ProblemParams,
-    Verdict,
-    alphas,
-    classify,
-    critical_exponent,
-    existence_margin,
-    sigma_lambda,
-)
-from .capacity import default_family, j1, j2, scaling_fit  # noqa: F401
-from .witness import (  # noqa: F401
-    Witness,
-    build_critical,
-    build_subcritical,
-    verify_witness,
-)
-from .evolve import RadialGrid, SimResult, integrate, phase_sweep  # noqa: F401

@@ -100,20 +100,15 @@ CUTOFFS: dict[str, Cutoff] = {
 }
 
 
-@dataclass(frozen=True)
-class CutoffFamily:
-    """The common cutoff power iota."""
-
-    iota: int = 6
-
-
-def default_family(params: ProblemParams, iota: Optional[int] = None) -> CutoffFamily:
+def default_family(params: ProblemParams, iota: Optional[int] = None) -> int:
+    """The common cutoff power iota of beta_T and D_R: `min_iota` unless set,
+    and never below it."""
     floor = min_iota(params.k, params.p)
     if iota is None:
-        iota = floor
-    elif iota < floor:
+        return floor
+    if iota < floor:
         raise ValueError(f"iota = {iota} is below the admissible minimum {floor}")
-    return CutoffFamily(iota=iota)
+    return iota
 
 
 @dataclass(frozen=True)
@@ -133,14 +128,14 @@ def _power(x, iota: int):
     return x ** iota if isinstance(x, HyperDual) else float(x) ** iota
 
 
-def beta_t(t, T: float, fam: CutoffFamily):
+def beta_t(t, T: float, iota: int):
     """Time bump bump^iota(t/T), supported in (0, T); accepts HyperDual t."""
     if not T > 0.0:
         raise ValueError(f"time scale must be positive, got {T}")
-    return _power(bump(t / T), fam.iota)
+    return _power(bump(t / T), iota)
 
 
-def spatial_profile(cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily) -> Callable:
+def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
     """Radial profile of D_R = K(s) * ramp^iota(arg_R(s)) for a `CUTOFFS` name;
     HyperDual-ready."""
     if cutoff not in CUTOFFS:
@@ -152,7 +147,7 @@ def spatial_profile(cutoff: str, R: float, params: ProblemParams, fam: CutoffFam
         cut = ramp(arg(s))
         if value_of(cut) < _CUT_FLOOR:
             return 0.0
-        return K(s) * _power(cut, fam.iota)
+        return K(s) * _power(cut, iota)
 
     return profile
 
@@ -166,12 +161,12 @@ def _check_scale(R: float) -> None:
 # J1: the time-derivative functional
 # ---------------------------------------------------------------------------
 
-def beta_time_integral(T: float, fam: CutoffFamily) -> QuadResult:
+def beta_time_integral(T: float, iota: int) -> QuadResult:
     """int_0^T beta_T dt; always <= T since 0 <= beta_T <= 1."""
-    return _time_quad(lambda t: beta_t(t, T, fam), T)
+    return _time_quad(lambda t: beta_t(t, T, iota), T)
 
 
-def j1_time_factor(T: float, params: ProblemParams, fam: CutoffFamily) -> QuadResult:
+def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
     """int_0^T |d^k beta_T/dt^k|^{p/(p-1)} beta_T^{-1/(p-1)} dt.
 
     Derivatives come from hyper-dual seeds, so the k-th derivative is exact;
@@ -183,7 +178,7 @@ def j1_time_factor(T: float, params: ProblemParams, fam: CutoffFamily) -> QuadRe
     mexp = 1.0 / (params.p - 1.0)
 
     def integrand(t: float) -> float:
-        b = beta_t(HyperDual(t, 1.0, 1.0, 0.0), T, fam)
+        b = beta_t(HyperDual(t, 1.0, 1.0, 0.0), T, iota)
         if not isinstance(b, HyperDual) or b.value < _CUT_FLOOR:
             return 0.0
         der = b.d1 if params.k == 1 else b.d12
@@ -198,11 +193,9 @@ def _time_quad(f: Callable[[float], float], T: float) -> QuadResult:
     return QuadResult(val, err, info["neval"], "quad")
 
 
-def j1_space_factor(
-    cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily
-) -> QuadResult:
+def j1_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """radial_integral of V^{-1/(p-1)} * D_R over the support of D_R."""
-    profile = spatial_profile(cutoff, R, params, fam)
+    profile = spatial_profile(cutoff, R, params, iota)
     mexp = params.a / (params.p - 1.0)
 
     def F(s: float) -> float:
@@ -212,12 +205,10 @@ def j1_space_factor(
     return radial_integral(F, Annulus(lo, 1.0), params.ctx)
 
 
-def j1(
-    cutoff: str, T: float, R: float, params: ProblemParams, fam: CutoffFamily
-) -> QuadResult:
+def j1(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """The full time-derivative functional: time factor x space factor."""
-    tf = j1_time_factor(T, params, fam)
-    sf = j1_space_factor(cutoff, R, params, fam)
+    tf = j1_time_factor(T, params, iota)
+    sf = j1_space_factor(cutoff, R, params, iota)
     return _product(tf, sf)
 
 
@@ -225,16 +216,14 @@ def j1(
 # J2: the elliptic functional
 # ---------------------------------------------------------------------------
 
-def j2_space_factor(
-    cutoff: str, R: float, params: ProblemParams, fam: CutoffFamily
-) -> QuadResult:
+def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """radial_integral of D^{-1/(p-1)} |E|^{p/(p-1)} V^{-1/(p-1)} over the
     transition annulus, where E = -D'' - (Q-1)D'/s + lambda D/s^2.
 
     Outside the annulus D coincides with 0 or with K, and E vanishes either
     way, so the restriction loses nothing.
     """
-    profile = spatial_profile(cutoff, R, params, fam)
+    profile = spatial_profile(cutoff, R, params, iota)
     p = params.p
     pexp = p / (p - 1.0)
     qm1 = params.Q - 1.0
@@ -252,12 +241,10 @@ def j2_space_factor(
     return radial_integral(F, Annulus(*CUTOFFS[cutoff].zone(R)), params.ctx)
 
 
-def j2(
-    cutoff: str, T: float, R: float, params: ProblemParams, fam: CutoffFamily
-) -> QuadResult:
+def j2(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """The full elliptic functional: int beta_T dt x space factor."""
-    tf = beta_time_integral(T, fam)
-    sf = j2_space_factor(cutoff, R, params, fam)
+    tf = beta_time_integral(T, iota)
+    sf = j2_space_factor(cutoff, R, params, iota)
     return _product(tf, sf)
 
 

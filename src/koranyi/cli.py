@@ -478,21 +478,21 @@ def _slope_check(name, fit, predicted, tol, rule):
     return _check(name, abs(fit.slope - predicted) <= tol, fit.slope, predicted, tol, rule)
 
 
-def _time_rows(scales, params, fam, T):
-    return [(s, j1_time_factor(s, params, fam).value) for s in scales]
+def _time_rows(scales, params, iota, T):
+    return [(s, j1_time_factor(s, params, iota).value) for s in scales]
 
 
 def _j2_rows(cutoff: str, abscissa: Callable):
     """Rows (abscissa(R), J2 space factor over the time integral) for a cutoff."""
-    def rows(scales, params, fam, T):
-        denom = beta_time_integral(T, fam).value
-        return [(abscissa(R), j2(cutoff, T, R, params, fam).value / denom) for R in scales]
+    def rows(scales, params, iota, T):
+        denom = beta_time_integral(T, iota).value
+        return [(abscissa(R), j2(cutoff, T, R, params, iota).value / denom) for R in scales]
 
     return rows
 
 
-def _domination_rows(scales, params, fam, T):
-    return [(R, j1_space_factor("gamma", R, params, fam).value, eta(R, params)) for R in scales]
+def _domination_rows(scales, params, iota, T):
+    return [(R, j1_space_factor("gamma", R, params, iota).value, eta(R, params)) for R in scales]
 
 
 def _time_checks(fit, rows, params, cfg):
@@ -540,7 +540,7 @@ class Law(NamedTuple):
     """One scaling law of `cmd_scaling`.
 
     defaults fill lambda, a, p and tol_slope where the config leaves them
-    None.  rows(scales, params, fam, T) measures one CSV row per scale, the
+    None.  rows(scales, params, iota, T) measures one CSV row per scale, the
     abscissa first, under the header columns, and checks(fit, rows, params,
     cfg) judges them.  A law with a plot title is fitted as a power law and
     plotted; a critical law holds only at critical coupling with zero margin.
@@ -578,7 +578,7 @@ def cmd_scaling(cfg: dict) -> int:
         if cfg[key] is None:
             cfg[key] = value
     params = _params_from(cfg)
-    fam = default_family(params, iota=cfg["iota"])
+    iota = default_family(params, iota=cfg["iota"])
     if law.critical:
         margin = existence_margin(params)
         if not params.is_critical or abs(margin) > 1e-9 * (1.0 + abs(params.a)):
@@ -586,7 +586,7 @@ def cmd_scaling(cfg: dict) -> int:
                 "the log-decay law applies at critical coupling with zero margin; "
                 f"got margin {margin:.3e}"
             )
-    rows = law.rows(cfg["scales"] or law.scales, params, fam, cfg["T"])
+    rows = law.rows(cfg["scales"] or law.scales, params, iota, cfg["T"])
     out = _out_dir(cfg)
     _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))
     fit, extra = None, {}
@@ -709,13 +709,14 @@ def cmd_report(cfg: dict) -> int:
         summary = doc.get("summary")
         if not isinstance(summary, dict) or "total" not in summary:
             raise UsageError(f"{path} does not look like a suite report")
-        suites.append({
-            "suite": doc.get("suite", Path(path).stem),
-            "passed": summary.get("passed", 0),
-            "failed": summary.get("failed", 0),
-        })
-        total += summary["total"]
-        passed += summary.get("passed", 0)
+        n, ok = summary["total"], summary.get("passed")
+        if not all(type(c) is int and c >= 0 for c in (n, ok)) or ok > n:
+            raise UsageError(f"{path}: summary needs integers 0 <= passed <= total, "
+                             f"got passed={ok!r}, total={n!r}")
+        suites.append({"suite": doc.get("suite", Path(path).stem), "passed": ok,
+                       "failed": n - ok})
+        total += n
+        passed += ok
     payload = {
         "suite": "report",
         "config": _echo(cfg),
@@ -853,6 +854,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a quadrature or solver refusal: nothing was certified
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

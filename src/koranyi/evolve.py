@@ -73,6 +73,7 @@ NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
 NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
 NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
+MAX_HISTORY = 400  # sup-norm samples recorded per run, at equal spacing in t
 
 # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
 # for one band on each side.  Called directly, it skips solve_banded's
@@ -105,20 +106,13 @@ class RadialGrid:
         return f"{self.spacing}[{self.rho_min:g},1]x{self.n_cells}"
 
 
-@dataclass
-class SimState:
-    t: float
-    layers: np.ndarray  # (k, n_nodes): u, du/dt, ...
-    status: str = "running"  # running | completed | blown_up | solver_stall
-
-
 @dataclass(frozen=True)
 class SimResult:
     status: str  # completed | blown_up | solver_stall
     t_final: float
     sup_norm_history: tuple[tuple[float, float], ...]
     blow_up_time: Optional[float]
-    final_state: SimState
+    final_layers: np.ndarray  # (k, n_nodes) at t_final: u, du/dt, ...
     dt_policy: str
     note: str = ""
     end_reason: str = "completed"  # see the module docstring
@@ -234,14 +228,14 @@ def integrate(
     nonlinear: bool = True,
     source: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
     neumann_slope: Optional[Callable[[float], float]] = None,
-    max_history: int = 400,
 ) -> SimResult:
     """Advance the k-layer system to t_end or to blow-up.
 
     ic is (k, n_nodes), or (n_nodes,) for k = 1.  source(t, rho) adds to the
     top layer's rate (manufactured-solution forcing); neumann_slope(t) sets
-    the inner slope (default homogeneous).  Raises ValueError for bad input
-    and for a grid whose linear part has spectrum in the right half-plane.
+    the inner slope (default homogeneous).  The sup-norm history holds about
+    MAX_HISTORY samples.  Raises ValueError for bad input and for a grid
+    whose linear part has spectrum in the right half-plane.
     """
     if params.k not in (1, 2):
         raise ValueError(f"time order must be 1 or 2, got {params.k}")
@@ -270,12 +264,10 @@ def integrate(
         layers[1, -1] = 0.0
     slope = neumann_slope if neumann_slope is not None else (lambda t: 0.0)
     run = _bdf if params.k == 1 else _newmark
-    return run(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
-               max_history)
+    return run(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope)
 
 
-def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
-         max_history) -> SimResult:
+def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope) -> SimResult:
     """k = 1 through solve_ivp's BDF with the analytic tridiagonal Jacobian."""
     rho = grid.nodes()
     weight = rho[:-1] ** params.a
@@ -313,7 +305,7 @@ def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slo
     sup_event.terminal = True
 
     sol = solve_ivp(fun, (0.0, t_end), layers[0], method="BDF", jac=jac,
-                    t_eval=np.linspace(0.0, t_end, max_history + 1), events=sup_event,
+                    t_eval=np.linspace(0.0, t_end, MAX_HISTORY + 1), events=sup_event,
                     rtol=BDF_RTOL, atol=BDF_ATOL)
     history = [(float(t), float(np.max(np.abs(y)))) for t, y in zip(sol.t, sol.y.T)]
     sup0 = history[0][1]
@@ -342,13 +334,12 @@ def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slo
                 f"({last['sup'] / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
     if status != "completed":
         history.append((t, float(np.max(np.abs(u)))))
-    state = SimState(t, np.array(u, dtype=float)[None, :], status)
-    return SimResult(status, t, tuple(history), blow_time, state, policy, note, reason,
-                     **counters)
+    return SimResult(status, t, tuple(history), blow_time, np.array(u, dtype=float)[None, :],
+                     policy, note, reason, **counters)
 
 
-def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope,
-             max_history) -> SimResult:
+def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
+             slope) -> SimResult:
     """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
     rho = grid.nodes()
     weight = rho[:-1] ** params.a
@@ -375,7 +366,7 @@ def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
     t = 0.0
     sup = float(np.abs(u).max())
     history = [(0.0, sup)]
-    record_dt = t_end / max_history
+    record_dt = t_end / MAX_HISTORY
     next_record = record_dt
     status, reason, blow_time, note = "running", "completed", None, ""
     steps = rejected = 0
@@ -427,9 +418,8 @@ def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
         status = "completed"
     policy = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
               f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
-    state = SimState(t, np.stack([u, v]), status)
-    return SimResult(status, t, tuple(history), blow_time, state, policy, note, reason,
-                     steps=steps, rejected=rejected, lu=steps + rejected)
+    return SimResult(status, t, tuple(history), blow_time, np.stack([u, v]), policy, note,
+                     reason, steps=steps, rejected=rejected, lu=steps + rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +481,9 @@ def phase_sweep(
     p_list: Sequence[float],
     ctx: GroupContext,
     k: int = 1,
-    grid: Optional[RadialGrid] = None,
-    t_end: float = 5.0,
+    *,
+    grid: RadialGrid,
+    t_end: float,
     boundary_value: float = 0.1,
     threads: Optional[int] = None,
 ) -> list[dict]:
@@ -502,8 +493,6 @@ def phase_sweep(
     whose parameters are inadmissible are recorded as errors rather than
     aborting the sweep.  Deterministic: fixed data, ordered assembly.
     """
-    if grid is None:
-        grid = RadialGrid()
     rho = grid.nodes()
     ic0 = canonical_bump(rho)
 

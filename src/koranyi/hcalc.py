@@ -39,6 +39,8 @@ import numpy as np
 
 from .hgroup import GroupContext, HPoint, a_apply, knorm_of
 
+DIVFORM_STEP = 1e-4  # central-difference step of `hlap_divform`
+
 ScalarField = Callable[..., object]
 
 
@@ -302,16 +304,15 @@ def egrad(f: ScalarField, xi: HPoint) -> np.ndarray:
     return out
 
 
-def hlap_divform(f: ScalarField, xi: HPoint, h: float = 1e-4):
+def hlap_divform(f: ScalarField, xi: HPoint):
     """Divergence-form evaluation div(A(z) grad f) by central differences.
 
     Independent cross-check of `hlap`: the flux A grad f is assembled from
     dual-seeded Euclidean gradients at the 2(2N+1) points shifted by +-h
-    along each axis (one `egrad` batch), then differenced with step h.
-    Expect agreement to O(h^2) only.
+    along each axis (one `egrad` batch), then differenced with step
+    h = DIVFORM_STEP.  Expect agreement to O(h^2) only.
     """
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
+    h = DIVFORM_STEP
     m = 2 * xi.N + 1
     steps = h * np.eye(m)
     shifts = np.concatenate([steps, -steps]).reshape((2 * m,) + (1,) * len(xi.shape) + (m,))

@@ -8,7 +8,8 @@ Three routes, kept deliberately independent so they can cross-check each other:
       C_N * integral of rho^{2N+1} F(rho) drho,
       C_N = omega_{2N} * int_0^pi sin^N(theta) dtheta,
 
-  with omega_{2N} = 2 pi^N / (N-1)! the area of the unit sphere in R^{2N}.
+  with omega_{2N} = 2 pi^N / (N-1)! the area of the unit sphere in R^{2N}
+  and int_0^pi sin^N = sqrt(pi) Gamma((N+1)/2) / Gamma(N/2 + 1).
   The 1D integral goes to an adaptive Gauss-Kronrod backend; an endpoint
   singularity at rho = 0 is tamed by the substitution t = -ln(rho).
 
@@ -38,6 +39,10 @@ from .hgroup import GroupContext
 # nodes at N = 1 (80 000 points), 24 at N = 2 (165 888) and the smallest rule
 # at N = 3 (1 048 576, about 0.13 GB of coordinates and intermediates).
 SURFACE_NODE_BUDGET = 2_000_000
+# absolute and relative tolerance of every `quad` call in `radial_integral`
+RADIAL_TOL = 1e-10
+# Monte Carlo draws per vectorised batch in `mc_annulus`
+MC_CHUNK = 1 << 17
 
 __all__ = [
     "Annulus",
@@ -71,22 +76,21 @@ class Annulus:
 
 
 def c_n(ctx: GroupContext) -> float:
-    """The polar-formula constant C_N = omega_{2N} * int_0^pi sin^N."""
-    omega = 2.0 * math.pi ** ctx.N / math.factorial(ctx.N - 1)
-    theta_int, _ = scipy.integrate.quad(
-        lambda t: math.sin(t) ** ctx.N, 0.0, math.pi, epsabs=1e-14, epsrel=1e-12
-    )
-    return omega * theta_int
+    """The polar-formula constant C_N = omega_{2N} * int_0^pi sin^N, in closed form.
+
+    The Gamma ratio is evaluated as the Wallis integral c (N-1)!!/N!!, with
+    c = pi for even N and 2 for odd N: exact integers, rounded once.
+    """
+    n = ctx.N
+    omega = 2.0 * math.pi**n / math.factorial(n - 1)
+    parity = math.pi if n % 2 == 0 else 2.0
+    return omega * (parity * math.prod(range(n - 1, 0, -2)) / math.prod(range(n, 0, -2)))
 
 
-def radial_integral(
-    F,
-    ann: Annulus,
-    ctx: GroupContext,
-    epsabs: float = 1e-10,
-    epsrel: float = 1e-10,
-) -> QuadResult:
+def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
     """integral over the annulus of psi * F(|xi|) = C_N * int rho^{2N+1} F.
+
+    Every `quad` call runs to RADIAL_TOL, absolute and relative.
 
     Raises RuntimeError when the profile looks non-integrable at the origin,
     or when its origin tail decays so slowly that double precision cannot
@@ -113,8 +117,8 @@ def radial_integral(
                 lambda rho: rho**expo * F(rho),
                 ann.r_inner,
                 ann.r_outer,
-                epsabs=epsabs,
-                epsrel=epsrel,
+                epsabs=RADIAL_TOL,
+                epsrel=RADIAL_TOL,
                 full_output=1,
                 limit=200,
             )[:3]
@@ -126,8 +130,8 @@ def radial_integral(
                 logspace,
                 -math.log(ann.r_outer),
                 -math.log(ann.r_inner),
-                epsabs=epsabs,
-                epsrel=epsrel,
+                epsabs=RADIAL_TOL,
+                epsrel=RADIAL_TOL,
                 full_output=1,
                 limit=200,
             )[:3]
@@ -150,8 +154,8 @@ def radial_integral(
                     logspace,
                     a,
                     a + seg,
-                    epsabs=epsabs,
-                    epsrel=epsrel,
+                    epsabs=RADIAL_TOL,
+                    epsrel=RADIAL_TOL,
                     full_output=1,
                     limit=200,
                 )[:3]
@@ -159,7 +163,7 @@ def radial_integral(
                 err += e
                 neval += int(info["neval"])
                 a += seg
-                floor = max(epsabs, epsrel * abs(val))
+                floor = RADIAL_TOL * max(1.0, abs(val))
                 if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
                     raise RuntimeError(
                         f"radial integral appears divergent on {ann}: "
@@ -204,14 +208,7 @@ def radial_integral(
     return QuadResult(cN * val, cN * err, neval, "radial")
 
 
-def mc_annulus(
-    f,
-    ann: Annulus,
-    samples: int,
-    seed: int,
-    ctx: GroupContext,
-    chunk: int = 1 << 17,
-) -> QuadResult:
+def mc_annulus(f, ann: Annulus, samples: int, seed: int, ctx: GroupContext) -> QuadResult:
     """Monte Carlo integral of f over the annulus by stratified box rejection.
 
     The annulus is split into dyadic gauge shells, each sampled by rejection
@@ -226,8 +223,9 @@ def mc_annulus(
     estimate is box volume times the mean of f * indicator, rejected draws
     contributing zeros, and shell errors combine in quadrature.  Fixed seed
     implies bit-identical results (fixed allocation, per-shell Philox
-    substreams, in-order accumulation); neval reports the draws actually
-    spent, slightly above `samples` once the floor engages.
+    substreams, in-order accumulation, MC_CHUNK draws per batch); neval
+    reports the draws actually spent, slightly above `samples` once the floor
+    engages.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
@@ -256,7 +254,7 @@ def mc_annulus(
         total_sq = 0.0
         done = 0
         while done < m_shell:
-            m = min(chunk, m_shell - done)
+            m = min(MC_CHUNK, m_shell - done)
             u = rng.uniform(-1.0, 1.0, size=(m, 2 * n + 1))
             x = u[:, :n] * hi
             y = u[:, n : 2 * n] * hi

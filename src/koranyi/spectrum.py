@@ -53,6 +53,11 @@ from .hgroup import (
 from .hquad import Annulus, radial_integral, surface_integral
 
 CRITICAL_TOL = 1e-12
+# sample points of the identity checks keep psi >= PSI_MIN (the identities
+# degenerate to 0 = 0 at the poles psi = 0); the harmonic check draws rho
+# log-uniformly from HARMONIC_RHO
+PSI_MIN = 0.05
+HARMONIC_RHO = (1e-3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -201,23 +206,21 @@ def check_k_harmonic(
     n_points: int = 2000,
     tol: float = 1e-8,
     seed: int = 1,
-    rho_bounds: tuple[float, float] = (1e-3, 1.0),
-    psi_min: float = 0.05,
 ) -> PointwiseReport:
     """Verify -(1/psi) L K + (lambda/rho^2) K = 0 at random interior points.
 
     The sub-Laplacian is evaluated by hyper-dual AD on the radial lift (the
     full 2N+1-coordinate pipeline, not the 1D shortcut), over all points in
     one batch.  The residual is scaled by 1 + |K|/rho^2 so the tolerance is
-    meaningful where the terms blow up.  Points keep psi >= psi_min and rho
-    in rho_bounds.
+    meaningful where the terms blow up.  Points keep psi >= PSI_MIN and rho
+    in HARMONIC_RHO.
     """
     rng = np.random.default_rng(seed)
     field = radial_lift(k_profile(params))
 
-    r = np.sqrt(rng.uniform(psi_min * 1.2, 0.999, n_points))
+    r = np.sqrt(rng.uniform(PSI_MIN * 1.2, 0.999, n_points))
     u, sign = random_directions(rng, n_points, params.ctx.N)
-    rho = np.exp(rng.uniform(math.log(rho_bounds[0]), math.log(rho_bounds[1]), n_points))
+    rho = np.exp(rng.uniform(math.log(HARMONIC_RHO[0]), math.log(HARMONIC_RHO[1]), n_points))
     pts = sphere_chart(r, u, sign, rho)
 
     kval = sigma_lambda(rho, params)
@@ -248,17 +251,16 @@ def check_k_boundary(
     params: ProblemParams,
     nodes: int = 1200,
     tol: float = 1e-6,
-    psi_min: float = 0.05,
 ) -> PointwiseReport:
     """Verify the boundary flux identity on a deterministic unit-sphere grid.
 
-    Nodes keep psi = r^2 >= psi_min; the identity degenerates to 0 = 0 at the
+    Nodes keep psi = r^2 >= PSI_MIN; the identity degenerates to 0 = 0 at the
     poles, which carry no information.  All nodes go through `flux_pair` as
     one batch.
     """
     n_r = max(8, int(math.sqrt(nodes / 2)))
     n_ang = max(4, nodes // (2 * n_r) + 1)
-    r_grid = np.linspace(math.sqrt(psi_min) + 0.01, 0.999, n_r)
+    r_grid = np.linspace(math.sqrt(PSI_MIN) + 0.01, 0.999, n_r)
 
     u, _ = random_directions(np.random.default_rng(7), n_r * n_ang, params.ctx.N)
     # nodes ordered by radius, then direction, then sign (+1 before -1)

@@ -257,24 +257,24 @@ def test_6_capacity_scaling_laws():
         for k in (1, 2):
             for p in (1.5, 2.0, 3.0):
                 pp = params(0.0, p=p, k=k)
-                fam = default_family(pp)
-                fit = scaling_fit([(T, j1_time_factor(T, pp, fam).value) for T in Ts])
+                iota = default_family(pp)
+                fit = scaling_fit([(T, j1_time_factor(T, pp, iota).value) for T in Ts])
                 expected = 1.0 - k * p / (p - 1.0)
                 assert fit.slope == approx(expected, abs=0.05), (k, p)
 
         for lam, expected in ((0.0, 2.0), (3.0, 3.0), (-0.75, 1.5)):
             pp = params(lam)
-            fam = default_family(pp)
-            pts = [(R, j2_space_factor("gamma", R, pp, fam).value) for R in DEFAULT_SCALES]
+            iota = default_family(pp)
+            pts = [(R, j2_space_factor("gamma", R, pp, iota).value) for R in DEFAULT_SCALES]
             fit = scaling_fit(pts)
             assert fit.slope == approx(expected, abs=0.1), lam
             assert fit.r_squared > 0.99
 
         pp = params(-1.0, a=0.0, p=3.0)
         assert existence_margin(pp) == approx(0.0, abs=1e-12)
-        fam = default_family(pp)
+        iota = default_family(pp)
         pts = [
-            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pp, fam).value)
+            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pp, iota).value)
             for e in (2, 4, 8, 12, 16, 20)
         ]
         fit = scaling_fit(pts)
@@ -338,7 +338,7 @@ def test_8_evolution_convergence():
             )
             assert res.status == "completed"
             errs.append(float(np.max(np.abs(
-                res.final_state.layers[0] - mms_reference(res.t_final, g.nodes())
+                res.final_layers[0] - mms_reference(res.t_final, g.nodes())
             ))))
         assert math.log2(errs[0] / errs[1]) >= 1.9
 

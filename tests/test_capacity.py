@@ -74,48 +74,48 @@ class TestFamily:
         assert min_iota(1, 1.5) == 8
 
     def test_default_family_uses_floor(self):
-        assert default_family(params(0.0)).iota == 6
-        assert default_family(params(0.0, p=3.0)).iota == 5
+        assert default_family(params(0.0)) == 6
+        assert default_family(params(0.0, p=3.0)) == 5
 
     def test_rejects_iota_below_floor(self):
         with raises(ValueError, match="below the admissible minimum"):
             default_family(params(0.0), iota=3)
 
     def test_accepts_larger_iota(self):
-        assert default_family(params(0.0), iota=9).iota == 9
+        assert default_family(params(0.0), iota=9) == 9
 
 
 class TestTimeBump:
     def test_support(self):
-        fam = default_family(params(0.0))
-        assert beta_t(0.0, 10.0, fam) == 0.0
-        assert beta_t(10.0, 10.0, fam) == 0.0
-        assert beta_t(5.0, 10.0, fam) == approx(1.0)
+        iota = default_family(params(0.0))
+        assert beta_t(0.0, 10.0, iota) == 0.0
+        assert beta_t(10.0, 10.0, iota) == 0.0
+        assert beta_t(5.0, 10.0, iota) == approx(1.0)
 
     def test_rejects_bad_scale(self):
         with raises(ValueError, match="positive"):
             beta_t(1.0, 0.0, default_family(params(0.0)))
 
     def test_mass_value(self):
-        fam = default_family(params(0.0))
-        q = beta_time_integral(100.0, fam)
+        iota = default_family(params(0.0))
+        q = beta_time_integral(100.0, iota)
         assert q.value == approx(17.564249856758003, rel=1e-9)
         assert q.value <= 100.0
 
     def test_counts_quad_evaluations(self):
-        fam = default_family(params(0.0))
-        assert beta_time_integral(100.0, fam).evaluations > 0
-        tf = j1_time_factor(100.0, params(0.0), fam)
-        sf = j1_space_factor("gamma", 10.0, params(0.0), fam)
+        iota = default_family(params(0.0))
+        assert beta_time_integral(100.0, iota).evaluations > 0
+        tf = j1_time_factor(100.0, params(0.0), iota)
+        sf = j1_space_factor("gamma", 10.0, params(0.0), iota)
         assert tf.evaluations > 0
-        assert j1("gamma", 100.0, 10.0, params(0.0), fam).evaluations == (
+        assert j1("gamma", 100.0, 10.0, params(0.0), iota).evaluations == (
             tf.evaluations + sf.evaluations
         )
 
     def test_mass_scales_linearly(self):
-        fam = default_family(params(0.0))
-        assert beta_time_integral(200.0, fam).value == approx(
-            2.0 * beta_time_integral(100.0, fam).value, rel=1e-9
+        iota = default_family(params(0.0))
+        assert beta_time_integral(200.0, iota).value == approx(
+            2.0 * beta_time_integral(100.0, iota).value, rel=1e-9
         )
 
 
@@ -124,8 +124,8 @@ class TestTimeFactor:
     def test_decay_law(self, k, expected):
         # |d^k beta/dt^k|^{p/(p-1)} beta^{-1/(p-1)} integrates to T^{1-kp/(p-1)}
         pr = params(0.0, k=k)
-        fam = default_family(pr)
-        pts = [(T, j1_time_factor(T, pr, fam).value) for T in (10.0, 100.0, 1000.0, 10000.0)]
+        iota = default_family(pr)
+        pts = [(T, j1_time_factor(T, pr, iota).value) for T in (10.0, 100.0, 1000.0, 10000.0)]
         fit = scaling_fit(pts)
         assert fit.slope == approx(expected, abs=0.05)
         assert fit.r_squared > 0.999
@@ -194,11 +194,11 @@ class TestEta:
 
     def test_dominates_space_factors(self):
         pr = params(0.0)
-        fam = default_family(pr)
+        iota = default_family(pr)
         for R in (5.0, 25.0, 125.0):
             env = eta(R, pr)
-            assert j1_space_factor("gamma", R, pr, fam).value <= env + 1e-9
-            assert j1_space_factor("mu", R, pr, fam).value <= env + 1e-9
+            assert j1_space_factor("gamma", R, pr, iota).value <= env + 1e-9
+            assert j1_space_factor("mu", R, pr, iota).value <= env + 1e-9
 
 
 class TestAnnulusLaw:
@@ -209,8 +209,8 @@ class TestAnnulusLaw:
     def test_elliptic_space_factor_power(self, lam, expected):
         # gamma transition: J2 space factor grows like R^{(a+2p)/(p-1) - Q - alpha-}
         pr = params(lam)
-        fam = default_family(pr)
-        pts = [(R, j2_space_factor("gamma", R, pr, fam).value) for R in DEFAULT_SCALES]
+        iota = default_family(pr)
+        pts = [(R, j2_space_factor("gamma", R, pr, iota).value) for R in DEFAULT_SCALES]
         fit = scaling_fit(pts)
         assert fit.slope == approx(expected, abs=0.1)
         assert fit.r_squared > 0.99
@@ -221,9 +221,9 @@ class TestLogDecayLaw:
         # critical lambda with zero margin: mu factor falls like (ln R)^{-2/(p-1)}
         pr = params(-1.0, a=0.0, p=3.0)
         assert existence_margin(pr) == approx(0.0, abs=1e-12)
-        fam = default_family(pr)
+        iota = default_family(pr)
         pts = [
-            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pr, fam).value)
+            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pr, iota).value)
             for e in (2, 4, 8, 12, 16, 20)
         ]
         fit = scaling_fit(pts)
@@ -234,15 +234,15 @@ class TestLogDecayLaw:
 class TestFullFunctionals:
     def test_j1_and_j2_factorize(self):
         pr = params(0.0)
-        fam = default_family(pr)
+        iota = default_family(pr)
         T, R = 50.0, 20.0
-        full = j1("gamma", T, R, pr, fam)
+        full = j1("gamma", T, R, pr, iota)
         assert full.value == approx(
-            j1_time_factor(T, pr, fam).value * j1_space_factor("gamma", R, pr, fam).value
+            j1_time_factor(T, pr, iota).value * j1_space_factor("gamma", R, pr, iota).value
         )
-        full2 = j2("mu", T, R, pr, fam)
+        full2 = j2("mu", T, R, pr, iota)
         assert full2.value == approx(
-            beta_time_integral(T, fam).value * j2_space_factor("mu", R, pr, fam).value
+            beta_time_integral(T, iota).value * j2_space_factor("mu", R, pr, iota).value
         )
         assert full.method == "product"
 

@@ -163,6 +163,13 @@ class TestIntegrateCommand:
         assert code == 2
         assert "not integrable" in err
 
+    def test_uncertified_integral_is_one_error_line(self, capsys):
+        # admissible (s > -Q), but the origin tail is too slow to resolve
+        code, out, err = run(capsys, "integrate", "--s", "-3.995")
+        assert code == 1
+        assert err.startswith("error: radial integral") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
 
 class TestSimulateCommand:
     def test_zero_data(self, capsys, tmp_path):
@@ -329,6 +336,16 @@ class TestReportCommand:
         code, _, err = run(capsys, "report", "--inputs", str(broken))
         assert code == 2
         assert "report" in err and "is not valid JSON" in err and "config" not in err
+
+    @mark.parametrize("summary", [{"total": "x", "passed": 1}, {"total": 3, "passed": 5},
+                                  {"total": 3, "passed": True}, {"total": 3}])
+    def test_inconsistent_summary_rejected(self, capsys, tmp_path, summary):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"suite": "bad", "summary": summary}))
+        code, out, err = run(capsys, "report", "--inputs", str(bad))
+        assert code == 2
+        assert str(bad) in err and "passed <= total" in err
+        assert "checks passed overall" not in out
 
     def test_no_inputs_rejected(self, capsys):
         code, _, err = run(capsys, "report")

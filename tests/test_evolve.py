@@ -142,7 +142,7 @@ class TestIntegrate:
         g = RadialGrid(rho_min=0.01, n_cells=32)
         res = integrate(params(0.0), np.zeros(33), g, t_end=0.1)
         assert res.status == "completed"
-        assert float(np.max(np.abs(res.final_state.layers))) == 0.0
+        assert float(np.max(np.abs(res.final_layers))) == 0.0
         assert all(s == 0.0 for _, s in res.sup_norm_history)
 
     def test_linear_diffusion_decays(self):
@@ -160,7 +160,7 @@ class TestIntegrate:
         r1 = integrate(params(0.0, a=2.0), ic, g, t_end=0.1)
         r2 = integrate(params(0.0, a=2.0), ic, g, t_end=0.1)
         assert r1.sup_norm_history == r2.sup_norm_history
-        assert np.array_equal(r1.final_state.layers, r2.final_state.layers)
+        assert np.array_equal(r1.final_layers, r2.final_layers)
 
     def test_policy_string_tracks_time_order(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
@@ -220,7 +220,7 @@ class TestIntegrate:
         ic = np.stack([canonical_bump(g.nodes()), np.zeros(n)])
         res = integrate(pr, ic, g, t_end=1.0, boundary_value=0.0, nonlinear=False)
         assert res.status == "completed" and res.steps > 100
-        assert energy(*res.final_state.layers) == approx(energy(*ic), rel=1e-12)
+        assert energy(*res.final_layers) == approx(energy(*ic), rel=1e-12)
 
     def test_validation(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
@@ -272,7 +272,7 @@ class TestManufactured:
             )
             assert res.status == "completed"
             ref = mms_reference(res.t_final, g.nodes())
-            errs.append(float(np.max(np.abs(res.final_state.layers[0] - ref))))
+            errs.append(float(np.max(np.abs(res.final_layers[0] - ref))))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
 

@@ -185,12 +185,6 @@ def test_divergence_form_cross_check(ctx1):
         assert hlap_divform(field, pt) == approx(hlap(field, pt), abs=1e-5)
 
 
-def test_divergence_form_rejects_bad_step(ctx1):
-    pt = HPoint(np.array([0.4]), np.array([0.2]), 0.1)
-    with raises(ValueError):
-        hlap_divform(radial_lift(lambda r: r**2), pt, h=0.0)
-
-
 def test_operator_in_higher_layers(ctx2):
     # same radial reduction at N = 2 (the constant becomes 2 + 2(2N+1) = 12)
     assert radial_lap(lambda r: r**2, 0.8, ctx2) == approx(12.0, rel=1e-13)

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 from pytest import approx, mark, raises
+from scipy.integrate import quad
 
-from koranyi.hgroup import knorm_of, psi_of
+from koranyi.hgroup import GroupContext, knorm_of, psi_of
 from koranyi.hquad import (
     Annulus,
     c_n,
@@ -32,6 +33,15 @@ def closed_form(ctx, s, ann):
 def test_angular_constants(ctx1, ctx2):
     assert c_n(ctx1) == approx(4.0 * math.pi, rel=1e-12)
     assert c_n(ctx2) == approx(math.pi**3, rel=1e-12)
+
+
+@mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_angular_constant_matches_quadrature(n):
+    # the closed form against an independent adaptive quadrature of sin^N
+    ctx = GroupContext(n)
+    theta_int, _ = quad(lambda t: math.sin(t) ** n, 0.0, math.pi, epsabs=1e-14, epsrel=1e-12)
+    omega = 2.0 * math.pi**n / math.factorial(n - 1)
+    assert c_n(ctx) == approx(omega * theta_int, rel=1e-14)
 
 
 def test_ball_weight_integral_is_pi(ctx1):
@@ -144,8 +154,6 @@ def test_surface_odd_function_cancels(ctx1):
 
 @mark.parametrize("nodes,N", [(200, 1), (24, 2), (100, 1), (8, 3)])
 def test_surface_rule_size_is_the_closed_form(nodes, N):
-    from koranyi.hgroup import GroupContext
-
     x, y, phi, w = surface_nodes(nodes, GroupContext(N))
     n_chi = max(8, nodes)
     assert w.size == 4 * n_chi * max(8, n_chi // 2) ** (2 * N - 1) <= SURFACE_NODE_BUDGET
