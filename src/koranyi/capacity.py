@@ -257,21 +257,15 @@ def _product(a: QuadResult, b: QuadResult) -> QuadResult:
 # eta and the scaling fits
 # ---------------------------------------------------------------------------
 
-def eta(
-    R: float,
-    params: ProblemParams,
-    V_radial: Optional[Callable[[float], float]] = None,
-) -> float:
-    """int_{1/(2R) < rho <= 1} V^{-1/(p-1)} K psi dxi, the domination envelope
-    of the J1 space factors.  Nondecreasing in R; V defaults to rho^a."""
+def eta(R: float, params: ProblemParams) -> float:
+    """int_{1/(2R) < rho <= 1} V^{-1/(p-1)} K psi dxi with V = rho^a, the
+    domination envelope of the J1 space factors.  Nondecreasing in R."""
     _check_scale(R)
     mexp = 1.0 / (params.p - 1.0)
     K = k_profile(params)
-    if V_radial is None:
-        V_radial = lambda s: s ** params.a
 
     def F(s: float) -> float:
-        return V_radial(s) ** -mexp * float(value_of(K(s)))
+        return (s ** params.a) ** -mexp * float(value_of(K(s)))
 
     return float(radial_integral(F, Annulus(0.5 / R, 1.0), params.ctx).value)
 

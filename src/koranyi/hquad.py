@@ -10,8 +10,9 @@ Three routes, kept deliberately independent so they can cross-check each other:
 
   with omega_{2N} = 2 pi^N / (N-1)! the area of the unit sphere in R^{2N}
   and int_0^pi sin^N = sqrt(pi) Gamma((N+1)/2) / Gamma(N/2 + 1).
-  The 1D integral goes to an adaptive Gauss-Kronrod backend; an endpoint
-  singularity at rho = 0 is tamed by the substitution t = -ln(rho).
+  The 1D integral always runs in t = -ln(rho), which straightens an endpoint
+  singularity at rho = 0 and spreads every decade of rho evenly: blocks at
+  most RADIAL_BLOCK wide in t, one adaptive Gauss-Kronrod (`quad`) call each.
 
 * `mc_annulus` -- rejection-sampled Monte Carlo over the bounding box, for
   arbitrary integrands.  Counter-based RNG, deterministic for a fixed seed.
@@ -41,19 +42,10 @@ from .hgroup import GroupContext
 SURFACE_NODE_BUDGET = 2_000_000
 # absolute and relative tolerance of every `quad` call in `radial_integral`
 RADIAL_TOL = 1e-10
+# widest block of t = -ln(rho) that one `quad` call in `radial_integral` covers
+RADIAL_BLOCK = 80.0
 # Monte Carlo draws per vectorised batch in `mc_annulus`
 MC_CHUNK = 1 << 17
-
-__all__ = [
-    "Annulus",
-    "QuadResult",
-    "c_n",
-    "radial_integral",
-    "mc_annulus",
-    "surface_integral",
-    "sphere_rule",
-]
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -90,11 +82,16 @@ def c_n(ctx: GroupContext) -> float:
 def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
     """integral over the annulus of psi * F(|xi|) = C_N * int rho^{2N+1} F.
 
-    Every `quad` call runs to RADIAL_TOL, absolute and relative.
+    One route for every annulus: t = -ln(rho) runs from -ln(r_outer) to
+    -ln(r_inner), or to infinity for a ball, in blocks at most RADIAL_BLOCK
+    wide, each one `quad` call to RADIAL_TOL, absolute and relative.  Log
+    spacing gives every decade of rho the same share of the rule, so a
+    transition zone a few per mille of the rho-interval wide is still seen.
 
-    Raises RuntimeError when the profile looks non-integrable at the origin,
-    or when its origin tail decays so slowly that double precision cannot
-    resolve it (roughly rho^{-Q} within a hundredth of the borderline power).
+    For a ball, raises RuntimeError when the profile looks non-integrable at
+    the origin, or when its origin tail decays so slowly that double
+    precision cannot resolve it (roughly rho^{-Q} within a hundredth of the
+    borderline power).
     """
     cN = c_n(ctx)
     expo = 2 * ctx.N + 1
@@ -110,94 +107,65 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
                 blown[0] = t
             return 0.0
 
+    ball = ann.r_inner == 0.0
+    t_end = math.inf if ball else -math.log(ann.r_inner)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if ann.r_inner > 0.0 and ann.r_outer / ann.r_inner <= 1e3:
-            val, err, info = scipy.integrate.quad(
-                lambda rho: rho**expo * F(rho),
-                ann.r_inner,
-                ann.r_outer,
-                epsabs=RADIAL_TOL,
-                epsrel=RADIAL_TOL,
-                full_output=1,
-                limit=200,
+        # A ball is marched block by block rather than handed to scipy as one
+        # infinite interval: its variable transform starves tails that decay
+        # on a scale of hundreds of t-units, and per-block mass is exactly
+        # the quantity that exposes a divergent origin.
+        val = err = 0.0
+        neval = 0
+        prev = math.inf
+        a = -math.log(ann.r_outer)
+        for _ in range(400):
+            b = min(a + RADIAL_BLOCK, t_end)
+            v, e, info = scipy.integrate.quad(
+                logspace, a, b, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL, full_output=1, limit=200
             )[:3]
-            neval = int(info["neval"])
-        elif ann.r_inner > 0.0:
-            # many-decade annulus: integrate log-uniformly so the adaptive
-            # rule sees comparable mass per subinterval
-            val, err, info = scipy.integrate.quad(
-                logspace,
-                -math.log(ann.r_outer),
-                -math.log(ann.r_inner),
-                epsabs=RADIAL_TOL,
-                epsrel=RADIAL_TOL,
-                full_output=1,
-                limit=200,
-            )[:3]
-            neval = int(info["neval"])
-        else:
-            # t = -ln rho straightens the possible singularity at rho = 0.
-            # March block by block rather than handing scipy one infinite
-            # interval: its variable transform starves tails that decay on
-            # a scale of hundreds of t-units, and per-block mass is exactly
-            # the quantity that exposes a divergent origin.
-            seg = 80.0
-            min_rate = math.log(2.0) / seg
-            val = err = 0.0
-            neval = 0
-            prev = math.inf
-            stopped = False
-            a = -math.log(ann.r_outer)
-            for _ in range(400):
-                v, e, info = scipy.integrate.quad(
-                    logspace,
-                    a,
-                    a + seg,
-                    epsabs=RADIAL_TOL,
-                    epsrel=RADIAL_TOL,
-                    full_output=1,
-                    limit=200,
-                )[:3]
-                val += v
-                err += e
-                neval += int(info["neval"])
-                a += seg
-                floor = RADIAL_TOL * max(1.0, abs(val))
-                if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
-                    raise RuntimeError(
-                        f"radial integral appears divergent on {ann}: "
-                        "mass per block toward the origin is not halving"
-                    )
-                if abs(v) <= floor and abs(prev) <= floor:
-                    stopped = True
-                    break
-                prev = v
-            if not stopped:
+            val += v
+            err += e
+            neval += int(info["neval"])
+            a = b
+            if a == t_end:
+                break
+            if not ball:
+                continue
+            floor = RADIAL_TOL * max(1.0, abs(val))
+            if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
                 raise RuntimeError(
                     f"radial integral appears divergent on {ann}: "
-                    "no decay toward the origin after 400 blocks"
+                    "mass per block toward the origin is not halving"
                 )
-            if blown[0] is not None:
-                # evaluation hit the edge of double range somewhere; if the
-                # integrand was still carrying weight there, the remaining
-                # tail is unreachable and only bounded by the slowest decay
-                # the block check tolerates.  Walk the probe back until it
-                # evaluates cleanly (probing may push blown[0] lower).
+            if abs(v) <= floor and abs(prev) <= floor:
+                break
+            prev = v
+        else:
+            raise RuntimeError(
+                f"radial integral appears divergent on {ann}: "
+                "no decay toward the origin after 400 blocks"
+            )
+        if ball and blown[0] is not None:
+            # evaluation hit the edge of double range somewhere; if the
+            # integrand was still carrying weight there, the remaining
+            # tail is unreachable and only bounded by the slowest decay
+            # the block check tolerates.  Walk the probe back until it
+            # evaluates cleanly (probing may push blown[0] lower).
+            t_edge = blown[0]
+            while True:
+                m_edge = abs(logspace(t_edge - 1.0))
+                if blown[0] == t_edge:
+                    break
                 t_edge = blown[0]
-                while True:
-                    m_edge = abs(logspace(t_edge - 1.0))
-                    if blown[0] == t_edge:
-                        break
-                    t_edge = blown[0]
-                tail = m_edge / min_rate
-                if tail > 1e-6 * max(1.0, abs(val)):
-                    raise RuntimeError(
-                        f"radial integral on {ann} still carries weight at "
-                        "the edge of double range; the origin tail cannot "
-                        "be resolved"
-                    )
-                err += tail
+            tail = m_edge / (math.log(2.0) / RADIAL_BLOCK)
+            if tail > 1e-6 * max(1.0, abs(val)):
+                raise RuntimeError(
+                    f"radial integral on {ann} still carries weight at "
+                    "the edge of double range; the origin tail cannot "
+                    "be resolved"
+                )
+            err += tail
 
     if not (math.isfinite(val) and math.isfinite(err)):
         raise RuntimeError(f"radial integral did not converge on {ann}: value={val}, err={err}")

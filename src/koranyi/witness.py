@@ -246,7 +246,10 @@ def verify_witness(
     form to rel err <= tol and dominate rho^a u^p with nonnegative slack.
     Radii below 1e-4 are excluded to stay inside floating-point range; the
     inequality only strengthens as rho -> 0 inside the admissible window.
+    Raises ValueError unless 0 < rho_bounds[0] < rho_bounds[1] <= 1.
     """
+    if not 0.0 < rho_bounds[0] < rho_bounds[1] <= 1.0:
+        raise ValueError(f"witness radii need 0 < rho_min < rho_max <= 1, got {rho_bounds}")
     if isinstance(grid, (int, np.integer)):
         radii = np.exp(
             np.linspace(math.log(rho_bounds[0]), math.log(rho_bounds[1]), int(grid))

@@ -25,7 +25,7 @@ from pytest import approx
 from koranyi import hgroup
 from koranyi.hgroup import GroupContext, HPoint, compose, inverse, knorm_of, origin, psi, psi_of
 from koranyi.hcalc import hgrad, hlap, hlap_divform, radial_lap, radial_lift
-from koranyi.hquad import Annulus, c_n, mc_annulus, radial_integral
+from koranyi.hquad import Annulus, mc_annulus, radial_integral
 from koranyi.spectrum import (
     ProblemParams,
     Verdict,
@@ -52,7 +52,6 @@ from koranyi.witness import (
 )
 from koranyi.evolve import (
     RadialGrid,
-    canonical_bump,
     integrate,
     mms_initial_layers,
     mms_neumann,

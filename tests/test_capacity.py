@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 from pytest import approx, mark, raises
+from scipy.integrate import quad
 
 from koranyi.hcalc import HyperDual, value_of
 from koranyi.hgroup import GroupContext
+from koranyi.hquad import c_n
 from koranyi.capacity import (
     CUTOFFS,
     DEFAULT_SCALES,
@@ -188,10 +190,6 @@ class TestEta:
         fit = scaling_fit(pts)
         assert fit.slope == approx(3.0, abs=0.1)
 
-    def test_custom_potential(self):
-        pr = params(0.0)
-        assert eta(10.0, pr, V_radial=lambda s: 1.0) < eta(10.0, pr, V_radial=lambda s: s)
-
     def test_dominates_space_factors(self):
         pr = params(0.0)
         iota = default_family(pr)
@@ -199,6 +197,28 @@ class TestEta:
             env = eta(R, pr)
             assert j1_space_factor("gamma", R, pr, iota).value <= env + 1e-9
             assert j1_space_factor("mu", R, pr, iota).value <= env + 1e-9
+
+    @mark.parametrize("N", [1, 2])
+    @mark.parametrize("R", [237.0, 10**2.5])
+    def test_gamma_space_factor_sees_its_transition(self, N, R):
+        # The gamma transition (1/(2R), 1/R) is under 0.2% of [1/(2R), 1]
+        # here; a rule that misses it returns eta(R) with a tiny error claim.
+        # The reference splits the rho-integral at the transition's ends.
+        pr = ProblemParams(GroupContext(N), 0.0, 0.0, 2.0, 1)
+        iota = default_family(pr)
+        profile = spatial_profile("gamma", R, pr, iota)
+        lo, hi = CUTOFFS["gamma"].zone(R)
+
+        def f(s):
+            return s ** (2 * N + 1) * float(value_of(profile(s)))
+
+        ref = c_n(pr.ctx) * sum(
+            quad(f, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for x0, x1 in ((lo, hi), (hi, 1.0))
+        )
+        got = j1_space_factor("gamma", R, pr, iota)
+        assert got.value == approx(ref, rel=1e-9, abs=0.0)
+        assert abs(got.value - ref) <= 10.0 * got.error_estimate + 1e-12 * abs(ref)
 
 
 class TestAnnulusLaw:

@@ -106,6 +106,17 @@ class TestWitnessCommand:
         assert code == 1
         assert "[FAIL] witness-identity" in out
 
+    @mark.parametrize("rho_min", [5.0, 1.0])
+    def test_radii_outside_the_ball_refused(self, capsys, tmp_path, rho_min):
+        # radii in [1, 5] lie outside the ball, and rho_min = 1 leaves the one
+        # radius 1: neither run may print a verdict about the ball
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"rho_min": rho_min}))
+        code, out, err = run(capsys, "witness", "--lambda", "3", "--config", str(cfg))
+        assert code == 2
+        assert "error:" in err and "rho_min" in err
+        assert "witness-slack" not in out
+
     def test_tau_outside_window(self, capsys):
         code, _, err = run(capsys, "witness", "--lambda", "3", "--tau", "5")
         assert code == 2

@@ -72,6 +72,14 @@ def test_wide_annulus_uses_log_substitution(ctx1):
     assert got == approx(closed_form(ctx1, -2.0, ann), rel=1e-8)
 
 
+def test_annulus_over_several_blocks_skips_the_origin_checks(ctx1):
+    # 161 t-units, two full blocks of equal mass: on a ball that pattern
+    # means divergence, on an annulus it is just the log of the radius ratio
+    ann = Annulus(1e-70, 1.0)
+    got = radial_integral(lambda r: r ** float(-ctx1.Q), ann, ctx1).value
+    assert got == approx(closed_form(ctx1, float(-ctx1.Q), ann), rel=1e-10)
+
+
 def test_borderline_power_diverges(ctx1):
     with raises(RuntimeError):
         radial_integral(lambda r: r ** float(-ctx1.Q), Annulus(0.0, 1.0), ctx1)
