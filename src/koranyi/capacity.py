@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hcalc import HyperDual, hd_exp, hd_log, value_of
 from .hquad import Annulus, QuadResult, radial_integral
@@ -189,6 +188,8 @@ def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
 
 def _time_quad(f: Callable[[float], float], T: float) -> QuadResult:
     """int_0^T f dt by quad, split at the bump's peak, counting evaluations."""
+    from scipy.integrate import quad
+
     val, err, info = quad(f, 0.0, T, points=[0.5 * T], limit=200, full_output=1)[:3]
     return QuadResult(val, err, info["neval"], "quad")
 

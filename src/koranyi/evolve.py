@@ -25,6 +25,9 @@ the solver that fits it:
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
   |u|^{p-1}), so it shrinks as a blow-up develops.
 
+Each scipy routine (`solve_ivp` and `sparse`, LAPACK's `dgtsv`) is imported
+at its call site, so importing this module loads no scipy.
+
 A run ends in one of five ways, `SimResult.end_reason`:
 
 - completed: t_end was reached;
@@ -57,9 +60,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.linalg import lapack
 
 from .hgroup import GroupContext
 from .spectrum import ProblemParams, classify
@@ -74,11 +74,6 @@ NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
 NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
 MAX_HISTORY = 400  # sup-norm samples recorded per run, at equal spacing in t
-
-# LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
-# for one band on each side.  Called directly, it skips solve_banded's
-# per-call argument checks, which cost several times a 65-node solve.
-_gtsv = lapack.dgtsv
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,10 @@ class LinearPart:
         out[1:] += ab[2, :-1] * u[:-1]
         return out
 
-    def matrix(self) -> sparse.csc_matrix:
+    def matrix(self):
+        """L as a scipy.sparse CSC matrix."""
+        from scipy import sparse
+
         ab = self.bands
         return sparse.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csc")
 
@@ -269,6 +267,9 @@ def integrate(
 
 def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope) -> SimResult:
     """k = 1 through solve_ivp's BDF with the analytic tridiagonal Jacobian."""
+    from scipy import sparse
+    from scipy.integrate import solve_ivp
+
     rho = grid.nodes()
     weight = rho[:-1] ** params.a
     attempts = [0, math.nan]  # runs of right-hand-side calls at one new t, last t
@@ -341,6 +342,11 @@ def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slo
 def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
              slope) -> SimResult:
     """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
+    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
+    # for one band on each side.  Called directly, it skips solve_banded's
+    # per-call argument checks, which cost several times a 65-node solve.
+    from scipy.linalg.lapack import dgtsv
+
     rho = grid.nodes()
     weight = rho[:-1] ** params.a
     p = params.p
@@ -387,7 +393,7 @@ def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
         g, rate_new = forcing(t + dt, u_star + q * a)  # Taylor predictor u + dt v + dt^2/2 a
         system = -q * op.bands
         system[1] += 1.0
-        *_, u_new, info = _gtsv(system[2, :-1], system[1], system[0, 1:], u_star + q * g)
+        *_, u_new, info = dgtsv(system[2, :-1], system[1], system[0, 1:], u_star + q * g)
         if info != 0:
             raise RuntimeError(f"singular Newmark system at t = {t:.6g}, dt = {dt:.3e}")
         a_new = op.apply(u_new) + g

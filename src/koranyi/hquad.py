@@ -12,7 +12,9 @@ Three routes, kept deliberately independent so they can cross-check each other:
   and int_0^pi sin^N = sqrt(pi) Gamma((N+1)/2) / Gamma(N/2 + 1).
   The 1D integral always runs in t = -ln(rho), which straightens an endpoint
   singularity at rho = 0 and spreads every decade of rho evenly: blocks at
-  most RADIAL_BLOCK wide in t, one adaptive Gauss-Kronrod (`quad`) call each.
+  most RADIAL_BLOCK wide in t, one adaptive Gauss-Kronrod (scipy's `quad`)
+  call each.  `quad` is imported at that call site, so importing this
+  module loads no scipy.
 
 * `mc_annulus` -- rejection-sampled Monte Carlo over the bounding box, for
   arbitrary integrands.  Counter-based RNG, deterministic for a fixed seed.
@@ -32,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .hgroup import GroupContext
 
@@ -52,7 +53,7 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    method: str  # "radial" | "montecarlo" | "surface"
+    method: str  # "radial" | "montecarlo" | "surface" | "quad" | "product"
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,11 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
     For a ball, raises RuntimeError when the profile looks non-integrable at
     the origin, or when its origin tail decays so slowly that double
     precision cannot resolve it (roughly rho^{-Q} within a hundredth of the
-    borderline power).
+    borderline power).  For an annulus, raises RuntimeError when the profile
+    leaves double range toward the inner edge while still carrying weight.
     """
+    from scipy.integrate import quad
+
     cN = c_n(ctx)
     expo = 2 * ctx.N + 1
     blown = [None]
@@ -121,7 +125,7 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
         a = -math.log(ann.r_outer)
         for _ in range(400):
             b = min(a + RADIAL_BLOCK, t_end)
-            v, e, info = scipy.integrate.quad(
+            v, e, info = quad(
                 logspace, a, b, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL, full_output=1, limit=200
             )[:3]
             val += v
@@ -146,12 +150,12 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
                 f"radial integral appears divergent on {ann}: "
                 "no decay toward the origin after 400 blocks"
             )
-        if ball and blown[0] is not None:
+        if blown[0] is not None:
             # evaluation hit the edge of double range somewhere; if the
-            # integrand was still carrying weight there, the remaining
-            # tail is unreachable and only bounded by the slowest decay
-            # the block check tolerates.  Walk the probe back until it
-            # evaluates cleanly (probing may push blown[0] lower).
+            # integrand was still carrying weight there, the rest toward
+            # the origin or the inner edge is unreachable and only bounded
+            # by the slowest decay the block check tolerates.  Walk the probe
+            # back until it evaluates cleanly (probing may push blown[0] lower).
             t_edge = blown[0]
             while True:
                 m_edge = abs(logspace(t_edge - 1.0))
@@ -162,8 +166,8 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
             if tail > 1e-6 * max(1.0, abs(val)):
                 raise RuntimeError(
                     f"radial integral on {ann} still carries weight at "
-                    "the edge of double range; the origin tail cannot "
-                    "be resolved"
+                    f"the edge of double range; the {'origin tail' if ball else 'inner edge'} "
+                    "cannot be resolved"
                 )
             err += tail
 

@@ -181,6 +181,17 @@ class TestIntegrateCommand:
         assert err.startswith("error: radial integral") and err.count("\n") == 1
         assert "Traceback" not in out + err
 
+    @mark.parametrize("s", ["-10", "-4"])
+    def test_profile_overflow_toward_the_inner_edge_is_one_error_line(self, capsys, s):
+        # r^s overflows below r ~ 1e-77 (s = -4) or 1e-31 (s = -10) while
+        # the annulus reaches 1e-100: a refusal, not a traceback from the
+        # closed form or a [FAIL] against a truncated integral
+        code, out, err = run(capsys, "integrate", "--s", s, "--r-inner", "1e-100")
+        assert code == 1
+        assert err.startswith("error: radial integral") and err.count("\n") == 1
+        assert "inner edge" in err
+        assert out == ""
+
 
 class TestSimulateCommand:
     def test_zero_data(self, capsys, tmp_path):

@@ -74,10 +74,19 @@ def test_wide_annulus_uses_log_substitution(ctx1):
 
 def test_annulus_over_several_blocks_skips_the_origin_checks(ctx1):
     # 161 t-units, two full blocks of equal mass: on a ball that pattern
-    # means divergence, on an annulus it is just the log of the radius ratio
+    # means divergence, on an annulus it is just the log of the radius ratio;
+    # r^-Q stays inside double range here, so the edge check must not fire
     ann = Annulus(1e-70, 1.0)
     got = radial_integral(lambda r: r ** float(-ctx1.Q), ann, ctx1).value
-    assert got == approx(closed_form(ctx1, float(-ctx1.Q), ann), rel=1e-10)
+    assert got == approx(closed_form(ctx1, float(-ctx1.Q), ann), rel=1e-15)
+
+
+@mark.parametrize("r_inner", [1e-100, 1e-300])
+def test_annulus_past_the_edge_of_double_range_is_refused(ctx1, r_inner):
+    # r^-Q overflows below r ~ 1e-77, where every decade still carries the
+    # same mass; the overflowed part must not silently count as 0
+    with raises(RuntimeError, match="inner edge"):
+        radial_integral(lambda r: r ** float(-ctx1.Q), Annulus(r_inner, 1.0), ctx1)
 
 
 def test_borderline_power_diverges(ctx1):
