@@ -24,7 +24,10 @@ are measured empirically by least-squares fits over scale grids.
 
 The power iota is large enough that every differentiated cutoff retains a
 positive leftover power, so integrands extend by 0 where the cutoff
-vanishes; evaluation guards enforce this instead of trusting rounding.
+vanishes; masks enforce this instead of trusting rounding.  Every cutoff and
+integrand takes a float, a float array or an array HyperDual, and the
+integrals go through `hquad.gk21`, which evaluates a whole round of nodes in
+one call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .hcalc import HyperDual, hd_exp, hd_log, value_of
-from .hquad import Annulus, QuadResult, radial_integral
+from .hquad import Annulus, QuadResult, gk21, radial_integral
 from .spectrum import ProblemParams, k_profile
 
 _CUT_FLOOR = 1e-12  # below this the leftover cutoff power forces the integrand to 0
@@ -44,24 +47,43 @@ _CUT_FLOOR = 1e-12  # below this the leftover cutoff power forces the integrand 
 DEFAULT_SCALES: tuple[float, ...] = tuple(10.0 ** (1.0 + 0.5 * i) for i in range(7))
 
 
+def _select(mask, u, fill):
+    """u where mask holds and the constant fill elsewhere, with zero
+    derivatives there; a float for a scalar that is not a HyperDual."""
+    if isinstance(u, HyperDual):
+        return HyperDual(np.where(mask, u.value, fill), np.where(mask, u.d1, 0.0),
+                         np.where(mask, u.d2, 0.0), np.where(mask, u.d12, 0.0))
+    return value_of(np.where(mask, u, fill))
+
+
+def _on_unit_interval(f, x, above: float):
+    """f(x) where x lies in (0, 1), 0 below and the constant `above` above.
+
+    Points outside are moved to 1/2 before f sees them, so a whole batch goes
+    through f at once without a floating-point fault.
+    """
+    v = value_of(x)
+    inside = (v > 0.0) & (v < 1.0)
+    safe = np.where(inside, v, 0.5)
+    if isinstance(x, HyperDual):
+        safe = HyperDual(safe, x.d1, x.d2, x.d12)
+    return _select(inside, f(safe), np.where(v >= 1.0, above, 0.0))
+
+
 def bump(s):
     """C-infinity bump on (0,1), peak value 1 at s = 1/2; 0 outside."""
-    sv = value_of(s)
-    if sv <= 0.0 or sv >= 1.0:
-        return 0.0
-    return hd_exp(4.0 - 1.0 / (s * (1.0 - s)))
+    return _on_unit_interval(lambda u: hd_exp(4.0 - 1.0 / (u * (1.0 - u))), s, 0.0)
+
+
+def _step(t):
+    lo = hd_exp(-1.0 / t)
+    hi = hd_exp(-1.0 / (1.0 - t))
+    return lo / (lo + hi)
 
 
 def smooth_step(t):
     """C-infinity nondecreasing step: 0 for t <= 0, 1 for t >= 1."""
-    tv = value_of(t)
-    if tv <= 0.0:
-        return 0.0
-    if tv >= 1.0:
-        return 1.0
-    lo = hd_exp(-1.0 / t)
-    hi = hd_exp(-1.0 / (1.0 - t))
-    return lo / (lo + hi)
+    return _on_unit_interval(_step, t, 1.0)
 
 
 def ramp_zeta(s):
@@ -122,21 +144,17 @@ class ScalingFit:
 # test functions
 # ---------------------------------------------------------------------------
 
-def _power(x, iota: int):
-    """x^iota for a float or HyperDual cutoff value."""
-    return x ** iota if isinstance(x, HyperDual) else float(x) ** iota
-
-
 def beta_t(t, T: float, iota: int):
     """Time bump bump^iota(t/T), supported in (0, T); accepts HyperDual t."""
     if not T > 0.0:
         raise ValueError(f"time scale must be positive, got {T}")
-    return _power(bump(t / T), iota)
+    return bump(t / T) ** iota
 
 
 def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
     """Radial profile of D_R = K(s) * ramp^iota(arg_R(s)) for a `CUTOFFS` name;
-    HyperDual-ready."""
+    HyperDual-ready; D_R and its derivatives are exactly 0 where the ramp
+    value is below _CUT_FLOOR."""
     if cutoff not in CUTOFFS:
         raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
     _check_scale(R)
@@ -144,9 +162,7 @@ def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
 
     def profile(s):
         cut = ramp(arg(s))
-        if value_of(cut) < _CUT_FLOOR:
-            return 0.0
-        return K(s) * _power(cut, iota)
+        return _select(value_of(cut) >= _CUT_FLOOR, K(s) * cut ** iota, 0.0)
 
     return profile
 
@@ -169,29 +185,27 @@ def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
     """int_0^T |d^k beta_T/dt^k|^{p/(p-1)} beta_T^{-1/(p-1)} dt.
 
     Derivatives come from hyper-dual seeds, so the k-th derivative is exact;
-    time orders above 2 would need deeper jets than the algebra carries.
+    time orders above 2 would need deeper jets than the algebra carries.  The
+    integrand is formed as (|d^k beta_T/dt^k| beta_T^{-1/p})^{p/(p-1)}, the
+    same number, and counts as 0 only where beta_T is 0: no floor cuts it off
+    while it still carries weight, which would leave a jump in it.
     """
     if params.k > 2:
         raise ValueError("time orders above 2 are not supported by the cutoff machinery")
     pexp = params.p / (params.p - 1.0)
-    mexp = 1.0 / (params.p - 1.0)
 
-    def integrand(t: float) -> float:
+    def integrand(t):
         b = beta_t(HyperDual(t, 1.0, 1.0, 0.0), T, iota)
-        if not isinstance(b, HyperDual) or b.value < _CUT_FLOOR:
-            return 0.0
         der = b.d1 if params.k == 1 else b.d12
-        return abs(der) ** pexp * b.value ** -mexp
+        return np.where(b.value > 0.0, (abs(der) * b.value ** (-1.0 / params.p)) ** pexp, 0.0)
 
     return _time_quad(integrand, T)
 
 
-def _time_quad(f: Callable[[float], float], T: float) -> QuadResult:
-    """int_0^T f dt by quad, split at the bump's peak, counting evaluations."""
-    from scipy.integrate import quad
-
-    val, err, info = quad(f, 0.0, T, points=[0.5 * T], limit=200, full_output=1)[:3]
-    return QuadResult(val, err, info["neval"], "quad")
+def _time_quad(f: Callable, T: float) -> QuadResult:
+    """int_0^T f dt by `gk21` on [0, T/2] and [T/2, T], split at the bump's peak."""
+    (v1, e1, n1), (v2, e2, n2) = gk21(f, 0.0, 0.5 * T), gk21(f, 0.5 * T, T)
+    return QuadResult(v1 + v2, e1 + e2, n1 + n2, "gk21")
 
 
 def j1_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
@@ -199,8 +213,8 @@ def j1_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
     profile = spatial_profile(cutoff, R, params, iota)
     mexp = params.a / (params.p - 1.0)
 
-    def F(s: float) -> float:
-        return s ** -mexp * float(value_of(profile(s)))
+    def F(s):
+        return s ** -mexp * value_of(profile(s))
 
     lo, _ = CUTOFFS[cutoff].zone(R)
     return radial_integral(F, Annulus(lo, 1.0), params.ctx)
@@ -222,21 +236,25 @@ def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
     transition annulus, where E = -D'' - (Q-1)D'/s + lambda D/s^2.
 
     Outside the annulus D coincides with 0 or with K, and E vanishes either
-    way, so the restriction loses nothing.
+    way, so the restriction loses nothing.  The integrand is formed as
+    (|E| D^{-1/p})^{p/(p-1)} V^{-1/(p-1)}, the same number, so it leaves double
+    range only where its value does, and that raises RuntimeError.  It counts
+    as 0 where D is 0: masked, or so far down the cutoff that D underflows and
+    the leftover power has taken the integrand with it.
     """
     profile = spatial_profile(cutoff, R, params, iota)
     p = params.p
     pexp = p / (p - 1.0)
     qm1 = params.Q - 1.0
 
-    def F(s: float) -> float:
+    def F(s):
         d = profile(HyperDual(s, 1.0, 1.0, 0.0))
-        if not isinstance(d, HyperDual):
-            return 0.0
         elliptic = -d.d12 - qm1 * d.d1 / s + params.lam * d.value / (s * s)
-        out = d.value ** (-1.0 / (p - 1.0)) * abs(elliptic) ** pexp * s ** (-params.a / (p - 1.0))
-        if not math.isfinite(out):
-            raise RuntimeError(f"nonfinite capacity integrand at rho = {s}")
+        out = (abs(elliptic) * d.value ** (-1.0 / p)) ** pexp * s ** (-params.a / (p - 1.0))
+        out = np.where(d.value > 0.0, out, 0.0)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise RuntimeError(f"nonfinite capacity integrand at rho = {np.asarray(s)[bad][0]}")
         return out
 
     return radial_integral(F, Annulus(*CUTOFFS[cutoff].zone(R)), params.ctx)
@@ -265,8 +283,8 @@ def eta(R: float, params: ProblemParams) -> float:
     mexp = 1.0 / (params.p - 1.0)
     K = k_profile(params)
 
-    def F(s: float) -> float:
-        return (s ** params.a) ** -mexp * float(value_of(K(s)))
+    def F(s):
+        return (s ** params.a) ** -mexp * value_of(K(s))
 
     return float(radial_integral(F, Annulus(0.5 / R, 1.0), params.ctx).value)
 

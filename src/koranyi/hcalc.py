@@ -21,8 +21,9 @@ base point, so L reduces to a sum of 2N hyper-dual evaluations.
 
 Scalar fields are callables f(x, y, phi) written against the N-axis-last
 convention of `hgroup`.  A `HyperDual` part is either a Python float or an
-ndarray, so the same field body runs on float batches, on scalar jets (the
-capacity integrands under scipy quad) and on hyper-dual arrays.
+ndarray, so the same field body runs on float batches, on scalar jets and on
+hyper-dual arrays (the capacity integrands, one round of quadrature nodes at
+a time).
 
 Every operator below goes through one seeded evaluator, `_eval_seeded`, and
 accepts a single `HPoint` or a batch: x and y of shape (*batch, N), phi of

@@ -12,9 +12,10 @@ Three routes, kept deliberately independent so they can cross-check each other:
   and int_0^pi sin^N = sqrt(pi) Gamma((N+1)/2) / Gamma(N/2 + 1).
   The 1D integral always runs in t = -ln(rho), which straightens an endpoint
   singularity at rho = 0 and spreads every decade of rho evenly: blocks at
-  most RADIAL_BLOCK wide in t, one adaptive Gauss-Kronrod (scipy's `quad`)
-  call each.  `quad` is imported at that call site, so importing this
-  module loads no scipy.
+  most RADIAL_BLOCK wide in t, one call each of `gk21`, the vectorised
+  adaptive Gauss-Kronrod G10/K21 rule that the time integrals of `capacity`
+  share.  Every panel still open goes through the integrand in one array
+  call per round, so the module needs numpy alone.
 
 * `mc_annulus` -- rejection-sampled Monte Carlo over the bounding box, for
   arbitrary integrands.  Counter-based RNG, deterministic for a fixed seed.
@@ -30,7 +31,6 @@ Three routes, kept deliberately independent so they can cross-check each other:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +41,48 @@ from .hgroup import GroupContext
 # nodes at N = 1 (80 000 points), 24 at N = 2 (165 888) and the smallest rule
 # at N = 3 (1 048 576, about 0.13 GB of coordinates and intermediates).
 SURFACE_NODE_BUDGET = 2_000_000
-# absolute and relative tolerance of every `quad` call in `radial_integral`
+# absolute and relative tolerance of every `gk21` integral
 RADIAL_TOL = 1e-10
-# widest block of t = -ln(rho) that one `quad` call in `radial_integral` covers
+# widest block of t = -ln(rho) that one `gk21` call in `radial_integral` covers
 RADIAL_BLOCK = 80.0
+# equal panels each `gk21` call starts from: fewer rounds, each one array call
+GK_START = 8
+# most panels one `gk21` call evaluates; a round that would pass it raises
+GK_LIMIT = 4000
 # Monte Carlo draws per vectorised batch in `mc_annulus`
 MC_CHUNK = 1 << 17
+
+# QUADPACK's dqk21 pair (Piessens et al. 1983), rounded to double: the
+# nonnegative Kronrod nodes and weights, largest node first; nodes 1, 3, 5,
+# 7, 9 are the 10-point Gauss nodes, with Gauss weights _WG
+_XK = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_WK = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
+)
+_WG = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+    0.29552422471475287,
+)
+# the 21 nodes in ascending order, and their K21 and G10 weights as columns
+_NODES = np.concatenate([-np.array(_XK), _XK[-2::-1]])
+_WEIGHTS = np.zeros((21, 2))
+_WEIGHTS[:, 0] = np.concatenate([_WK, _WK[-2::-1]])
+_WEIGHTS[1:10:2, 1] = _WG
+_WEIGHTS[19:10:-2, 1] = _WG
+
 
 @dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    method: str  # "radial" | "montecarlo" | "surface" | "quad" | "product"
+    method: str  # "radial" | "montecarlo" | "surface" | "gk21" | "product"
 
 
 @dataclass(frozen=True)
@@ -80,103 +109,138 @@ def c_n(ctx: GroupContext) -> float:
     return omega * (parity * math.prod(range(n - 1, 0, -2)) / math.prod(range(n, 0, -2)))
 
 
+def gk21(f, a: float, b: float) -> tuple[float, float, int]:
+    """Adaptive Gauss-Kronrod integral of f over [a, b]: (value, error, evaluations).
+
+    f maps an array of nodes, one row of 21 per panel, to values of that
+    shape.  The first round has GK_START equal panels, and each panel's
+    error estimate is |K21 - G10|.  A round keeps every
+    panel within its share of RADIAL_TOL, absolute or relative to the
+    current value, its share being its fraction of b - a; it bisects the
+    rest, which all go through f together in the next round.  A local share
+    rather than a global sum keeps bisecting a kink until its own estimate is
+    small, where |K21 - G10| understates the K21 error.  Floating-point
+    faults are silenced while f runs; a non-finite value raises
+    RuntimeError, and so does a round that would take the call past GK_LIMIT
+    panels.
+    """
+    half = np.full(GK_START, 0.5 * (b - a) / GK_START)
+    centre = a + half * np.arange(1, 2 * GK_START, 2)
+    value = err = 0.0
+    panels = 0
+    while True:
+        panels += centre.size
+        if panels > GK_LIMIT:
+            raise RuntimeError(f"adaptive rule did not converge on [{a}, {b}] "
+                               f"within {GK_LIMIT} panels")
+        nodes = centre[:, None] + half[:, None] * _NODES
+        with np.errstate(all="ignore"):
+            vals = f(nodes)
+        if not np.isfinite(vals).all():
+            raise RuntimeError(f"non-finite integrand on [{a}, {b}]")
+        kg = (vals @ _WEIGHTS) * half[:, None]
+        est = np.abs(kg[:, 0] - kg[:, 1])
+        total = value + float(kg[:, 0].sum())
+        keep = est <= RADIAL_TOL * max(1.0, abs(total)) * (half / (0.5 * (b - a)))
+        if keep.all():
+            return total, err + float(est.sum()), 21 * panels
+        value += float(kg[keep, 0].sum())
+        err += float(est[keep].sum())
+        centre, half = centre[~keep], 0.5 * half[~keep]
+        centre = np.concatenate([centre - half, centre + half])
+        half = np.concatenate([half, half])
+
+
 def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
     """integral over the annulus of psi * F(|xi|) = C_N * int rho^{2N+1} F.
 
     One route for every annulus: t = -ln(rho) runs from -ln(r_outer) to
     -ln(r_inner), or to infinity for a ball, in blocks at most RADIAL_BLOCK
-    wide, each one `quad` call to RADIAL_TOL, absolute and relative.  Log
+    wide, each one `gk21` call to RADIAL_TOL, absolute and relative.  Log
     spacing gives every decade of rho the same share of the rule, so a
     transition zone a few per mille of the rho-interval wide is still seen.
+    F takes an array of radii; a scalar return stands for a constant.
 
     For a ball, raises RuntimeError when the profile looks non-integrable at
     the origin, or when its origin tail decays so slowly that double
     precision cannot resolve it (roughly rho^{-Q} within a hundredth of the
-    borderline power).  For an annulus, raises RuntimeError when the profile
-    leaves double range toward the inner edge while still carrying weight.
+    borderline power).  For any region, raises RuntimeError when an
+    evaluation leaves double range while its neighbouring nodes still carry
+    weight: the part of the integral there cannot be resolved.
     """
-    from scipy.integrate import quad
-
     cN = c_n(ctx)
     expo = 2 * ctx.N + 1
-    blown = [None]
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def logspace(t: float) -> float:
-        # fused rho^{expo} F(rho) drho at rho = e^{-t}; once either factor
-        # under/overflows the volume weight has won, so the product is 0
-        try:
-            return math.exp(-(expo + 1) * t) * F(math.exp(-t))
-        except (OverflowError, ZeroDivisionError):
-            if blown[0] is None or t < blown[0]:
-                blown[0] = t
-            return 0.0
+    def logspace(t: np.ndarray) -> np.ndarray:
+        # fused rho^{expo} F(rho) drho at rho = e^{-t}; a value that left
+        # double range counts as 0 here and is judged after the march
+        vals = np.exp(-(expo + 1) * t) * F(np.exp(-t))
+        seen.append((t, vals))
+        return np.where(np.isfinite(vals), vals, 0.0)
 
     ball = ann.r_inner == 0.0
     t_end = math.inf if ball else -math.log(ann.r_inner)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # A ball is marched block by block rather than handed to scipy as one
-        # infinite interval: its variable transform starves tails that decay
-        # on a scale of hundreds of t-units, and per-block mass is exactly
-        # the quantity that exposes a divergent origin.
-        val = err = 0.0
-        neval = 0
-        prev = math.inf
-        a = -math.log(ann.r_outer)
-        for _ in range(400):
-            b = min(a + RADIAL_BLOCK, t_end)
-            v, e, info = quad(
-                logspace, a, b, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL, full_output=1, limit=200
-            )[:3]
-            val += v
-            err += e
-            neval += int(info["neval"])
-            a = b
-            if a == t_end:
-                break
-            if not ball:
-                continue
-            floor = RADIAL_TOL * max(1.0, abs(val))
-            if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
-                raise RuntimeError(
-                    f"radial integral appears divergent on {ann}: "
-                    "mass per block toward the origin is not halving"
-                )
-            if abs(v) <= floor and abs(prev) <= floor:
-                break
-            prev = v
-        else:
+    # A ball is marched block by block rather than mapped onto a finite
+    # interval: such a map starves tails that decay on a scale of hundreds of
+    # t-units, and per-block mass is exactly the quantity that exposes a
+    # divergent origin.
+    val = err = 0.0
+    neval = 0
+    prev = math.inf
+    a = -math.log(ann.r_outer)
+    for _ in range(400):
+        b = min(a + RADIAL_BLOCK, t_end)
+        v, e, n = gk21(logspace, a, b)
+        val += v
+        err += e
+        neval += n
+        a = b
+        if a == t_end:
+            break
+        if not ball:
+            continue
+        floor = RADIAL_TOL * max(1.0, abs(val))
+        if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
             raise RuntimeError(
                 f"radial integral appears divergent on {ann}: "
-                "no decay toward the origin after 400 blocks"
+                "mass per block toward the origin is not halving"
             )
-        if blown[0] is not None:
-            # evaluation hit the edge of double range somewhere; if the
-            # integrand was still carrying weight there, the rest toward
-            # the origin or the inner edge is unreachable and only bounded
-            # by the slowest decay the block check tolerates.  Walk the probe
-            # back until it evaluates cleanly (probing may push blown[0] lower).
-            t_edge = blown[0]
-            while True:
-                m_edge = abs(logspace(t_edge - 1.0))
-                if blown[0] == t_edge:
-                    break
-                t_edge = blown[0]
-            tail = m_edge / (math.log(2.0) / RADIAL_BLOCK)
-            if tail > 1e-6 * max(1.0, abs(val)):
-                raise RuntimeError(
-                    f"radial integral on {ann} still carries weight at "
-                    f"the edge of double range; the {'origin tail' if ball else 'inner edge'} "
-                    "cannot be resolved"
-                )
-            err += tail
+        if abs(v) <= floor and abs(prev) <= floor:
+            break
+        prev = v
+    else:
+        raise RuntimeError(
+            f"radial integral appears divergent on {ann}: "
+            "no decay toward the origin after 400 blocks"
+        )
+    vals = np.concatenate([v.ravel() for _, v in seen])
+    if not np.isfinite(vals).all():
+        # Some nodes left double range.  The finite nodes next to them, in t
+        # order over every round and block, bound what was lost: beyond them
+        # the profile decays at least as fast as the block check tolerates,
+        # so the lost mass is at most their size over that rate.
+        t = np.concatenate([nodes.ravel() for nodes, _ in seen])
+        order = np.argsort(t, kind="stable")
+        t, vals = t[order], vals[order]
+        bad = ~np.isfinite(vals)
+        edge = np.zeros_like(bad)
+        edge[:-1] |= bad[1:]
+        edge[1:] |= bad[:-1]
+        tail = np.abs(vals[edge & ~bad]).max(initial=0.0) / (math.log(2.0) / RADIAL_BLOCK)
+        if tail > 1e-6 * max(1.0, abs(val)):
+            if bad[-1]:
+                where = "origin tail" if ball else "inner edge"
+            else:
+                where = f"stretch near rho = {math.exp(-t[bad][0]):.6g}"
+            raise RuntimeError(
+                f"radial integral on {ann} still carries weight at "
+                f"the edge of double range; the {where} cannot be resolved"
+            )
+        err += tail
 
     if not (math.isfinite(val) and math.isfinite(err)):
         raise RuntimeError(f"radial integral did not converge on {ann}: value={val}, err={err}")
-    if caught and err > 1e-6 * max(1.0, abs(val)):
-        msgs = "; ".join(str(w.message) for w in caught)
-        raise RuntimeError(f"radial integral appears divergent on {ann}: {msgs}")
-
     return QuadResult(cN * val, cN * err, neval, "radial")
 
 

@@ -350,7 +350,7 @@ def l1plus_test(f_boundary, nodes: int, ctx: GroupContext) -> tuple[float, bool]
 
 
 def liminf_probe(
-    V_radial: Callable[[float], float],
+    V_radial: Callable,
     params: ProblemParams,
     R_list,
 ) -> list[tuple[float, float]]:
@@ -358,12 +358,12 @@ def liminf_probe(
 
     The nonexistence criterion demands liminf = 0 along R -> infinity; for
     power weights the sequence follows R^{(a+2p)/(p-1) - Q - alpha-} up to
-    slowly-varying factors.
+    slowly-varying factors.  V_radial maps an array of radii to weights.
     """
     m = 1.0 / (params.p - 1.0)
     profile = k_profile(params)
 
-    def F(rho: float) -> float:
+    def F(rho):
         return V_radial(rho) ** (-m) * value_of(profile(rho))
 
     out = []

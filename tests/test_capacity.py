@@ -251,6 +251,113 @@ class TestLogDecayLaw:
         assert fit.r_squared >= 0.95
 
 
+# The scale grids of the benchmark's certify pass, rounded to six digits as
+# its command lines are: quarter decades 10..1e4 (annulus law), 1.5-decade
+# steps 1e2..1e20 (critical log-decay law) and the first nine quarter
+# decades (domination law).
+QUARTER_DECADES = tuple(float(f"{10.0 ** (1.0 + 0.25 * i):.6g}") for i in range(13))
+LOG_DECAY_SCALES = tuple(float(f"{10.0 ** (2.0 + 1.5 * i):.6g}") for i in range(13))
+DOMINATION_SCALES = QUARTER_DECADES[:9]
+
+
+def quad_radial(f, lo, hi, ctx):
+    """(C_N int_lo^hi rho^{2N+1} f(rho) drho, error estimate) by scipy's quad
+    in t = -ln(rho), f taking one float."""
+    expo = 2 * ctx.N + 1
+    value, err = quad(lambda t: math.exp(-(expo + 1) * t) * f(math.exp(-t)),
+                      -math.log(hi), -math.log(lo), epsabs=1e-10, epsrel=1e-10, limit=200)
+    return c_n(ctx) * value, c_n(ctx) * err
+
+
+def j2_reference(cutoff, R, pr, iota):
+    """The J2 space factor by quad, its integrand D^{-1/(p-1)} |E|^{p/(p-1)}
+    V^{-1/(p-1)} summed in logarithms at one float rho (0 where D or E is)."""
+    profile = spatial_profile(cutoff, R, pr, iota)
+    p = pr.p
+
+    def f(s):
+        d = profile(HyperDual(s, 1.0, 1.0, 0.0))
+        e = -d.d12 - (pr.Q - 1.0) * d.d1 / s + pr.lam * d.value / (s * s)
+        if d.value == 0.0 or e == 0.0:
+            return 0.0
+        return math.exp((p * math.log(abs(e)) - math.log(d.value) - pr.a * math.log(s)) / (p - 1.0))
+
+    return quad_radial(f, *CUTOFFS[cutoff].zone(R), pr.ctx)
+
+
+def assert_agrees(got, ref):
+    value, err = ref
+    assert abs(got.value - value) <= got.error_estimate + err, (got, ref)
+
+
+def critical(N):
+    """Critical coupling with zero margin at a = 0: p = 1 + 2/N."""
+    return ProblemParams(GroupContext(N), -float(N * N), 0.0, 1.0 + 2.0 / N, 1)
+
+
+class TestAgainstQuad:
+    """Every capacity integral of the certify grids against scipy's quad."""
+
+    @mark.parametrize("N", [1, 2])
+    @mark.parametrize("lam", [0.0, 3.0])
+    def test_annulus_law_grid(self, N, lam):
+        pr = ProblemParams(GroupContext(N), lam, 0.0, 2.0, 1)
+        iota = default_family(pr)
+        for R in QUARTER_DECADES:
+            assert_agrees(j2_space_factor("gamma", R, pr, iota), j2_reference("gamma", R, pr, iota))
+
+    @mark.parametrize("N", [1, 2])
+    def test_logdecay_law_grid(self, N):
+        pr = critical(N)
+        assert existence_margin(pr) == approx(0.0, abs=1e-12)
+        iota = default_family(pr)
+        for R in LOG_DECAY_SCALES:
+            assert_agrees(j2_space_factor("mu", R, pr, iota), j2_reference("mu", R, pr, iota))
+
+    @mark.parametrize("N", [1, 2])
+    def test_domination_law_grid(self, N):
+        pr = ProblemParams(GroupContext(N), 0.0, 0.0, 2.0, 1)
+        iota = default_family(pr)
+        K = k_profile(pr)
+        for R in DOMINATION_SCALES:
+            profile = spatial_profile("gamma", R, pr, iota)
+            lo, _ = CUTOFFS["gamma"].zone(R)
+            assert_agrees(j1_space_factor("gamma", R, pr, iota),
+                          quad_radial(lambda s: value_of(profile(s)), lo, 1.0, pr.ctx))
+            got = eta(R, pr)
+            value, err = quad_radial(lambda s: value_of(K(s)), 0.5 / R, 1.0, pr.ctx)
+            assert abs(got - value) <= 1e-10 * abs(value) + err
+
+    @mark.parametrize("cutoff", sorted(CUTOFFS))
+    @mark.parametrize("lam", [0.0, 3.0])
+    @mark.parametrize("p", [1.5, 3.0])
+    def test_hard_cases(self, cutoff, lam, p):
+        # p = 3: |E|^{3/2} has a kink where E changes sign; p = 1.5: D^{-2}
+        # grows toward the edge of the support, where the cutoff is masked
+        pr = ProblemParams(GroupContext(1), lam, 0.0, p, 1)
+        iota = default_family(pr)
+        for R in (10.0, 10.0**1.5, 1e3):
+            assert_agrees(j2_space_factor(cutoff, R, pr, iota), j2_reference(cutoff, R, pr, iota))
+
+
+    @mark.parametrize("cutoff", sorted(CUTOFFS))
+    def test_exponent_near_one(self, cutoff):
+        # p = 1.05: D^{-20} alone overflows over much of the transition and D
+        # underflows near its inner end, while the integrand peaks near 1e133
+        pr = ProblemParams(GroupContext(1), 0.0, 0.0, 1.05, 1)
+        iota = default_family(pr)
+        assert_agrees(j2_space_factor(cutoff, 10.0, pr, iota), j2_reference(cutoff, 10.0, pr, iota))
+
+
+class TestOutOfDoubleRange:
+    @mark.parametrize("R", [10.0, 100.0])
+    def test_annulus_integrand_past_double_range_raises(self, R):
+        # at p = 1.01 the integrand reaches about 1e790 inside the transition
+        pr = ProblemParams(GroupContext(1), 0.0, 0.0, 1.01)
+        with raises(RuntimeError, match="nonfinite capacity integrand"):
+            j2_space_factor("gamma", R, pr, min_iota(1, 1.01))
+
+
 class TestFullFunctionals:
     def test_j1_and_j2_factorize(self):
         pr = params(0.0)

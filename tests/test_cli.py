@@ -158,6 +158,16 @@ class TestScalingCommand:
         assert "[PASS] domination-gap" in out
         assert "[PASS] domination-monotone" in out
 
+    def test_capacity_integrand_past_double_range_is_one_error_line(self, capsys, tmp_path):
+        # at p = 1.01 the elliptic integrand reaches about 1e790 inside the
+        # gamma transition; read as 0, it would end in a power-law fit through
+        # nonpositive values and exit 2
+        code, out, err = run(capsys, "scaling", "--law", "annulus", "--p", "1.01",
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
 
 class TestIntegrateCommand:
     def test_default_monomial(self, capsys):

@@ -89,6 +89,24 @@ def test_annulus_past_the_edge_of_double_range_is_refused(ctx1, r_inner):
         radial_integral(lambda r: r ** float(-ctx1.Q), Annulus(r_inner, 1.0), ctx1)
 
 
+def test_interior_overflow_next_to_weight_is_refused(ctx1):
+    # the profile overflows on a band inside the annulus while the nodes on
+    # either side of the band still carry weight; the band must not count as 0
+    def F(r):
+        return np.exp(800.0 - 1e3 * (np.log(r) - math.log(0.07)) ** 2)
+
+    with raises(RuntimeError, match="stretch near rho"):
+        radial_integral(F, Annulus(0.05, 0.1), ctx1)
+
+
+def test_overflow_beside_negligible_weight_is_accepted(ctx1):
+    # r^-3 overflows below r ~ 1e-103, where the volume weight has already
+    # underflowed to 0: the nodes beside the overflow carry no weight
+    ann = Annulus(1e-300, 1.0)
+    got = radial_integral(lambda r: r**-3.0, ann, ctx1).value
+    assert got == approx(closed_form(ctx1, -3.0, ann), rel=1e-10)
+
+
 def test_borderline_power_diverges(ctx1):
     with raises(RuntimeError):
         radial_integral(lambda r: r ** float(-ctx1.Q), Annulus(0.0, 1.0), ctx1)

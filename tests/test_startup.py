@@ -1,9 +1,10 @@
 """Start-up cost: subcommands that call no scipy routine never import scipy.
 
-scipy is imported inside the functions that use it (`radial_integral`,
-`capacity._time_quad` and the two solvers), so importing the CLI, building
-its parser, `--help`, `classify` and `witness` stay on numpy alone.  Only a
-fresh interpreter shows this: the test process itself has scipy loaded.
+scipy is imported inside the two solvers that use it, and the quadrature is
+numpy's own, so importing the CLI, building its parser, `--help`,
+`classify`, `witness`, `integrate`, `scaling` and `verify-identities` stay
+on numpy alone.  Only a fresh interpreter shows this: the test process
+itself has scipy loaded.
 """
 
 import json
@@ -14,9 +15,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-# Runs in a fresh interpreter; argv[1] is a scratch directory.  After each
-# stage it records the scipy modules loaded so far, and finally whether
-# `integrate`, which does call quad, still exits 0.
+# Runs in a fresh interpreter; argv[1] is a scratch directory holding a small
+# `verify-identities` config.  After each stage it records the scipy modules
+# loaded so far and the exit code.
 SCRIPT = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -33,6 +34,10 @@ runs = {
     "classify": ["classify", "--out", str(tmp / "classify")],
     "witness": ["witness", "--out", str(tmp / "witness")],
     "--help": ["--help"],
+    "integrate": ["integrate", "--out", str(tmp / "integrate")],
+    "scaling annulus": ["scaling", "--law", "annulus", "--out", str(tmp / "scaling")],
+    "verify-identities": ["verify-identities", "--config", str(tmp / "verify.json"),
+                          "--out", str(tmp / "verify")],
 }
 codes = {}
 for stage, argv in runs.items():
@@ -42,13 +47,19 @@ for stage, argv in runs.items():
         except SystemExit as exc:
             codes[stage] = exc.code
     seen[stage] = scipy_modules()
-with contextlib.redirect_stdout(io.StringIO()):
-    codes["integrate"] = koranyi.cli.main(["integrate", "--out", str(tmp / "integrate")])
 print(json.dumps({"seen": seen, "codes": codes}))
 """
 
 
+# the benchmark's warm-up sizes: a few seconds at most
+SMALL_VERIFY = {
+    "n_triples": 200, "n_points": 200, "n_div_points": 4, "mc_samples": 20_000,
+    "harmonic_points": 60, "flux_nodes": 60,
+}
+
+
 def test_scipy_stays_off_the_import_path(tmp_path):
+    (tmp_path / "verify.json").write_text(json.dumps(SMALL_VERIFY), encoding="utf-8")
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)],
@@ -59,4 +70,5 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     doc = json.loads(proc.stdout.splitlines()[-1])
     for stage, modules in doc["seen"].items():
         assert modules == [], f"{stage} imported {modules[:5]}"
-    assert doc["codes"] == {"classify": 0, "witness": 0, "--help": 0, "integrate": 0}
+    stages = ["classify", "witness", "--help", "integrate", "scaling annulus", "verify-identities"]
+    assert doc["codes"] == dict.fromkeys(stages, 0)
