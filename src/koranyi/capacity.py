@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,15 +121,9 @@ CUTOFFS: dict[str, Cutoff] = {
 }
 
 
-def default_family(params: ProblemParams, iota: Optional[int] = None) -> int:
-    """The common cutoff power iota of beta_T and D_R: `min_iota` unless set,
-    and never below it."""
-    floor = min_iota(params.k, params.p)
-    if iota is None:
-        return floor
-    if iota < floor:
-        raise ValueError(f"iota = {iota} is below the admissible minimum {floor}")
-    return iota
+def default_family(params: ProblemParams) -> int:
+    """The common cutoff power iota of beta_T and D_R: `min_iota`."""
+    return min_iota(params.k, params.p)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .hgroup import (
     random_points,
 )
 from .hcalc import egrad, hlap, hlap_divform, radial_lift, radial_lap
-from .hquad import Annulus, mc_annulus, radial_integral, c_n
+from .hquad import MC_MIN_SAMPLES, Annulus, mc_annulus, radial_integral, c_n
 from .spectrum import (
     ProblemParams,
     alphas,
@@ -52,16 +52,15 @@ from .spectrum import (
 )
 from .capacity import (
     DEFAULT_SCALES,
-    beta_time_integral,
     default_family,
     eta,
     j1_space_factor,
     j1_time_factor,
-    j2,
+    j2_space_factor,
     scaling_fit,
 )
 from .witness import build_critical, build_subcritical, verify_witness, witness_json
-from .evolve import RadialGrid, canonical_bump, integrate, phase_sweep
+from .evolve import MIN_CELLS, RadialGrid, canonical_bump, integrate, phase_sweep
 
 
 class UsageError(ValueError):
@@ -302,6 +301,10 @@ def _plot_sweep(out, rows, ctx):
 # verify-identities
 # ---------------------------------------------------------------------------
 
+# tolerance of each identity check; tol_scale multiplies every one of them
+IDENTITY_TOLS = dict(group=1e-12, grad=1e-10, lap=1e-10, div=1e-5, harmonic=1e-8, flux=1e-6)
+
+
 def _max_abs(values) -> float:
     """Largest absolute value (NaN propagates); 0 for no values."""
     return float(np.max(np.abs(values), initial=0.0))
@@ -311,10 +314,8 @@ def cmd_verify_identities(cfg: dict) -> int:
     ctx = GroupContext(cfg["N"])
     rng = np.random.default_rng(cfg["seed"])
     scale = cfg["tol_scale"]
+    tol = {name: t * scale for name, t in IDENTITY_TOLS.items()}
     checks = []
-
-    def tol(key):
-        return cfg[key] * scale
 
     # group axioms on random triples, all triples in one batch
     trip = rng.uniform(-1.0, 1.0, size=(cfg["n_triples"], 3, 2 * ctx.N + 1))
@@ -324,12 +325,12 @@ def cmd_verify_identities(cfg: dict) -> int:
     worst_assoc = _max_abs(left.flat() - right.flat())
     worst_inv = _max_abs(compose(g[0], inverse(g[0])).flat())
     checks.append(_check(
-        "group-associativity", worst_assoc <= tol("tol_group"), worst_assoc, 0.0,
-        tol("tol_group"), "composing three elements is independent of bracketing",
+        "group-associativity", worst_assoc <= tol["group"], worst_assoc, 0.0,
+        tol["group"], "composing three elements is independent of bracketing",
     ))
     checks.append(_check(
-        "group-inverse", worst_inv <= tol("tol_group"), worst_inv, 0.0,
-        tol("tol_group"), "an element composed with its inverse is the identity",
+        "group-inverse", worst_inv <= tol["group"], worst_inv, 0.0,
+        tol["group"], "an element composed with its inverse is the identity",
     ))
 
     # |grad of the gauge|^2 equals the angular weight
@@ -339,7 +340,7 @@ def cmd_verify_identities(cfg: dict) -> int:
     q = (a_apply(pts, grad) * grad).sum(axis=-1)
     worst = _max_abs((q - weight) / (weight + 1e-15))
     checks.append(_check(
-        "gauge-gradient", worst <= tol("tol_grad"), worst, 0.0, tol("tol_grad"),
+        "gauge-gradient", worst <= tol["grad"], worst, 0.0, tol["grad"],
         "the horizontal gradient of the gauge has squared length psi",
     ))
 
@@ -354,7 +355,7 @@ def cmd_verify_identities(cfg: dict) -> int:
         rad = weight * radial_lap(F, rho, ctx)
         worst = max(worst, _max_abs((full - rad) / (np.abs(rad) + 1e-15)))
     checks.append(_check(
-        "radial-operator", worst <= tol("tol_lap"), worst, 0.0, tol("tol_lap"),
+        "radial-operator", worst <= tol["lap"], worst, 0.0, tol["lap"],
         "on gauge-radial fields the operator reduces to its radial form times psi",
     ))
 
@@ -363,7 +364,7 @@ def cmd_verify_identities(cfg: dict) -> int:
     field = radial_lift(lambda r: r**2)
     worst = _max_abs(hlap(field, pts) - hlap_divform(field, pts))
     checks.append(_check(
-        "divergence-form", worst <= tol("tol_div"), worst, 0.0, tol("tol_div"),
+        "divergence-form", worst <= tol["div"], worst, 0.0, tol["div"],
         "the operator agrees with div(A grad .) assembled by finite differences",
     ))
 
@@ -385,18 +386,18 @@ def cmd_verify_identities(cfg: dict) -> int:
     for lam_label, lam in (("given", cfg["lambda"]), ("critical", -((ctx.Q - 2) / 2.0) ** 2)):
         params = ProblemParams(ctx, lam, 0.0, 2.0)
         rep = check_k_harmonic(params, n_points=cfg["harmonic_points"],
-                               tol=tol("tol_harmonic"), seed=cfg["seed"] + 1)
+                               tol=tol["harmonic"], seed=cfg["seed"] + 1)
         checks.append(_check(
             f"barrier-harmonic-{lam_label}", rep.passed, rep.max_scaled_residual,
-            0.0, tol("tol_harmonic"),
+            0.0, tol["harmonic"],
             "the radial barrier is annihilated by the operator away from the origin",
         ))
 
     # boundary flux identity
     params = ProblemParams(ctx, cfg["lambda"], 0.0, 2.0)
-    rep = check_k_boundary(params, nodes=cfg["flux_nodes"], tol=tol("tol_flux"))
+    rep = check_k_boundary(params, nodes=cfg["flux_nodes"], tol=tol["flux"])
     checks.append(_check(
-        "boundary-flux", rep.passed, rep.max_scaled_residual, 0.0, tol("tol_flux"),
+        "boundary-flux", rep.passed, rep.max_scaled_residual, 0.0, tol["flux"],
         "the conormal flux density of the barrier matches its radial slope times "
         "the angular weight",
     ))
@@ -449,8 +450,7 @@ def cmd_witness(cfg: dict) -> int:
         w = build_critical(params, beta=cfg["beta"], eps=cfg["eps"])
     else:
         w = build_subcritical(params, tau=cfg["tau"], eps=cfg["eps"])
-    report = verify_witness(w, grid=cfg["grid"], tol=tol, rho_bounds=(cfg["rho_min"], 1.0),
-                            seed=cfg["seed"])
+    report = verify_witness(w, grid=cfg["grid"], tol=tol, seed=cfg["seed"])
     checks = [
         _check(
             "witness-identity", report.max_identity_rel_err <= tol,
@@ -474,48 +474,50 @@ def cmd_witness(cfg: dict) -> int:
 # scaling laws
 # ---------------------------------------------------------------------------
 
+R2_MIN = 0.95  # least r^2 of the log-decay fit
+
+
 def _slope_check(name, fit, predicted, tol, rule):
     return _check(name, abs(fit.slope - predicted) <= tol, fit.slope, predicted, tol, rule)
 
 
-def _time_rows(scales, params, iota, T):
+def _time_rows(scales, params, iota):
     return [(s, j1_time_factor(s, params, iota).value) for s in scales]
 
 
 def _j2_rows(cutoff: str, abscissa: Callable):
-    """Rows (abscissa(R), J2 space factor over the time integral) for a cutoff."""
-    def rows(scales, params, iota, T):
-        denom = beta_time_integral(T, iota).value
-        return [(abscissa(R), j2(cutoff, T, R, params, iota).value / denom) for R in scales]
+    """Rows (abscissa(R), J2 space factor) for a cutoff.  J2 is int beta_T
+    times this factor, and the time integral does not depend on R."""
+    def rows(scales, params, iota):
+        return [(abscissa(R), j2_space_factor(cutoff, R, params, iota).value) for R in scales]
 
     return rows
 
 
-def _domination_rows(scales, params, iota, T):
+def _domination_rows(scales, params, iota):
     return [(R, j1_space_factor("gamma", R, params, iota).value, eta(R, params)) for R in scales]
 
 
-def _time_checks(fit, rows, params, cfg):
+def _time_checks(fit, rows, params, tol):
     return [_slope_check(
-        "time-factor-slope", fit, 1.0 - params.k * params.p / (params.p - 1.0), cfg["tol_slope"],
+        "time-factor-slope", fit, 1.0 - params.k * params.p / (params.p - 1.0), tol,
         "the time factor scales like T to the power 1 - k p/(p-1)",
     )]
 
 
-def _annulus_checks(fit, rows, params, cfg):
+def _annulus_checks(fit, rows, params, tol):
     predicted = (params.a + 2.0 * params.p) / (params.p - 1.0) - params.Q \
         - alphas(params).alpha_minus
     return [_slope_check(
-        "annulus-slope", fit, predicted, cfg["tol_slope"],
+        "annulus-slope", fit, predicted, tol,
         "the inner-cutoff elliptic factor grows like R to the predicted power",
     )]
 
 
-def _logdecay_checks(fit, rows, params, cfg):
-    tol, r2_min = cfg["tol_slope"], cfg["r2_min"]
+def _logdecay_checks(fit, rows, params, tol):
     onesided = -1.0 / (params.p - 1.0)
     return [
-        _check("logdecay-r2", fit.r_squared >= r2_min, fit.r_squared, f"≥ {r2_min}", r2_min,
+        _check("logdecay-r2", fit.r_squared >= R2_MIN, fit.r_squared, f"≥ {R2_MIN}", R2_MIN,
                "the log-cutoff elliptic factor follows a power of ln R"),
         _slope_check("logdecay-slope", fit, -2.0 / (params.p - 1.0), tol,
                      "the measured ln R power matches the exact cancellation rate -2/(p-1)"),
@@ -524,7 +526,7 @@ def _logdecay_checks(fit, rows, params, cfg):
     ]
 
 
-def _domination_checks(fit, rows, params, cfg):
+def _domination_checks(fit, rows, params, tol):
     worst_gap = float(np.max([sf - env for _, sf, env in rows]))
     envs = [-math.inf] + [env for *_, env in rows]
     monotone = all(b >= a - 1e-12 * abs(b) for a, b in zip(envs, envs[1:]))
@@ -539,14 +541,16 @@ def _domination_checks(fit, rows, params, cfg):
 class Law(NamedTuple):
     """One scaling law of `cmd_scaling`.
 
-    defaults fill lambda, a, p and tol_slope where the config leaves them
-    None.  rows(scales, params, iota, T) measures one CSV row per scale, the
-    abscissa first, under the header columns, and checks(fit, rows, params,
-    cfg) judges them.  A law with a plot title is fitted as a power law and
+    defaults fill lambda, a and p, in that order, where the config leaves
+    them None; a callable default maps the config filled so far to the value.
+    rows(scales, params, iota) measures one CSV row per scale, the abscissa
+    first, under the header columns, and checks(fit, rows, params, tol_slope)
+    judges them.  A law with a plot title is fitted as a power law and
     plotted; a critical law holds only at critical coupling with zero margin.
     """
 
     defaults: dict
+    tol_slope: float
     scales: tuple
     columns: tuple
     rows: Callable
@@ -555,19 +559,22 @@ class Law(NamedTuple):
     critical: bool = False
 
 
+_PLAIN = {"lambda": 0.0, "a": 0.0, "p": 2.0}
+# critical coupling -((Q-2)/2)^2 = -N^2, and the p of zero margin there: a + 2 = N (p - 1)
+_CRITICAL_ZERO_MARGIN = {"lambda": lambda cfg: -float(cfg["N"]) ** 2, "a": 0.0,
+                         "p": lambda cfg: 1.0 + (cfg["a"] + 2.0) / cfg["N"]}
+
 LAWS = {
-    "time": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.05}, DEFAULT_SCALES,
-                ("T", "value"), _time_rows, _time_checks, "time factor"),
-    "annulus": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.1}, DEFAULT_SCALES,
-                   ("R", "value"), _j2_rows("gamma", lambda R: R), _annulus_checks,
-                   "inner-cutoff factor"),
-    "logdecay": Law({"lambda": -1.0, "a": 0.0, "p": 3.0, "tol_slope": 0.1},
+    "time": Law(_PLAIN, 0.05, DEFAULT_SCALES, ("T", "value"), _time_rows, _time_checks,
+                "time factor"),
+    "annulus": Law(_PLAIN, 0.1, DEFAULT_SCALES, ("R", "value"), _j2_rows("gamma", lambda R: R),
+                   _annulus_checks, "inner-cutoff factor"),
+    "logdecay": Law(_CRITICAL_ZERO_MARGIN, 0.1,
                     tuple(10.0**e for e in (2, 5, 8, 11, 14, 17, 20)), ("lnR", "value"),
                     _j2_rows("mu", math.log), _logdecay_checks, "log-cutoff factor",
                     critical=True),
-    "domination": Law({"lambda": 0.0, "a": 0.0, "p": 2.0, "tol_slope": 0.0},
-                      tuple(10.0**e for e in (1, 1.5, 2, 2.5, 3)), ("R", "space_factor", "eta"),
-                      _domination_rows, _domination_checks),
+    "domination": Law(_PLAIN, 0.0, tuple(10.0**e for e in (1, 1.5, 2, 2.5, 3)),
+                      ("R", "space_factor", "eta"), _domination_rows, _domination_checks),
 }
 
 
@@ -576,9 +583,9 @@ def cmd_scaling(cfg: dict) -> int:
     law = LAWS[name]
     for key, value in law.defaults.items():
         if cfg[key] is None:
-            cfg[key] = value
+            cfg[key] = value(cfg) if callable(value) else value
     params = _params_from(cfg)
-    iota = default_family(params, iota=cfg["iota"])
+    iota = default_family(params)
     if law.critical:
         margin = existence_margin(params)
         if not params.is_critical or abs(margin) > 1e-9 * (1.0 + abs(params.a)):
@@ -586,7 +593,7 @@ def cmd_scaling(cfg: dict) -> int:
                 "the log-decay law applies at critical coupling with zero margin; "
                 f"got margin {margin:.3e}"
             )
-    rows = law.rows(cfg["scales"] or law.scales, params, iota, cfg["T"])
+    rows = law.rows(cfg["scales"] or law.scales, params, iota)
     out = _out_dir(cfg)
     _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))
     fit, extra = None, {}
@@ -594,7 +601,7 @@ def cmd_scaling(cfg: dict) -> int:
         fit = scaling_fit(rows)
         extra["fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
         _plot_fit(out, f"scaling-{name}", rows, fit, law.title)
-    return _finish("scaling", cfg, law.checks(fit, rows, params, cfg), extra=extra)
+    return _finish("scaling", cfg, law.checks(fit, rows, params, law.tol_slope), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +750,7 @@ _P = Key("p", 2.0, help="nonlinearity power (> 1)")
 _K = Key("k", 1, int, 1, help="time-derivative order")
 _GRID = (
     Key("rho_min", 1e-3),
-    Key("n_cells", 64, int),
+    Key("n_cells", 64, int, MIN_CELLS),
     Key("spacing", "uniform", str, choices=("uniform", "log"), flag=None),
     Key("t_end", 0.25, low=0.0, strict=True),
 )
@@ -756,12 +763,10 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         _N,
         _LAMBDA,
         Key("seed", 0, int, 0),
-        *(Key(name, n, int, 1, flag=None) for name, n in (
-            ("n_triples", 2000), ("n_points", 2000), ("n_div_points", 40),
-            ("mc_samples", 200_000), ("harmonic_points", 800), ("flux_nodes", 600))),
-        *(Key(name, tol, low=0.0, flag=None) for name, tol in (
-            ("tol_group", 1e-12), ("tol_grad", 1e-10), ("tol_lap", 1e-10), ("tol_div", 1e-5),
-            ("tol_harmonic", 1e-8), ("tol_flux", 1e-6))),
+        *(Key(name, n, int, low, flag=None) for name, n, low in (
+            ("n_triples", 2000, 1), ("n_points", 2000, 1), ("n_div_points", 40, 1),
+            ("mc_samples", 200_000, MC_MIN_SAMPLES), ("harmonic_points", 800, 1),
+            ("flux_nodes", 600, 1))),
         Key("tol_scale", 1.0, low=0.0, help="multiply every tolerance (0 forces failures)"),
         _OUT,
     )),
@@ -774,7 +779,6 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("beta", None, help="log-correction exponent override"),
         Key("grid", 200, int, 2, flag=None),
         Key("tol", 1e-10, low=0.0, flag=None),
-        Key("rho_min", 1e-4, low=0.0, strict=True, flag=None),
         Key("seed", 11, int, 0),
         _OUT,
     )),
@@ -782,11 +786,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("law", "time", str, choices=tuple(sorted(LAWS)), help="which scaling law to fit"),
         _N, _K,
         _LAMBDA._replace(default=None), _A._replace(default=None), _P._replace(default=None),
-        Key("iota", None, flag=None),
         Key("scales", None, list[float], 0.0, strict=True, help="scale grid"),
-        Key("T", 50.0, low=0.0, strict=True, flag=None),
-        Key("tol_slope", None, low=0.0, flag=None),
-        Key("r2_min", 0.95, flag=None),
         _OUT,
         _CRITICAL,
     )),

@@ -66,6 +66,7 @@ from .spectrum import ProblemParams, classify
 
 BLOWUP_SUP = 1e8
 DT_FLOOR = 1e-12
+MIN_CELLS = 32  # fewest cells a RadialGrid accepts
 STALL_GROWTH = 100.0  # sup growth that makes a BDF step collapse a blow-up
 BDF_RTOL = 1e-7
 BDF_ATOL = 1e-10
@@ -87,8 +88,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho_min < 1.0:
             raise ValueError(f"rho_min must lie in (0, 1), got {self.rho_min}")
-        if self.n_cells < 32:
-            raise ValueError(f"need at least 32 cells, got {self.n_cells}")
+        if self.n_cells < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cells, got {self.n_cells}")
         if self.spacing not in ("uniform", "log"):
             raise ValueError(f"spacing must be 'uniform' or 'log', got {self.spacing!r}")
 

@@ -51,6 +51,8 @@ GK_START = 8
 GK_LIMIT = 4000
 # Monte Carlo draws per vectorised batch in `mc_annulus`
 MC_CHUNK = 1 << 17
+# fewest draws `mc_annulus` accepts
+MC_MIN_SAMPLES = 1000
 
 # QUADPACK's dqk21 pair (Piessens et al. 1983), rounded to double: the
 # nonnegative Kronrod nodes and weights, largest node first; nodes 1, 3, 5,
@@ -263,8 +265,8 @@ def mc_annulus(f, ann: Annulus, samples: int, seed: int, ctx: GroupContext) -> Q
     reports the draws actually spent, slightly above `samples` once the floor
     engages.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
     n = ctx.N
 
     m_floor = max(1000, samples // 256)

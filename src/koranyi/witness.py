@@ -40,6 +40,8 @@ from .hcalc import hd_log, hlap, radial_lift, value_of
 from .hgroup import HPoint, knorm, psi, random_directions, sphere_chart
 from .spectrum import ProblemParams, alphas, existence_margin
 
+RHO_MIN = 1e-4  # smallest radius `verify_witness` samples
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -235,7 +237,6 @@ def verify_witness(
     w: Witness,
     grid: Union[int, np.ndarray] = 200,
     tol: float = 1e-10,
-    rho_bounds: tuple[float, float] = (1e-4, 1.0),
     seed: int = 11,
 ) -> WitnessReport:
     """Check the operator identity and the supersolution inequality.
@@ -244,20 +245,17 @@ def verify_witness(
     direction with psi = 0.64 so the sub-Laplacian is nondegenerate) and the
     operator is evaluated by hyper-dual AD; the result must match the closed
     form to rel err <= tol and dominate rho^a u^p with nonnegative slack.
-    Radii below 1e-4 are excluded to stay inside floating-point range; the
-    inequality only strengthens as rho -> 0 inside the admissible window.
-    Raises ValueError unless 0 < rho_bounds[0] < rho_bounds[1] <= 1.
+    An integer grid spaces that many radii logarithmically over [RHO_MIN, 1];
+    radii below RHO_MIN are excluded to stay inside floating-point range, and
+    the inequality only strengthens as rho -> 0 inside the admissible window.
+    Raises ValueError for an explicit radius outside [RHO_MIN, 1].
     """
-    if not 0.0 < rho_bounds[0] < rho_bounds[1] <= 1.0:
-        raise ValueError(f"witness radii need 0 < rho_min < rho_max <= 1, got {rho_bounds}")
     if isinstance(grid, (int, np.integer)):
-        radii = np.exp(
-            np.linspace(math.log(rho_bounds[0]), math.log(rho_bounds[1]), int(grid))
-        )
+        radii = np.exp(np.linspace(math.log(RHO_MIN), 0.0, int(grid)))
     else:
         radii = np.asarray(grid, dtype=float)
-        if radii.min() < rho_bounds[0] or radii.max() > rho_bounds[1]:
-            raise ValueError(f"radii must lie within {rho_bounds}")
+        if radii.min() < RHO_MIN or radii.max() > 1.0:
+            raise ValueError(f"radii must lie within [{RHO_MIN:g}, 1]")
 
     u_dir, sign = random_directions(np.random.default_rng(seed), len(radii), w.params.ctx.N)
     r_chart = 0.8  # psi = r^2 = 0.64 at every sample point

@@ -232,7 +232,7 @@ def test_5_witness_verification():
         builds.append(build_critical(params(-1.0, a=2.0)))
         builds.append(build_critical(params(-1.0, a=1.2)))
         for w in builds:
-            rep = verify_witness(w, grid=200, tol=1e-10, rho_bounds=(1e-4, 1.0))
+            rep = verify_witness(w, grid=200, tol=1e-10)
             assert rep.n_points == 200
             assert rep.passed, rep.note
             assert rep.max_identity_rel_err <= 1e-10

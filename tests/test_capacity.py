@@ -79,13 +79,6 @@ class TestFamily:
         assert default_family(params(0.0)) == 6
         assert default_family(params(0.0, p=3.0)) == 5
 
-    def test_rejects_iota_below_floor(self):
-        with raises(ValueError, match="below the admissible minimum"):
-            default_family(params(0.0), iota=3)
-
-    def test_accepts_larger_iota(self):
-        assert default_family(params(0.0), iota=9) == 9
-
 
 class TestTimeBump:
     def test_support(self):

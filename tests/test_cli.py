@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import io
 import json
@@ -106,17 +107,6 @@ class TestWitnessCommand:
         assert code == 1
         assert "[FAIL] witness-identity" in out
 
-    @mark.parametrize("rho_min", [5.0, 1.0])
-    def test_radii_outside_the_ball_refused(self, capsys, tmp_path, rho_min):
-        # radii in [1, 5] lie outside the ball, and rho_min = 1 leaves the one
-        # radius 1: neither run may print a verdict about the ball
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"rho_min": rho_min}))
-        code, out, err = run(capsys, "witness", "--lambda", "3", "--config", str(cfg))
-        assert code == 2
-        assert "error:" in err and "rho_min" in err
-        assert "witness-slack" not in out
-
     def test_tau_outside_window(self, capsys):
         code, _, err = run(capsys, "witness", "--lambda", "3", "--tau", "5")
         assert code == 2
@@ -150,6 +140,25 @@ class TestScalingCommand:
         code, _, err = run(capsys, "scaling", "--law", "logdecay", "--lambda", "0")
         assert code == 2
         assert "critical coupling" in err
+
+    @mark.parametrize("N", [1, 2, 3])
+    def test_logdecay_defaults_follow_n(self, capsys, tmp_path, N):
+        # critical coupling -N^2 and zero margin p = 1 + (a + 2)/N
+        code, out, err = run(capsys, "scaling", "--law", "logdecay", "--N", str(N),
+                             "--out", str(tmp_path))
+        assert code == 0, err
+        assert "[PASS] logdecay-slope" in out
+        config = json.loads((tmp_path / "scaling.json").read_text())["config"]
+        assert (config["lambda"], config["a"], config["p"]) == (-N * N, 0.0, 1.0 + 2.0 / N)
+
+    def test_logdecay_explicit_values_win(self, capsys, tmp_path):
+        code, _, err = run(capsys, "scaling", "--law", "logdecay", "--N", "2", "--a", "2",
+                           "--out", str(tmp_path))
+        assert code == 0, err
+        assert json.loads((tmp_path / "scaling.json").read_text())["config"]["p"] == 3.0
+        code, _, err = run(capsys, "scaling", "--law", "logdecay", "--N", "2", "--p", "3")
+        assert code == 2
+        assert "margin" in err
 
     def test_domination(self, capsys):
         code, out, _ = run(capsys, "scaling", "--law", "domination",
@@ -445,7 +454,7 @@ class TestNonFiniteAndIllTypedInput:
     @given(st.sampled_from([
         ("simulate", "boundary_value"), ("simulate", "t_end"), ("phase-sweep", "t_end"),
         ("phase-sweep", "boundary_value"), ("integrate", "tol"), ("witness", "tol"),
-        ("witness", "rho_min"), ("scaling", "T"), ("verify-identities", "tol_flux"),
+        ("simulate", "rho_min"), ("witness", "grid"), ("verify-identities", "mc_samples"),
         ("verify-identities", "n_points"),
     ]), st.sampled_from(["nan", "inf", True, None, [1.0]]))
     @settings(max_examples=60, deadline=None)
@@ -489,6 +498,18 @@ class TestNonFiniteAndIllTypedInput:
                     code, err = self.quiet([command, "--config", str(path)])
                     assert code == 2 and "finite" in err, (command, key.name, err)
 
+    @mark.parametrize("argv, cfg, key", [
+        (["verify-identities"], {"mc_samples": 500}, "mc_samples"),
+        (["simulate", "--n-cells", "10"], {}, "n_cells"),
+        (["phase-sweep", "--n-cells", "31"], {}, "n_cells"),
+    ], ids=["verify-identities", "simulate", "phase-sweep"])
+    def test_value_below_the_library_minimum_names_the_key(self, tmp_path, argv, cfg, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        code, err = self.quiet([*argv, "--config", str(path)])
+        assert code == 2, err
+        assert err.startswith(f"error: {key} must be >=")
+
     def test_non_integer_n_flag_is_refused_by_the_parser(self):
         with raises(SystemExit) as exc:
             self.quiet(["classify", "--N", "1.5"])
@@ -527,3 +548,49 @@ class TestCliSurface:
                     if isinstance(a, argparse._SubParsersAction))
         law = next(a for a in subs.choices["scaling"]._actions if a.dest == "law")
         assert list(law.choices) == sorted(LAWS) == ["annulus", "domination", "logdecay", "time"]
+
+
+class TestConfigOnlyKeys:
+    """A key without a flag is reachable only from a config file, so some
+    committed config or benchmark input has to set it."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    RETIRED = [
+        ("scaling", "T"), ("scaling", "iota"), ("scaling", "tol_slope"), ("scaling", "r2_min"),
+        ("verify-identities", "tol_group"), ("verify-identities", "tol_grad"),
+        ("verify-identities", "tol_lap"), ("verify-identities", "tol_div"),
+        ("verify-identities", "tol_harmonic"), ("verify-identities", "tol_flux"),
+        ("witness", "rho_min"),
+    ]
+
+    def config_key_sets(self):
+        """Key names of every committed config and of every dict literal with
+        string keys in the benchmark's workloads."""
+        found = [set(json.loads(path.read_text()))
+                 for path in (self.ROOT / "configs").glob("*.json")]
+        tree = ast.parse((self.ROOT / "perfbench" / "workloads.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and node.keys and all(
+                    isinstance(k, ast.Constant) and isinstance(k.value, str) for k in node.keys):
+                found.append({k.value for k in node.keys})
+        return found
+
+    def test_every_config_only_key_is_set_somewhere(self):
+        sets = self.config_key_sets()
+        unset = []
+        for command, (_, _, keys) in COMMANDS.items():
+            names = {key.name for key in keys}
+            accepted = [s for s in sets if s <= names]
+            unset += [(command, key.name) for key in keys
+                      if key.flag is None and not any(key.name in s for s in accepted)]
+        assert unset == []
+
+    @mark.parametrize("command, key", RETIRED)
+    def test_retired_key_in_config_exits_2(self, tmp_path, command, key):
+        assert key not in {k.name for k in COMMANDS[command][2]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: 1}))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(path)])
+        assert code == 2
+        assert err.getvalue().startswith("error:") and repr(key) in err.getvalue()
