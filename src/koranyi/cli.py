@@ -686,8 +686,8 @@ def cmd_phase_sweep(cfg: dict) -> int:
         grid=RadialGrid(cfg["rho_min"], cfg["n_cells"], cfg["spacing"]),
         t_end=cfg["t_end"], boundary_value=cfg["boundary_value"], threads=cfg["threads"],
     )
-    header = ("lambda", "a", "p", "k", "status", "blow_up_time",
-              "classifier_verdict", "grid", "dt_policy")
+    header = ("lambda", "a", "p", "k", "status", "blow_up_time", "classifier_verdict",
+              "grid", "dt_policy", "end_reason", "steps", "rejected", "lu")
     csv_rows = [
         tuple("" if row[key] is None else row[key] for key in header) for row in rows
     ]

@@ -13,10 +13,13 @@ one tridiagonal matrix L per grid and lambda, built from the same stencil
 weights, plus an affine term carrying the inner slope.  Each time order gets
 the solver that fits it:
 
-- k = 1 (parabolic and stiff near rho_min): scipy's variable-order BDF
-  through `solve_ivp`, with the analytic tridiagonal Jacobian
-  L + diag(p rho^a |u|^{p-1} sign u) and a terminal event at sup|u| =
-  BLOWUP_SUP.
+- k = 1 (parabolic and stiff near rho_min): scipy's variable-order BDF,
+  stepped directly, with the analytic tridiagonal Jacobian
+  L + diag(p rho^a |u|^{p-1} sign u).  Its right-hand side is L u by the
+  bands plus `_forcing`, the helper both solvers share for everything but
+  L u.  After each accepted step sup|u| is tested against BLOWUP_SUP; on a
+  crossing, T* is the root of sup|u| = BLOWUP_SUP on that step's dense
+  output.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
@@ -25,8 +28,8 @@ the solver that fits it:
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
   |u|^{p-1}), so it shrinks as a blow-up develops.
 
-Each scipy routine (`solve_ivp` and `sparse`, LAPACK's `dgtsv`) is imported
-at its call site, so importing this module loads no scipy.
+Each scipy routine (`BDF`, `brentq` and `sparse`, LAPACK's `dgtsv`) is
+imported at its call site, so importing this module loads no scipy.
 
 A run ends in one of five ways, `SimResult.end_reason`:
 
@@ -262,100 +265,20 @@ def integrate(
     if params.k == 2:
         layers[1, -1] = 0.0
     slope = neumann_slope if neumann_slope is not None else (lambda t: 0.0)
+    forcing = _forcing(params, rho, op, nonlinear, source, slope)
     run = _bdf if params.k == 1 else _newmark
-    return run(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope)
+    return run(params, layers, rho, op, t_end, nonlinear, forcing)
 
 
-def _bdf(params, layers, grid, op, t_end, boundary_value, nonlinear, source, slope) -> SimResult:
-    """k = 1 through solve_ivp's BDF with the analytic tridiagonal Jacobian."""
-    from scipy import sparse
-    from scipy.integrate import solve_ivp
-
-    rho = grid.nodes()
-    weight = rho[:-1] ** params.a
-    attempts = [0, math.nan]  # runs of right-hand-side calls at one new t, last t
-
-    def fun(t, u):
-        if t != attempts[1]:
-            attempts[0] += 1
-            attempts[1] = t
-        du = radial_rhs(u, grid, params, boundary_value, nonlinear=nonlinear,
-                        neumann_slope=slope(t))
-        if source is not None:
-            du[:-1] += source(t, rho[:-1])
-        return du
-
-    base = op.matrix()
-    if nonlinear:
-        def jac(t, u):
-            d = np.zeros_like(u)
-            d[:-1] = params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
-            return base + sparse.diags(d, format="csc")
-    else:
-        jac = base
-
-    # the event sees every accepted step once, in increasing t (its root
-    # search on a crossing step revisits earlier t and is ignored)
-    last = {"t": 0.0, "sup": float(np.max(np.abs(layers[0]))), "u": layers[0], "steps": 0}
-
-    def sup_event(t, u):
-        sup = float(np.max(np.abs(u)))
-        if t > last["t"]:
-            last.update(t=t, sup=sup, u=u.copy(), steps=last["steps"] + 1)
-        return sup - BLOWUP_SUP
-
-    sup_event.terminal = True
-
-    sol = solve_ivp(fun, (0.0, t_end), layers[0], method="BDF", jac=jac,
-                    t_eval=np.linspace(0.0, t_end, MAX_HISTORY + 1), events=sup_event,
-                    rtol=BDF_RTOL, atol=BDF_ATOL)
-    history = [(float(t), float(np.max(np.abs(y)))) for t, y in zip(sol.t, sol.y.T)]
-    sup0 = history[0][1]
-    steps = last["steps"]
-    # two start-up calls (f(t0) and the initial-step probe) are not attempts
-    rejected = max(0, attempts[0] - 2 - steps)
-    counters = {"steps": steps, "rejected": rejected, "lu": int(sol.nlu)}
-    policy = (f"bdf rtol={BDF_RTOL:g} atol={BDF_ATOL:g} tridiagonal jacobian; "
-              f"blow-up at sup>{BLOWUP_SUP:g} or step collapse after {STALL_GROWTH:g}x growth")
-    note = ""
-    if sol.status == 1:
-        t, u = float(sol.t_events[0][0]), sol.y_events[0][0]
-        status, reason, blow_time = "blown_up", "sup_threshold", t
-        note = f"sup norm {np.max(np.abs(u)):.3e} at t = {t:.6g}"
-    elif sol.status == 0:
-        t, u = float(sol.t[-1]), sol.y[:, -1]
-        status, reason, blow_time = "completed", "completed", None
-    else:
-        t, u = last["t"], last["u"]
-        grown = last["sup"] > 0.0 and last["sup"] >= STALL_GROWTH * sup0
-        if grown:
-            status, reason, blow_time = "blown_up", "step_collapse", t
-        else:
-            status, reason, blow_time = "solver_stall", "solver_stall", None
-        note = (f"{sol.message} at t = {t:.6g}, sup {last['sup']:.3e} "
-                f"({last['sup'] / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
-    if status != "completed":
-        history.append((t, float(np.max(np.abs(u)))))
-    return SimResult(status, t, tuple(history), blow_time, np.array(u, dtype=float)[None, :],
-                     policy, note, reason, **counters)
-
-
-def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
-             slope) -> SimResult:
-    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
-    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
-    # for one band on each side.  Called directly, it skips solve_banded's
-    # per-call argument checks, which cost several times a 65-node solve.
-    from scipy.linalg.lapack import dgtsv
-
-    rho = grid.nodes()
+def _forcing(params, rho, op, nonlinear, source, slope):
+    """forcing(t, u): everything but L u in the rate at the state u (the
+    nonlinearity rho^a |u|^p, the source and the inner slope), and the
+    nonlinear rate max p rho^a |u|^(p-1)."""
     weight = rho[:-1] ** params.a
     p = params.p
 
     def forcing(t, u):
-        """Everything but L u, at the state u: the inner slope, the
-        nonlinearity and the source; and the nonlinear rate max p rho^a |u|^(p-1)."""
-        g = np.zeros_like(u)
+        g = np.zeros(u.shape)
         rate = 0.0
         if nonlinear:
             mag = np.abs(u[:-1])
@@ -366,6 +289,95 @@ def _newmark(params, layers, grid, op, t_end, boundary_value, nonlinear, source,
             g[:-1] += source(t, rho[:-1])
         g[0] += op.slope_coef * slope(t)
         return g, rate
+
+    return forcing
+
+
+def _bdf(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
+    """k = 1 by stepping scipy's BDF directly, with the analytic tridiagonal
+    Jacobian; T* is the root of sup|u| = BLOWUP_SUP on the crossing step's
+    dense output."""
+    from scipy import sparse
+    from scipy.integrate import BDF
+    from scipy.optimize import brentq
+
+    attempts = [0, math.nan]  # runs of right-hand-side calls at one new t, last t
+
+    def fun(t, u):
+        if t != attempts[1]:
+            attempts[0] += 1
+            attempts[1] = t
+        return op.apply(u) + forcing(t, u)[0]
+
+    base = op.matrix()
+    if nonlinear:
+        weight = rho[:-1] ** params.a
+
+        def jac(t, u):
+            d = np.zeros_like(u)
+            d[:-1] = params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
+            return base + sparse.diags(d, format="csc")
+    else:
+        jac = base
+
+    solver = BDF(fun, 0.0, layers[0], t_end, jac=jac, rtol=BDF_RTOL, atol=BDF_ATOL)
+    record = np.linspace(0.0, t_end, MAX_HISTORY + 1)
+    history = []
+    t, u = 0.0, layers[0]
+    sup0 = sup = float(np.abs(u).max())
+    steps = recorded = 0
+    crossed = False
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        steps += 1
+        t, u = float(solver.t), solver.y
+        sup = float(np.abs(u).max())
+        crossed = not sup <= BLOWUP_SUP  # also catches a non-finite state
+        if crossed and math.isfinite(sup):
+            dense = solver.dense_output()
+            t = brentq(lambda s: float(np.abs(dense(s)).max()) - BLOWUP_SUP, solver.t_old, t,
+                       xtol=4 * np.finfo(float).eps)
+            u = dense(t)
+            sup = float(np.abs(u).max())
+        new = int(np.searchsorted(record, t, side="right"))
+        if new > recorded:
+            at = record[recorded:new]
+            history += zip(at.tolist(), np.abs(solver.dense_output()(at)).max(axis=0).tolist())
+            recorded = new
+        if crossed:
+            break
+    # two start-up calls (f(t0) and the initial-step probe) are not attempts
+    rejected = max(0, attempts[0] - 2 - steps)
+    counters = {"steps": steps, "rejected": rejected, "lu": int(solver.nlu)}
+    policy = (f"bdf rtol={BDF_RTOL:g} atol={BDF_ATOL:g} tridiagonal jacobian; "
+              f"blow-up at sup>{BLOWUP_SUP:g} or step collapse after {STALL_GROWTH:g}x growth")
+    note = ""
+    if crossed:
+        status, reason, blow_time = "blown_up", "sup_threshold", t
+        note = f"sup norm {sup:.3e} at t = {t:.6g}"
+    elif solver.status == "finished":
+        status, reason, blow_time = "completed", "completed", None
+    else:
+        if sup > 0.0 and sup >= STALL_GROWTH * sup0:
+            status, reason, blow_time = "blown_up", "step_collapse", t
+        else:
+            status, reason, blow_time = "solver_stall", "solver_stall", None
+        note = (f"{message} at t = {t:.6g}, sup {sup:.3e} "
+                f"({sup / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
+    if status != "completed":
+        history.append((t, sup))
+    return SimResult(status, t, tuple(history), blow_time, np.array(u, dtype=float)[None, :],
+                     policy, note, reason, **counters)
+
+
+def _newmark(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
+    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
+    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
+    # for one band on each side.  Called directly, it skips solve_banded's
+    # per-call argument checks, which cost several times a 65-node solve.
+    from scipy.linalg.lapack import dgtsv
 
     u, v = layers[0].copy(), layers[1].copy()
     g, rate = forcing(0.0, u)
@@ -513,6 +525,7 @@ def phase_sweep(
             "lambda": lam, "a": a, "p": p, "k": k,
             "status": "", "blow_up_time": "", "classifier_verdict": "",
             "grid": grid.describe(), "dt_policy": "",
+            "end_reason": "", "steps": "", "rejected": "", "lu": "",
         }
         try:
             params = ProblemParams(ctx, lam, a, p, k)
@@ -531,6 +544,7 @@ def phase_sweep(
         row["status"] = res.status
         row["blow_up_time"] = "" if res.blow_up_time is None else f"{res.blow_up_time:.6g}"
         row["dt_policy"] = res.dt_policy
+        row.update(end_reason=res.end_reason, steps=res.steps, rejected=res.rejected, lu=res.lu)
         return row
 
     if threads is None:

@@ -292,7 +292,8 @@ class TestPhaseSweepCommand:
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0
         lines = out.splitlines()
-        assert "lambda,a,p,k,status,blow_up_time,classifier_verdict,grid,dt_policy" in lines
+        assert ("lambda,a,p,k,status,blow_up_time,classifier_verdict,grid,dt_policy,"
+                "end_reason,steps,rejected,lu") in lines
 
     def test_inadmissible_cell_is_a_row_not_an_abort(self, capsys):
         code, out, _ = run(capsys, "phase-sweep", "--lambda-list", "-9",

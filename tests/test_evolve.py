@@ -7,7 +7,10 @@ from pytest import approx, mark, raises
 from koranyi.hgroup import GroupContext
 from koranyi.spectrum import ProblemParams
 from koranyi.evolve import (
+    BDF_ATOL,
+    BDF_RTOL,
     BLOWUP_SUP,
+    STALL_GROWTH,
     RadialGrid,
     canonical_bump,
     integrate,
@@ -315,6 +318,61 @@ class TestReferenceCells:
         assert res.t_final == approx(0.25)
 
 
+def solve_ivp_oracle(pr, grid, t_end, boundary_value):
+    """k = 1 through `solve_ivp`'s BDF on `radial_rhs` with a terminal event
+    at sup|u| = BLOWUP_SUP and the Jacobian assembled from `radial_rhs`
+    columns; returns (status, end_reason, blow-up time)."""
+    from scipy import sparse
+    from scipy.integrate import solve_ivp
+
+    rho = grid.nodes()
+    u0 = canonical_bump(rho)
+    u0[-1] = boundary_value
+    n = rho.size
+    L = np.column_stack([radial_rhs(col, grid, pr, 0.0, nonlinear=False) for col in np.eye(n)])
+
+    def jac(t, u):
+        d = np.zeros(n)
+        d[:-1] = pr.p * rho[:-1] ** pr.a * np.abs(u[:-1]) ** (pr.p - 1.0) * np.sign(u[:-1])
+        return sparse.csc_matrix(L + np.diag(d))
+
+    def event(t, u):
+        return float(np.max(np.abs(u))) - BLOWUP_SUP
+
+    event.terminal = True
+    sol = solve_ivp(lambda t, u: radial_rhs(u, grid, pr, boundary_value), (0.0, t_end), u0,
+                    method="BDF", jac=jac, events=event, rtol=BDF_RTOL, atol=BDF_ATOL)
+    if sol.status == 1:
+        return "blown_up", "sup_threshold", float(sol.t_events[0][0])
+    if sol.status == 0:
+        return "completed", "completed", None
+    if np.max(np.abs(sol.y[:, -1])) >= STALL_GROWTH * np.max(np.abs(u0)):
+        return "blown_up", "step_collapse", float(sol.t[-1])
+    return "solver_stall", "solver_stall", None
+
+
+class TestSolveIvpOracle:
+    # integrate steps scipy's BDF directly on the bands of linear_part; the
+    # oracle is the textbook route through solve_ivp on the stencil definition
+    @mark.parametrize("grid,cell,reason,blow_time", [
+        (RadialGrid(1e-3, 64), (0.0, -2.0, 1.5), "sup_threshold", 3.7377e-4),
+        (RadialGrid(1e-3, 64), (0.0, -2.0, 2.0), "step_collapse", 7.0565e-3),
+        (RadialGrid(1e-3, 64), (0.0, 2.0, 2.0), "completed", None),
+        (RadialGrid(1e-4, 80, "log"), (-1.0, -1.0, 3.0), "step_collapse", 0.1067),
+    ], ids=["sup_threshold", "step_collapse", "completed", "log_step_collapse"])
+    def test_matches_solve_ivp(self, grid, cell, reason, blow_time):
+        pr = params(*cell)
+        res = integrate(pr, canonical_bump(grid.nodes()), grid, t_end=0.25, boundary_value=0.1)
+        status, end_reason, t_star = solve_ivp_oracle(pr, grid, 0.25, 0.1)
+        assert (res.status, res.end_reason) == (status, end_reason)
+        assert res.end_reason == reason
+        if blow_time is None:
+            assert res.blow_up_time is None and t_star is None
+        else:
+            assert res.blow_up_time == approx(t_star, rel=1e-9)
+            assert res.blow_up_time == approx(blow_time, rel=1e-4)
+
+
 class TestPhaseSweep:
     def test_rows_and_schema(self, monkeypatch):
         monkeypatch.setenv("KORANYI_THREADS", "1")
@@ -325,15 +383,16 @@ class TestPhaseSweep:
         assert len(rows) == 2
         assert set(rows[0]) == {
             "lambda", "a", "p", "k", "status", "blow_up_time",
-            "classifier_verdict", "grid", "dt_policy",
+            "classifier_verdict", "grid", "dt_policy", "end_reason", "steps", "rejected", "lu",
         }
         ok, bad = rows
-        assert ok["status"] == "completed"
+        assert ok["status"] == ok["end_reason"] == "completed"
+        assert ok["steps"] > 0 and ok["rejected"] >= 0 and ok["lu"] > 0
         assert ok["dt_policy"].startswith("bdf ")
         assert ok["classifier_verdict"] == "ExistenceWitness"
         assert ok["grid"] == g.describe()
         assert bad["status"].startswith("error:")
-        assert bad["classifier_verdict"] == ""
+        assert bad["classifier_verdict"] == bad["end_reason"] == bad["steps"] == ""
 
     def test_refused_grid_is_an_error_row(self, monkeypatch):
         monkeypatch.setenv("KORANYI_THREADS", "1")
