@@ -13,13 +13,16 @@ one tridiagonal matrix L per grid and lambda, built from the same stencil
 weights, plus an affine term carrying the inner slope.  Each time order gets
 the solver that fits it:
 
-- k = 1 (parabolic and stiff near rho_min): scipy's variable-order BDF,
-  stepped directly, with the analytic tridiagonal Jacobian
-  L + diag(p rho^a |u|^{p-1} sign u).  Its right-hand side is L u by the
+- k = 1 (parabolic and stiff near rho_min): scipy's LSODA (Adams or
+  backward differentiation, switched by stiffness), stepped directly, with
+  the analytic Jacobian L + diag(p rho^a |u|^{p-1} sign u) in the (1, 1)
+  band storage that `linear_part` holds.  Its right-hand side is L u by the
   bands plus `_forcing`, the helper both solvers share for everything but
-  L u.  After each accepted step sup|u| is tested against BLOWUP_SUP; on a
-  crossing, T* is the root of sup|u| = BLOWUP_SUP on that step's dense
-  output.
+  L u.  After each accepted step sup|u| is tested against BLOWUP_SUP, and
+  T* is the end of the first step that crosses it.  There is no root
+  search inside that step: near blow-up LSODA's interpolant does not
+  reproduce the state at the step's start, and the step is a negligible
+  part of T*.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
@@ -28,19 +31,19 @@ the solver that fits it:
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
   |u|^{p-1}), so it shrinks as a blow-up develops.
 
-Each scipy routine (`BDF`, `brentq` and `sparse`, LAPACK's `dgtsv`) is
-imported at its call site, so importing this module loads no scipy.
+Each scipy routine (`LSODA`, LAPACK's `dgtsv`) is imported at its call
+site, so importing this module loads no scipy.
 
 A run ends in one of five ways, `SimResult.end_reason`:
 
 - completed: t_end was reached;
-- sup_threshold: sup|u| crossed BLOWUP_SUP or the state turned non-finite
-  (blown_up);
-- step_collapse: BDF's step fell below the spacing of floating-point t
-  after sup|u| grew at least STALL_GROWTH-fold, read as blow-up at the last
-  accepted t (blown_up);
-- solver_stall: the same collapse without that growth; status solver_stall,
-  with the solver's message in the note;
+- sup_threshold: sup|u| crossed BLOWUP_SUP, or the k = 2 state turned
+  non-finite (blown_up);
+- step_collapse: LSODA failed, its state turned non-finite or it took
+  K1_MAX_STEPS steps, after sup|u| grew at least STALL_GROWTH-fold; read as
+  blow-up at the last finite state (blown_up);
+- solver_stall: the same stop without that growth; status solver_stall,
+  with the cause in the note;
 - dt_floor: the Newmark step fell below DT_FLOOR (blown_up).
 
 Before a run, the spectrum of L on the free nodes is checked.  Where it has
@@ -70,9 +73,10 @@ from .spectrum import ProblemParams, classify
 BLOWUP_SUP = 1e8
 DT_FLOOR = 1e-12
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
-STALL_GROWTH = 100.0  # sup growth that makes a BDF step collapse a blow-up
-BDF_RTOL = 1e-7
-BDF_ATOL = 1e-10
+STALL_GROWTH = 100.0  # sup growth that makes a stopped k = 1 run a blow-up
+K1_RTOL = 1e-7
+K1_ATOL = 1e-10
+K1_MAX_STEPS = 50_000  # LSODA steps on below the spacing of t; a stall ends here
 NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
 NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
@@ -117,7 +121,7 @@ class SimResult:
     end_reason: str = "completed"  # see the module docstring
     steps: int = 0  # accepted steps
     rejected: int = 0  # step attempts that were not accepted
-    lu: int = 0  # BDF LU factorizations, or Newmark banded solves
+    lu: int = 0  # LSODA Jacobians, each factorized once, or Newmark banded solves
 
 
 @lru_cache(maxsize=64)
@@ -195,13 +199,6 @@ class LinearPart:
         out[1:] += ab[2, :-1] * u[:-1]
         return out
 
-    def matrix(self):
-        """L as a scipy.sparse CSC matrix."""
-        from scipy import sparse
-
-        ab = self.bands
-        return sparse.diags([ab[2, :-1], ab[1], ab[0, 1:]], [-1, 0, 1], format="csc")
-
 
 @lru_cache(maxsize=64)
 def linear_part(grid: RadialGrid, N: int, lam: float) -> LinearPart:
@@ -266,7 +263,7 @@ def integrate(
         layers[1, -1] = 0.0
     slope = neumann_slope if neumann_slope is not None else (lambda t: 0.0)
     forcing = _forcing(params, rho, op, nonlinear, source, slope)
-    run = _bdf if params.k == 1 else _newmark
+    run = _lsoda if params.k == 1 else _newmark
     return run(params, layers, rho, op, t_end, nonlinear, forcing)
 
 
@@ -293,78 +290,70 @@ def _forcing(params, rho, op, nonlinear, source, slope):
     return forcing
 
 
-def _bdf(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
-    """k = 1 by stepping scipy's BDF directly, with the analytic tridiagonal
-    Jacobian; T* is the root of sup|u| = BLOWUP_SUP on the crossing step's
-    dense output."""
-    from scipy import sparse
-    from scipy.integrate import BDF
-    from scipy.optimize import brentq
+def _lsoda(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
+    """k = 1 by stepping scipy's LSODA directly, with the Jacobian in the (1, 1)
+    band storage of `op.bands`; T* is the end of the first step whose sup|u|
+    exceeds BLOWUP_SUP."""
+    from scipy.integrate import LSODA
 
-    attempts = [0, math.nan]  # runs of right-hand-side calls at one new t, last t
+    calls = set()  # distinct times of right-hand-side calls
 
     def fun(t, u):
-        if t != attempts[1]:
-            attempts[0] += 1
-            attempts[1] = t
+        calls.add(t)
         return op.apply(u) + forcing(t, u)[0]
 
-    base = op.matrix()
-    if nonlinear:
-        weight = rho[:-1] ** params.a
+    weight = rho[:-1] ** params.a
 
-        def jac(t, u):
-            d = np.zeros_like(u)
-            d[:-1] = params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
-            return base + sparse.diags(d, format="csc")
-    else:
-        jac = base
+    def jac(t, u):
+        jb = op.bands.copy()
+        if nonlinear:
+            jb[1, :-1] += params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
+        return jb
 
-    solver = BDF(fun, 0.0, layers[0], t_end, jac=jac, rtol=BDF_RTOL, atol=BDF_ATOL)
+    solver = LSODA(fun, 0.0, layers[0], t_end, jac=jac, lband=1, uband=1,
+                   rtol=K1_RTOL, atol=K1_ATOL)
     record = np.linspace(0.0, t_end, MAX_HISTORY + 1)
     history = []
     t, u = 0.0, layers[0]
     sup0 = sup = float(np.abs(u).max())
+    accepted = {0.0}
     steps = recorded = 0
-    crossed = False
     while solver.status == "running":
+        if steps == K1_MAX_STEPS:
+            message = f"{steps} steps without reaching t_end"
+            break
         message = solver.step()
         if solver.status == "failed":
             break
+        sup_new = float(np.abs(solver.y).max())
+        if not math.isfinite(sup_new):
+            message = f"non-finite right-hand side at t = {solver.t:.6g}"
+            break
         steps += 1
-        t, u = float(solver.t), solver.y
-        sup = float(np.abs(u).max())
-        crossed = not sup <= BLOWUP_SUP  # also catches a non-finite state
-        if crossed and math.isfinite(sup):
-            dense = solver.dense_output()
-            t = brentq(lambda s: float(np.abs(dense(s)).max()) - BLOWUP_SUP, solver.t_old, t,
-                       xtol=4 * np.finfo(float).eps)
-            u = dense(t)
-            sup = float(np.abs(u).max())
+        t, u, sup = float(solver.t), solver.y, sup_new
+        accepted.add(t)
         new = int(np.searchsorted(record, t, side="right"))
         if new > recorded:
             at = record[recorded:new]
             history += zip(at.tolist(), np.abs(solver.dense_output()(at)).max(axis=0).tolist())
             recorded = new
-        if crossed:
+        if sup > BLOWUP_SUP:
             break
-    # two start-up calls (f(t0) and the initial-step probe) are not attempts
-    rejected = max(0, attempts[0] - 2 - steps)
-    counters = {"steps": steps, "rejected": rejected, "lu": int(solver.nlu)}
-    policy = (f"bdf rtol={BDF_RTOL:g} atol={BDF_ATOL:g} tridiagonal jacobian; "
-              f"blow-up at sup>{BLOWUP_SUP:g} or step collapse after {STALL_GROWTH:g}x growth")
+    counters = {"steps": steps, "rejected": len(calls - accepted), "lu": int(solver.njev)}
+    policy = (f"lsoda rtol={K1_RTOL:g} atol={K1_ATOL:g} banded jacobian; "
+              f"blow-up at sup>{BLOWUP_SUP:g} or collapse after {STALL_GROWTH:g}x growth")
     note = ""
-    if crossed:
+    if sup > BLOWUP_SUP:
         status, reason, blow_time = "blown_up", "sup_threshold", t
         note = f"sup norm {sup:.3e} at t = {t:.6g}"
-    elif solver.status == "finished":
+    elif message is None and solver.status == "finished":
         status, reason, blow_time = "completed", "completed", None
     else:
         if sup > 0.0 and sup >= STALL_GROWTH * sup0:
             status, reason, blow_time = "blown_up", "step_collapse", t
         else:
             status, reason, blow_time = "solver_stall", "solver_stall", None
-        note = (f"{message} at t = {t:.6g}, sup {sup:.3e} "
+        note = (f"{message}; last finite state at t = {t:.6g}, sup {sup:.3e} "
                 f"({sup / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
     if status != "completed":
         history.append((t, sup))

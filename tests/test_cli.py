@@ -222,11 +222,19 @@ class TestSimulateCommand:
         assert doc["status"] == "completed"
         assert doc["sup_final"] == 0.0
         assert doc["end_reason"] == "completed"
-        assert doc["steps"] > 0 and doc["rejected"] >= 0 and doc["lu"] > 0
+        assert doc["steps"] > 0 and doc["rejected"] >= 0 and doc["lu"] >= 0
         lines = (tmp_path / "simulate-history.csv").read_text().splitlines()
         assert lines[0].startswith("# ")
         assert lines[1] == "t,sup_norm"
         assert (tmp_path / "simulate.svg").exists() == HAVE_MATPLOTLIB
+
+    def test_stiff_cell_reports_factorizations(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "simulate", "--lambda", "3", "--a", "-2", "--t-end", "0.02",
+                         "--n-cells", "32", "--rho-min", "0.01", "--out", str(tmp_path))
+        assert code == 0
+        doc = json.loads((tmp_path / "simulate.json").read_text())
+        assert doc["end_reason"] == "completed"
+        assert doc["steps"] > 0 and doc["lu"] > 0
 
     def test_blow_up_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, "simulate", "--a", "-2", "--t-end", "0.25",
