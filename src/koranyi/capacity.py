@@ -25,7 +25,7 @@ are measured empirically by least-squares fits over scale grids.
 The power iota is large enough that every differentiated cutoff retains a
 positive leftover power, so integrands extend by 0 where the cutoff
 vanishes; masks enforce this instead of trusting rounding.  Every cutoff and
-integrand takes a float, a float array or an array HyperDual, and the
+integrand takes a float, a float array or an array `Jet`, and the
 integrals go through `hquad.gk21`, which evaluates a whole round of nodes in
 one call.
 """
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hcalc import HyperDual, hd_exp, hd_log, value_of
+from .hcalc import Jet, exp, log, value_of
 from .hquad import Annulus, QuadResult, gk21, radial_integral
 from .spectrum import ProblemParams, k_profile
 
@@ -49,10 +49,9 @@ DEFAULT_SCALES: tuple[float, ...] = tuple(10.0 ** (1.0 + 0.5 * i) for i in range
 
 def _select(mask, u, fill):
     """u where mask holds and the constant fill elsewhere, with zero
-    derivatives there; a float for a scalar that is not a HyperDual."""
-    if isinstance(u, HyperDual):
-        return HyperDual(np.where(mask, u.value, fill), np.where(mask, u.d1, 0.0),
-                         np.where(mask, u.d2, 0.0), np.where(mask, u.d12, 0.0))
+    derivatives there, lane by lane; a float for a scalar that is not a Jet."""
+    if isinstance(u, Jet):
+        return Jet(np.where(mask, u.c[0], fill), *[np.where(mask, x, 0.0) for x in u.c[1:]])
     return value_of(np.where(mask, u, fill))
 
 
@@ -65,19 +64,19 @@ def _on_unit_interval(f, x, above: float):
     v = value_of(x)
     inside = (v > 0.0) & (v < 1.0)
     safe = np.where(inside, v, 0.5)
-    if isinstance(x, HyperDual):
-        safe = HyperDual(safe, x.d1, x.d2, x.d12)
+    if isinstance(x, Jet):
+        safe = Jet(safe, *x.c[1:])
     return _select(inside, f(safe), np.where(v >= 1.0, above, 0.0))
 
 
 def bump(s):
     """C-infinity bump on (0,1), peak value 1 at s = 1/2; 0 outside."""
-    return _on_unit_interval(lambda u: hd_exp(4.0 - 1.0 / (u * (1.0 - u))), s, 0.0)
+    return _on_unit_interval(lambda u: exp(4.0 - 1.0 / (u * (1.0 - u))), s, 0.0)
 
 
 def _step(t):
-    lo = hd_exp(-1.0 / t)
-    hi = hd_exp(-1.0 / (1.0 - t))
+    lo = exp(-1.0 / t)
+    hi = exp(-1.0 / (1.0 - t))
     return lo / (lo + hi)
 
 
@@ -112,7 +111,7 @@ class Cutoff(NamedTuple):
 
 def _log_arg(R: float) -> Callable:
     lnR = math.log(R)
-    return lambda s: 1.0 + hd_log(s) / lnR
+    return lambda s: 1.0 + log(s) / lnR
 
 
 CUTOFFS: dict[str, Cutoff] = {
@@ -139,7 +138,7 @@ class ScalingFit:
 # ---------------------------------------------------------------------------
 
 def beta_t(t, T: float, iota: int):
-    """Time bump bump^iota(t/T), supported in (0, T); accepts HyperDual t."""
+    """Time bump bump^iota(t/T), supported in (0, T); accepts a Jet t."""
     if not T > 0.0:
         raise ValueError(f"time scale must be positive, got {T}")
     return bump(t / T) ** iota
@@ -147,7 +146,7 @@ def beta_t(t, T: float, iota: int):
 
 def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
     """Radial profile of D_R = K(s) * ramp^iota(arg_R(s)) for a `CUTOFFS` name;
-    HyperDual-ready; D_R and its derivatives are exactly 0 where the ramp
+    Jet-ready; D_R and its derivatives are exactly 0 where the ramp
     value is below _CUT_FLOOR."""
     if cutoff not in CUTOFFS:
         raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
@@ -178,20 +177,18 @@ def beta_time_integral(T: float, iota: int) -> QuadResult:
 def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
     """int_0^T |d^k beta_T/dt^k|^{p/(p-1)} beta_T^{-1/(p-1)} dt.
 
-    Derivatives come from hyper-dual seeds, so the k-th derivative is exact;
-    time orders above 2 would need deeper jets than the algebra carries.  The
-    integrand is formed as (|d^k beta_T/dt^k| beta_T^{-1/p})^{p/(p-1)}, the
-    same number, and counts as 0 only where beta_T is 0: no floor cuts it off
-    while it still carries weight, which would leave a jump in it.
+    The k-th derivative is k! c_k of beta_T at an order-k `Jet`, exact up to
+    rounding for every time order k.  The integrand is formed as
+    (|d^k beta_T/dt^k| beta_T^{-1/p})^{p/(p-1)}, the same number, and counts
+    as 0 only where beta_T is 0: no floor cuts it off while it still carries
+    weight, which would leave a jump in it.
     """
-    if params.k > 2:
-        raise ValueError("time orders above 2 are not supported by the cutoff machinery")
-    pexp = params.p / (params.p - 1.0)
+    k, pexp = params.k, params.p / (params.p - 1.0)
+    scale = math.factorial(k)
 
     def integrand(t):
-        b = beta_t(HyperDual(t, 1.0, 1.0, 0.0), T, iota)
-        der = b.d1 if params.k == 1 else b.d12
-        return np.where(b.value > 0.0, (abs(der) * b.value ** (-1.0 / params.p)) ** pexp, 0.0)
+        b = beta_t(Jet.variable(t, k), T, iota).c
+        return np.where(b[0] > 0.0, (abs(scale * b[k]) * b[0] ** (-1.0 / params.p)) ** pexp, 0.0)
 
     return _time_quad(integrand, T)
 
@@ -242,10 +239,10 @@ def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
     qm1 = params.Q - 1.0
 
     def F(s):
-        d = profile(HyperDual(s, 1.0, 1.0, 0.0))
-        elliptic = -d.d12 - qm1 * d.d1 / s + params.lam * d.value / (s * s)
-        out = (abs(elliptic) * d.value ** (-1.0 / p)) ** pexp * s ** (-params.a / (p - 1.0))
-        out = np.where(d.value > 0.0, out, 0.0)
+        d = profile(Jet.variable(s, 2)).c
+        elliptic = -2.0 * d[2] - qm1 * d[1] / s + params.lam * d[0] / (s * s)
+        out = (abs(elliptic) * d[0] ** (-1.0 / p)) ** pexp * s ** (-params.a / (p - 1.0))
+        out = np.where(d[0] > 0.0, out, 0.0)
         bad = ~np.isfinite(out)
         if bad.any():
             raise RuntimeError(f"nonfinite capacity integrand at rho = {np.asarray(s)[bad][0]}")

@@ -812,7 +812,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("lambda_list", [0.0], list[float]),
         Key("a_list", [-2.0, 2.0], list[float]),
         Key("p_list", [2.0], list[float]),
-        _K,
+        _K._replace(choices=(1, 2)),
         *_GRID,
         _BOUNDARY._replace(flag=None),
         Key("threads", None, int, 1),

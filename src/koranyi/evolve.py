@@ -139,7 +139,7 @@ def _grid_data(grid: RadialGrid) -> tuple:
         -2.0 * (hm + hp) / denom,  # d2 at i
         2.0 * hm / denom,          # d2 at i+1
     )
-    return rho, weights, float(rho[1] - rho[0])
+    return rho, weights, rho[1] - rho[0]
 
 
 def radial_rhs(
@@ -203,19 +203,23 @@ class LinearPart:
 @lru_cache(maxsize=64)
 def linear_part(grid: RadialGrid, N: int, lam: float) -> LinearPart:
     """L for one grid, N and lambda, from the stencil weights of `_grid_data`."""
-    rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h = _grid_data(grid)
     c = 2 * N + 1
-    ri = rho[1:-1]
-    ab = np.zeros((3, rho.size))
-    ab[0, 2:] = d2_hi + c * d1_hi / ri
-    ab[1, 1:-1] = d2_mid + c * d1_mid / ri - lam / ri**2
-    ab[2, :-2] = d2_lo + c * d1_lo / ri
-    ab[0, 1] = 2.0 / h**2  # mirror ghost at the inner node
-    ab[1, 0] = -2.0 / h**2 - lam / rho[0] ** 2
+    with np.errstate(all="ignore"):  # judged below, by the finiteness of the bands
+        rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h = _grid_data(grid)
+        ri = rho[1:-1]
+        ab = np.zeros((3, rho.size))
+        ab[0, 2:] = d2_hi + c * d1_hi / ri
+        ab[1, 1:-1] = d2_mid + c * d1_mid / ri - lam / ri**2
+        ab[2, :-2] = d2_lo + c * d1_lo / ri
+        ab[0, 1] = 2.0 / h**2  # mirror ghost at the inner node
+        ab[1, 0] = -2.0 / h**2 - lam / rho[0] ** 2
+        slope_coef = c / rho[0] - 2.0 / h
+    if not (np.all(np.isfinite(ab)) and np.isfinite(slope_coef)):
+        raise ValueError(f"the linear part on {grid.describe()} is not finite; raise rho_min")
     ab.flags.writeable = False  # shared by every caller through the cache
     free = np.diag(ab[1, :-1]) + np.diag(ab[0, 1:-1], 1) + np.diag(ab[2, :-2], -1)
     max_real = float(np.max(np.linalg.eigvals(free).real))
-    return LinearPart(ab, c / rho[0] - 2.0 / h, max_real)
+    return LinearPart(ab, slope_coef, max_real)
 
 
 def integrate(

@@ -1,29 +1,29 @@
-"""Sub-Riemannian calculus via hyper-dual automatic differentiation.
+"""Sub-Riemannian calculus via Taylor-mode automatic differentiation.
 
-A hyper-dual number a + b*e1 + c*e2 + d*e1*e2 (with e1^2 = e2^2 = 0,
-e1*e2 != 0) pushed through a smooth f comes out as
+A `Jet` is a truncated Taylor series c_0 + c_1 e + .. + c_K e^K with
+e^{K+1} = 0.  Seeding the coordinates z + v e and pushing the jet through a
+smooth f gives
 
-    f(a) + f'(a) b e1 + f'(a) c e2 + (f'(a) d + f''(a) b c) e1 e2,
+    f(z + v e) = sum_{j <= K} (D^j f[v, .., v] / j!) e^j,
 
-so seeding b = c = v against a coordinate direction v reads off the exact
-first and pure second directional derivatives in one evaluation, with no
-truncation error and no step-size tuning.
+so lane c_j of the result is the j-th directional derivative along v over
+j!, exact up to rounding and with no step size to tune (Taylor-mode AD;
+Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13).  Gradients
+seed order 1 and read c_1, second derivatives seed order 2 and read 2 c_2,
+and the capacity time bump seeds order k and reads k! c_k.
 
 On the Heisenberg group the horizontal fields are
 
     X_i = d/dx_i + 2 y_i d/dphi,      Y_i = d/dy_i - 2 x_i d/dphi,
 
-and the sub-Laplacian is L = sum_i (X_i^2 + Y_i^2).  Because the coefficient
-of X_i is constant along X_i itself -- X_i(2 y_i) = (d/dx_i + 2 y_i d/dphi)(2 y_i) = 0,
-and likewise Y_i(-2 x_i) = 0 -- each X_i^2 f is the pure second directional
-derivative D^2 f[v_i, v_i] with v_i = e_{x_i} + 2 y_i e_phi frozen at the
-base point, so L reduces to a sum of 2N hyper-dual evaluations.
+and the sub-Laplacian L = sum_i (X_i^2 + Y_i^2) is a sum of 2N pure second
+directional derivatives, one order-2 jet evaluation each (see `hlap`).
 
 Scalar fields are callables f(x, y, phi) written against the N-axis-last
-convention of `hgroup`.  A `HyperDual` part is either a Python float or an
-ndarray, so the same field body runs on float batches, on scalar jets and on
-hyper-dual arrays (the capacity integrands, one round of quadrature nodes at
-a time).
+convention of `hgroup`.  A jet lane is a Python float or an ndarray, and
+`exp`, `log`, `sqrt`, `sin` and `cos` take floats, arrays and jets, so the
+same field body runs on float batches, on scalar jets and on array jets
+(the capacity integrands, one round of quadrature nodes at a time).
 
 Every operator below goes through one seeded evaluator, `_eval_seeded`, and
 accepts a single `HPoint` or a batch: x and y of shape (*batch, N), phi of
@@ -34,6 +34,7 @@ direction rather than once per point.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -45,203 +46,205 @@ DIVFORM_STEP = 1e-4  # central-difference step of `hlap_divform`
 ScalarField = Callable[..., object]
 
 
-def _part(v):
-    """A hyper-dual part: ndarrays of positive rank stay, everything else
-    (numpy scalars, 0-d arrays, ints) becomes a Python float."""
-    if type(v) is np.ndarray and v.ndim:
-        return v
-    return float(v)
-
-
 def _any(mask) -> bool:
     """Truth of a scalar comparison, or whether any element of an array one holds."""
     return mask if type(mask) is bool else bool(mask.any())
 
 
-class HyperDual:
-    """Second-order dual number with parts (value, d1, d2, d12).
+class Jet:
+    """Truncated Taylor series c[0] + c[1] e + .. + c[K] e^K, with e^{K+1} = 0.
 
-    The parts are Python floats, or ndarrays of one shape holding a batch of
-    independent hyper-dual numbers; ring operations act elementwise.
+    The lanes c are Python floats (numpy scalars, 0-d arrays and ints are
+    converted), or ndarrays of one shape holding a batch of independent jets;
+    ring operations act elementwise.  Jets that meet in one expression carry
+    the same order K.
     """
 
-    __slots__ = ("value", "d1", "d2", "d12")
+    __slots__ = ("c",)
 
-    # make `ndarray <op> HyperDual` defer to the reflected HyperDual method
+    # make `ndarray <op> Jet` defer to the reflected Jet method
     __array_ufunc__ = None
 
-    def __init__(self, value, d1=0.0, d2=0.0, d12=0.0):
-        self.value = value if type(value) is float else _part(value)
-        self.d1 = d1 if type(d1) is float else _part(d1)
-        self.d2 = d2 if type(d2) is float else _part(d2)
-        self.d12 = d12 if type(d12) is float else _part(d12)
+    def __init__(self, *c):
+        self.c = [v if type(v) is float or type(v) is np.ndarray and v.ndim else float(v)
+                  for v in c]
 
-    def __repr__(self) -> str:
-        return f"HyperDual({self.value}, {self.d1}, {self.d2}, {self.d12})"
+    @classmethod
+    def variable(cls, a, order: int) -> "Jet":
+        """The independent variable a + e, carried to the given order."""
+        return cls(a, 1.0, *[0.0] * (order - 1))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(self.value + other.value, self.d1 + other.d1,
-                             self.d2 + other.d2, self.d12 + other.d12)
-        return HyperDual(self.value + other, self.d1, self.d2, self.d12)
+        if isinstance(other, Jet):
+            return Jet(*[x + y for x, y in zip(self.c, other.c)])
+        return Jet(self.c[0] + other, *self.c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HyperDual(-self.value, -self.d1, -self.d2, -self.d12)
+        return Jet(*[-x for x in self.c])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(other - self.c[0], *[-x for x in self.c[1:]])
 
     def __mul__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(
-                self.value * other.value,
-                self.value * other.d1 + self.d1 * other.value,
-                self.value * other.d2 + self.d2 * other.value,
-                self.value * other.d12 + self.d1 * other.d2
-                + self.d2 * other.d1 + self.d12 * other.value,
-            )
-        return HyperDual(self.value * other, self.d1 * other, self.d2 * other,
-                         self.d12 * other)
+        a = self.c
+        if not isinstance(other, Jet):
+            return Jet(*[x * other for x in a])
+        b, out = other.c, []
+        for n in range(len(a)):  # truncated Cauchy product
+            total = a[0] * b[n]
+            for i in range(1, n + 1):
+                total = total + a[i] * b[n - i]
+            out.append(total)
+        return Jet(*out)
 
     __rmul__ = __mul__
 
-    def _chain(self, f0, f1, f2) -> "HyperDual":
-        """Compose with a scalar map given f(a), f'(a), f''(a)."""
-        return HyperDual(f0, f1 * self.d1, f1 * self.d2,
-                         f1 * self.d12 + f2 * self.d1 * self.d2)
+    def _compose(self, f) -> "Jet":
+        """The jet of g(self), from the Taylor coefficients f[j] = g^(j)(c[0]) / j!
+        of a scalar map g: sum_j f[j] (self - c[0])^j, truncated at the order of
+        self.  f has at least two entries at a positive order; missing ones are 0."""
+        h = self.c
+        if len(h) == 3 and len(f) > 2:  # order 2, every Laplacian's, unrolled
+            return Jet(f[0], f[1] * h[1], f[1] * h[2] + f[2] * (h[1] * h[1]))
+        top = len(h) - 1
+        out = [f[0]] + [f[1] * x for x in h[1:]]
+        power = h  # lanes j..top of (self - c[0])^j
+        for j in range(2, min(top, len(f) - 1) + 1):
+            prev, power = power, [0.0] * (top + 1)
+            for n in range(j, top + 1):
+                total = h[1] * prev[n - 1]
+                for m in range(2, n - j + 2):
+                    total = total + h[m] * prev[n - m]
+                power[n] = total
+                out[n] = out[n] + f[j] * total
+        return Jet(*out)
 
-    def reciprocal(self) -> "HyperDual":
-        a = self.value
-        return self._chain(1.0 / a, -1.0 / (a * a), 2.0 / (a * a * a))
+    def reciprocal(self) -> "Jet":
+        r = 1.0 / self.c[0]
+        f = [r]
+        for _ in self.c[1:]:
+            f.append(-f[-1] * r)
+        return self._compose(f)
 
     def __truediv__(self, other):
-        if isinstance(other, HyperDual):
-            return self * other.reciprocal()
-        return self * (1.0 / other)
+        return self * (other.reciprocal() if isinstance(other, Jet) else 1.0 / other)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def __pow__(self, c):
-        if isinstance(c, HyperDual):
+        if isinstance(c, Jet):
             # a^u = exp(u ln a); rarely needed, supported for completeness
-            return hd_exp(c * hd_log(self))
-        c = float(c)
-        a = self.value
+            return exp(c * log(self))
+        c, a, order = float(c), self.c[0], len(self.c) - 1
         if c == 0.0:
-            return HyperDual(1.0)
-        if c == 1.0:
-            return HyperDual(a, self.d1, self.d2, self.d12)
-        if c != round(c) and _any(a < 0.0):
+            return Jet(1.0, *[0.0] * order)
+        integral = c == round(c)
+        if not integral and _any(a < 0.0):
             raise ValueError(f"fractional power {c} of negative base {np.min(a)}")
-        # at a zero base the chain rule below gives (0, 0, 0, 0) for c > 2 and
-        # (0, 0, 0, 2 d1 d2) for c = 2; below 2 the derivatives are singular
-        if c < 2.0 and _any(a == 0.0):
+        # a power of degree c >= 0 has no Taylor coefficient past c; at a zero
+        # base coefficient j is binom(c, j) 0^(c-j), singular once j > c
+        top = min(order, int(c)) if integral and c > 0.0 else order
+        if c < top and _any(a == 0.0):
             raise ValueError(f"power {c} at zero base has singular derivatives")
-        return self._chain(a ** c, c * a ** (c - 1.0), c * (c - 1.0) * a ** (c - 2.0))
+        f, binom = [a ** c], 1.0
+        for j in range(1, top + 1):
+            binom *= (c - j + 1.0) / j
+            f.append(binom * a ** (c - j))
+        return self._compose(f)
 
     def __abs__(self):
-        return self * np.where(self.value >= 0.0, 1.0, -1.0)
+        return self * np.where(self.c[0] >= 0.0, 1.0, -1.0)
 
     # -- array structure (what N-axis-last field bodies need) ---------------
 
-    def sum(self, axis=None) -> "HyperDual":
-        """Sum over an axis of array parts."""
-        add = np.add.reduce
-        return HyperDual(add(self.value, axis), add(self.d1, axis),
-                         add(self.d2, axis), add(self.d12, axis))
+    def sum(self, axis=None) -> "Jet":
+        """Sum over an axis of array lanes."""
+        return Jet(*[np.add.reduce(x, axis) for x in self.c])
 
-    def __getitem__(self, key) -> "HyperDual":
-        """Index array parts, e.g. x[..., 0] or w[..., None]."""
-        return HyperDual(self.value[key], self.d1[key], self.d2[key], self.d12[key])
-
-    # -- value-order comparisons (branching in cutoff definitions) ----------
-
-    @staticmethod
-    def _val(other):
-        return other.value if isinstance(other, HyperDual) else other
-
-    def __lt__(self, other):
-        return self.value < self._val(other)
-
-    def __le__(self, other):
-        return self.value <= self._val(other)
-
-    def __gt__(self, other):
-        return self.value > self._val(other)
-
-    def __ge__(self, other):
-        return self.value >= self._val(other)
+    def __getitem__(self, key) -> "Jet":
+        """Index array lanes, e.g. x[..., 0] or w[..., None]."""
+        return Jet(*[x[key] for x in self.c])
 
 
-def _unary(u, f, f1, f2):
-    if isinstance(u, HyperDual):
-        a = u.value
-        return u._chain(f(a), f1(a), f2(a))
-    return f(u)
+def exp(u):
+    if not isinstance(u, Jet):
+        return np.exp(u)
+    f = [np.exp(u.c[0])] * 2  # coefficient j is e^a / j!
+    for j in range(2, len(u.c)):
+        f.append(f[-1] / j)
+    return u._compose(f)
 
 
-def hd_exp(u):
-    return _unary(u, np.exp, np.exp, np.exp)
+def log(u):
+    if not isinstance(u, Jet):
+        return np.log(u)
+    a = u.c[0]
+    r = 1.0 / a  # coefficient j >= 1 is (-1)^(j+1) r^j / j
+    return u._compose([np.log(a), r] + [(-r) ** j / -j for j in range(2, len(u.c))])
 
 
-def hd_log(u):
-    return _unary(u, np.log, lambda a: 1.0 / a, lambda a: -1.0 / (a * a))
+def sqrt(u):
+    return u ** 0.5 if isinstance(u, Jet) else np.sqrt(u)
 
 
-def hd_sqrt(u):
-    return u ** 0.5 if isinstance(u, HyperDual) else np.sqrt(u)
+def _sine(u, shift: int):
+    """sin(u + shift pi/2): sin for shift 0, cos for shift 1."""
+    if not isinstance(u, Jet):
+        return np.cos(u) if shift else np.sin(u)
+    s, c = np.sin(u.c[0]), np.cos(u.c[0])
+    cycle = (s, c, -s, -c)
+    return u._compose([cycle[(j + shift) % 4] / math.factorial(j) for j in range(len(u.c))])
 
 
-def hd_sin(u):
-    return _unary(u, np.sin, np.cos, lambda a: -np.sin(a))
+def sin(u):
+    return _sine(u, 0)
 
 
-def hd_cos(u):
-    return _unary(u, np.cos, lambda a: -np.sin(a), lambda a: -np.cos(a))
+def cos(u):
+    return _sine(u, 1)
 
 
 def value_of(u):
-    """Plain value of a float, float array or HyperDual (a float for scalars)."""
-    if isinstance(u, HyperDual):
-        return u.value
+    """Plain value of a float, float array or Jet (a float for scalars)."""
+    if isinstance(u, Jet):
+        return u.c[0]
     return u if type(u) is np.ndarray and u.ndim else float(u)
 
 
-def _parts(u) -> tuple:
-    if isinstance(u, HyperDual):
-        return u.value, u.d1, u.d2, u.d12
-    return u, 0.0, 0.0, 0.0
+def _lanes(u, order: int) -> list:
+    """Lanes c[0..order] of a Jet, or of a constant with zero derivatives."""
+    return u.c if isinstance(u, Jet) else [u] + [0.0] * order
 
 
 # ---------------------------------------------------------------------------
 # seeded field evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_seeded(f: ScalarField, xi: HPoint, dir1, dir2) -> tuple:
-    """Parts of f at the points xi with coordinates seeded along dir1 (e1)
-    and dir2 (e2).
+def _eval_seeded(f: ScalarField, xi: HPoint, direction, order: int) -> list:
+    """Lanes c[0..order] of f at the points xi with the coordinates seeded
+    along direction: c[j] = D^j f[v, .., v] / j!.
 
-    Directions have shape (*batch, 2N+1), ordered (x_1..x_N, y_1..y_N, phi).
-    Each returned part is a float for a single point and an array of the
-    batch shape otherwise.
+    The direction has shape (*batch, 2N+1), ordered (x_1..x_N, y_1..y_N,
+    phi).  Each lane is a float for a single point and an array of the batch
+    shape otherwise.
     """
     n = xi.N
-    zero = np.zeros(xi.x.shape)
-    x = HyperDual(xi.x, dir1[..., :n], dir2[..., :n], zero)
-    y = HyperDual(xi.y, dir1[..., n : 2 * n], dir2[..., n : 2 * n], zero)
-    phi = HyperDual(xi.phi, dir1[..., 2 * n], dir2[..., 2 * n], zero[..., 0])
-    parts = _parts(f(x, y, phi))
+    rest = [np.zeros(xi.x.shape)] * (order - 1)
+    x = Jet(xi.x, direction[..., :n], *rest)
+    y = Jet(xi.y, direction[..., n : 2 * n], *rest)
+    phi = Jet(xi.phi, direction[..., 2 * n], *[r[..., 0] for r in rest])
+    lanes = _lanes(f(x, y, phi), order)
     if not xi.shape:
-        return tuple(float(p) for p in parts)
-    return tuple(p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in parts)
+        return [float(p) for p in lanes]
+    return [p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in lanes]
 
 
 def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
@@ -259,23 +262,19 @@ def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
 
 
 def x_field(i: int, f: ScalarField, xi: HPoint):
-    """(X_i f)(xi) = (d/dx_i + 2 y_i d/dphi) f, exact via a dual seed."""
-    v = _horizontal_direction(xi, i, "x")
-    return _eval_seeded(f, xi, v, np.zeros_like(v))[1]
+    """(X_i f)(xi) = (d/dx_i + 2 y_i d/dphi) f, exact via an order-1 seed."""
+    return _eval_seeded(f, xi, _horizontal_direction(xi, i, "x"), 1)[1]
 
 
 def y_field(i: int, f: ScalarField, xi: HPoint):
-    """(Y_i f)(xi) = (d/dy_i - 2 x_i d/dphi) f, exact via a dual seed."""
-    v = _horizontal_direction(xi, i, "y")
-    return _eval_seeded(f, xi, v, np.zeros_like(v))[1]
+    """(Y_i f)(xi) = (d/dy_i - 2 x_i d/dphi) f, exact via an order-1 seed."""
+    return _eval_seeded(f, xi, _horizontal_direction(xi, i, "y"), 1)[1]
 
 
 def hgrad(f: ScalarField, xi: HPoint) -> np.ndarray:
     """Horizontal gradient (X_1 f, .., X_N f, Y_1 f, .., Y_N f)(xi), last axis 2N."""
-    n = xi.N
-    xs = [x_field(i, f, xi) for i in range(1, n + 1)]
-    ys = [y_field(i, f, xi) for i in range(1, n + 1)]
-    return np.stack(xs + ys, axis=-1)
+    indices = range(1, xi.N + 1)
+    return np.stack([field(i, f, xi) for field in (x_field, y_field) for i in indices], axis=-1)
 
 
 def hlap(f: ScalarField, xi: HPoint):
@@ -289,19 +288,17 @@ def hlap(f: ScalarField, xi: HPoint):
     total = 0.0
     for i in range(1, xi.N + 1):
         for which in ("x", "y"):
-            v = _horizontal_direction(xi, i, which)
-            total = total + _eval_seeded(f, xi, v, v)[3]
-    return total
+            total = total + _eval_seeded(f, xi, _horizontal_direction(xi, i, which), 2)[2]
+    return 2.0 * total
 
 
 def egrad(f: ScalarField, xi: HPoint) -> np.ndarray:
-    """Full Euclidean gradient of f on R^{2N+1}, one dual seed per axis;
+    """Full Euclidean gradient of f on R^{2N+1}, one order-1 seed per axis;
     last axis 2N+1."""
     m = 2 * xi.N + 1
-    zero = np.zeros(xi.shape + (m,))
     out = np.empty(xi.shape + (m,))
     for j, e in enumerate(np.eye(m)):
-        out[..., j] = _eval_seeded(f, xi, np.broadcast_to(e, zero.shape), zero)[1]
+        out[..., j] = _eval_seeded(f, xi, np.broadcast_to(e, out.shape), 1)[1]
     return out
 
 
@@ -309,7 +306,7 @@ def hlap_divform(f: ScalarField, xi: HPoint):
     """Divergence-form evaluation div(A(z) grad f) by central differences.
 
     Independent cross-check of `hlap`: the flux A grad f is assembled from
-    dual-seeded Euclidean gradients at the 2(2N+1) points shifted by +-h
+    order-1 seeded Euclidean gradients at the 2(2N+1) points shifted by +-h
     along each axis (one `egrad` batch), then differenced with step
     h = DIVFORM_STEP.  Expect agreement to O(h^2) only.
     """
@@ -345,6 +342,5 @@ def radial_lap(F: Callable, rho, ctx: GroupContext):
     """
     if not np.all(rho > 0.0):
         raise ValueError(f"rho must be positive, got {np.min(rho)}")
-    u = F(HyperDual(rho, 1.0, 1.0, 0.0))
-    _, d1, _, d12 = _parts(u)
-    return d12 + (2 * ctx.N + 1) * d1 / rho
+    _, d1, c2 = _lanes(F(Jet.variable(rho, 2)), 2)
+    return 2.0 * c2 + (2 * ctx.N + 1) * d1 / rho

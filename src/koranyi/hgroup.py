@@ -19,7 +19,7 @@ Two objects recur in every radial computation downstream:
 
 Coordinate-level helpers (`knorm_of`, `psi_of`, `knorm_grad_of`) operate on
 raw arrays with the N-axis last, so the same expressions run vectorized over
-sample batches and over hyper-dual numbers with float or array parts.
+sample batches and over Taylor jets with float or array lanes.
 
 An `HPoint` is one point or a batch of points, again with the N-axis last.
 `compose`, `inverse`, `knorm`, `psi`, `dilate` and `a_matrix` accept either

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hcalc import HyperDual, hd_log, hlap, radial_lift, egrad, value_of
+from .hcalc import egrad, hlap, log, radial_lift, value_of
 from .hgroup import (
     GroupContext,
     HPoint,
@@ -163,13 +163,12 @@ def existence_margin(params: ProblemParams) -> float:
 
 
 def sigma_lambda(s, params: ProblemParams):
-    """The radial barrier profile; accepts float, array, or HyperDual s > 0."""
-    v = s.value if isinstance(s, HyperDual) else s
-    if not (v > 0.0 if isinstance(v, float) else np.all(v > 0.0)):
+    """The radial barrier profile; accepts a float, an array or a `Jet` s > 0."""
+    if not np.all(value_of(s) > 0.0):
         raise ValueError("sigma_lambda needs s > 0")
     al = alphas(params)
     if params.is_critical:
-        return -(s ** al.alpha_minus) * hd_log(s)
+        return -(s ** al.alpha_minus) * log(s)
     return s ** al.alpha_minus - s ** al.alpha_plus
 
 
@@ -209,7 +208,7 @@ def check_k_harmonic(
 ) -> PointwiseReport:
     """Verify -(1/psi) L K + (lambda/rho^2) K = 0 at random interior points.
 
-    The sub-Laplacian is evaluated by hyper-dual AD on the radial lift (the
+    The sub-Laplacian is evaluated by Taylor-jet AD on the radial lift (the
     full 2N+1-coordinate pipeline, not the 1D shortcut), over all points in
     one batch.  The residual is scaled by 1 + |K|/rho^2 so the tolerance is
     meaningful where the terms blow up.  Points keep psi >= PSI_MIN and rho

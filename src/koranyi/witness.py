@@ -36,7 +36,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hcalc import hd_log, hlap, radial_lift, value_of
+from .hcalc import hlap, log, radial_lift, value_of
 from .hgroup import HPoint, knorm, psi, random_directions, sphere_chart
 from .spectrum import ProblemParams, alphas, existence_margin
 
@@ -59,13 +59,13 @@ class Witness:
         return self.eps
 
     def profile(self) -> Callable:
-        """The radial factor u(rho), accepting float or HyperDual."""
+        """The radial factor u(rho), accepting a float, an array or a `Jet`."""
         if self.kind == "subcritical":
             tau = self.tau
             return lambda s: self.eps * s ** (-tau)
         beta = self.beta
         ex = (2.0 - self.params.Q) / 2.0
-        return lambda s: self.eps * s**ex * (1.0 - hd_log(s)) ** beta
+        return lambda s: self.eps * s**ex * (1.0 - log(s)) ** beta
 
     def __call__(self, xi: HPoint) -> float:
         return float(value_of(self.profile()(knorm(xi))))
@@ -243,7 +243,7 @@ def verify_witness(
 
     At each radius the witness is lifted to a full point (placed on a random
     direction with psi = 0.64 so the sub-Laplacian is nondegenerate) and the
-    operator is evaluated by hyper-dual AD; the result must match the closed
+    operator is evaluated by Taylor-jet AD; the result must match the closed
     form to rel err <= tol and dominate rho^a u^p with nonnegative slack.
     An integer grid spaces that many radii logarithmically over [RHO_MIN, 1];
     radii below RHO_MIN are excluded to stay inside floating-point range, and

@@ -253,7 +253,7 @@ def test_5_witness_verification():
 def test_6_capacity_scaling_laws():
     with criterion(6, "capacity-scaling-laws", 300.0):
         Ts = tuple(10.0 ** (1.0 + 0.5 * i) for i in range(7))
-        for k in (1, 2):
+        for k in range(1, 9):
             for p in (1.5, 2.0, 3.0):
                 pp = params(0.0, p=p, k=k)
                 iota = default_family(pp)

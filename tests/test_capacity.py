@@ -4,7 +4,7 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
-from koranyi.hcalc import HyperDual, value_of
+from koranyi.hcalc import Jet, exp, log, sin, value_of
 from koranyi.hgroup import GroupContext
 from koranyi.hquad import c_n
 from koranyi.capacity import (
@@ -64,9 +64,9 @@ class TestCutoffShapes:
 
     def test_bump_derivative_matches_finite_difference(self):
         h = 1e-6
-        out = bump(HyperDual(0.3, 1.0, 1.0, 0.0))
+        out = bump(Jet.variable(0.3, 1))
         fd = (value_of(bump(0.3 + h)) - value_of(bump(0.3 - h))) / (2.0 * h)
-        assert out.d1 == approx(fd, rel=1e-5)
+        assert out.c[1] == approx(fd, rel=1e-5)
 
 
 class TestFamily:
@@ -115,7 +115,7 @@ class TestTimeBump:
 
 
 class TestTimeFactor:
-    @mark.parametrize("k, expected", [(1, -1.0), (2, -3.0)])
+    @mark.parametrize("k, expected", [(1, -1.0), (2, -3.0), (3, -5.0)])
     def test_decay_law(self, k, expected):
         # |d^k beta/dt^k|^{p/(p-1)} beta^{-1/(p-1)} integrates to T^{1-kp/(p-1)}
         pr = params(0.0, k=k)
@@ -125,10 +125,24 @@ class TestTimeFactor:
         assert fit.slope == approx(expected, abs=0.05)
         assert fit.r_squared > 0.999
 
-    def test_rejects_deep_time_orders(self):
-        pr = params(0.0, k=3)
-        with raises(ValueError, match="time orders above 2"):
-            j1_time_factor(10.0, pr, default_family(params(0.0)))
+    # lane j of g(t + e) is g^(j)(t) / j!, against closed forms up to order 8,
+    # the deepest time order the acceptance suite fits
+    @mark.parametrize("g, coefficient", [
+        (lambda t: t**5, lambda j, t: math.comb(5, j) * t ** (5 - j)),
+        (lambda t: t**2.5, lambda j, t: math.prod(2.5 - i for i in range(j))
+         / math.factorial(j) * t ** (2.5 - j)),
+        (lambda t: exp(2.0 * t), lambda j, t: 2.0**j * np.exp(2.0 * t) / math.factorial(j)),
+        (lambda t: 1.0 / t, lambda j, t: (-1.0) ** j * t ** (-j - 1.0)),
+        (log, lambda j, t: np.log(t) if j == 0 else (-1.0) ** (j + 1) / (j * t**j)),
+        (lambda t: sin(3.0 * t), lambda j, t: 3.0**j * np.sin(3.0 * t + j * math.pi / 2.0)
+         / math.factorial(j)),
+    ], ids=["power5", "power2.5", "exp2t", "reciprocal", "log", "sin3t"])
+    def test_jet_matches_closed_forms_to_order_8(self, g, coefficient):
+        t = np.array([0.3, 0.7, 1.9])
+        got = g(Jet.variable(t, 8)).c
+        assert len(got) == 9
+        for j, lane in enumerate(got):
+            assert lane == approx(coefficient(j, t), rel=1e-12, abs=0.0), j
 
 
 class TestSpatialCutoffs:
@@ -269,11 +283,11 @@ def j2_reference(cutoff, R, pr, iota):
     p = pr.p
 
     def f(s):
-        d = profile(HyperDual(s, 1.0, 1.0, 0.0))
-        e = -d.d12 - (pr.Q - 1.0) * d.d1 / s + pr.lam * d.value / (s * s)
-        if d.value == 0.0 or e == 0.0:
+        d = profile(Jet.variable(s, 2)).c
+        e = -2.0 * d[2] - (pr.Q - 1.0) * d[1] / s + pr.lam * d[0] / (s * s)
+        if d[0] == 0.0 or e == 0.0:
             return 0.0
-        return math.exp((p * math.log(abs(e)) - math.log(d.value) - pr.a * math.log(s)) / (p - 1.0))
+        return math.exp((p * math.log(abs(e)) - math.log(d[0]) - pr.a * math.log(s)) / (p - 1.0))
 
     return quad_radial(f, *CUTOFFS[cutoff].zone(R), pr.ctx)
 

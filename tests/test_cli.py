@@ -131,6 +131,12 @@ class TestScalingCommand:
         assert csv_text[1] == "T,value"
         assert len(csv_text) == 7
 
+    def test_time_law_beyond_second_order(self, capsys, tmp_path):
+        code, _, err = run(capsys, "scaling", "--law", "time", "--k", "3", "--out", str(tmp_path))
+        assert code == 0, err
+        doc = json.loads((tmp_path / "scaling.json").read_text())
+        assert doc["fit"]["slope"] == approx(1.0 - 3 * 2.0, abs=0.05)
+
     def test_unknown_law_is_parse_error(self, capsys):
         with raises(SystemExit) as exc:
             main(["scaling", "--law", "cubic"])
@@ -255,6 +261,12 @@ class TestSimulateCommand:
         assert "blown_up" not in out
         assert err.startswith("error:") and 'spacing "log"' in err
 
+    def test_underflowing_rho_min_exits_2_naming_the_grid(self, capsys):
+        code, out, err = run(capsys, "simulate", "--rho-min", "1e-300", "--n-cells", "32")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the linear part on uniform[1e-300,1]x32 is not finite")
+
     def test_log_grid_from_config_runs_negative_lambda(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"spacing": "log"}))
@@ -314,6 +326,17 @@ class TestPhaseSweepCommand:
         with raises(SystemExit) as exc:
             main(["phase-sweep", "--lambda-list"])
         assert exc.value.code == 2
+
+    def test_time_order_the_solver_lacks_exits_2(self, capsys, tmp_path):
+        with raises(SystemExit) as exc:
+            main([*self.ARGS, "--k", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"k": 3}))
+        code, out, err = run(capsys, *self.ARGS, "--config", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: k must be one of [1, 2]")
 
 
 class TestVerifyIdentities:

@@ -137,6 +137,13 @@ class TestLinearPart:
                         boundary_value=0.1, nonlinear=False)
         assert res.status == "completed"
 
+    @mark.parametrize("spacing", ["uniform", "log"])
+    def test_stencil_past_double_range_is_refused(self, spacing):
+        # rho_min^2 (uniform) or the first spacing (log) underflows to 0
+        g = RadialGrid(rho_min=1e-300, n_cells=32, spacing=spacing)
+        with raises(ValueError, match=rf"on {spacing}\[1e-300,1\]x32 is not finite"):
+            linear_part(g, 1, 0.0)
+
 
 class TestIntegrate:
     def test_zero_data_stays_zero(self):

@@ -8,18 +8,18 @@ from pytest import approx, mark, raises
 from koranyi.hgroup import GroupContext, HPoint, psi
 from koranyi.hgroup import random_points as batch_points
 from koranyi.hcalc import (
-    HyperDual,
+    Jet,
+    cos,
     egrad,
-    hd_cos,
-    hd_exp,
-    hd_log,
-    hd_sin,
-    hd_sqrt,
+    exp,
     hgrad,
     hlap,
     hlap_divform,
+    log,
     radial_lap,
     radial_lift,
+    sin,
+    sqrt,
     value_of,
     x_field,
     y_field,
@@ -28,109 +28,124 @@ from koranyi.hcalc import (
 from conftest import random_points
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-hd_st = st.builds(HyperDual, small, small, small, small)
+jet_st = st.builds(Jet, small, small, small, small)  # order 3
 
 
-def _close(u: HyperDual, v: HyperDual, tol=1e-9):
-    for a, b in zip((u.value, u.d1, u.d2, u.d12), (v.value, v.d1, v.d2, v.d12)):
+def _close(u: Jet, v: Jet, tol=1e-9):
+    assert len(u.c) == len(v.c)
+    for a, b in zip(u.c, v.c):
         assert a == approx(b, rel=tol, abs=tol)
 
 
 # ---------------------------------------------------------------------------
-# hyper-dual arithmetic
+# jet arithmetic
 # ---------------------------------------------------------------------------
 
-@given(hd_st, hd_st, hd_st)
+@given(jet_st, jet_st, jet_st)
 @settings(max_examples=200, deadline=None)
 def test_distributive_law(a, b, c):
     _close(a * (b + c), a * b + a * c)
 
 
-@given(hd_st, hd_st)
+@given(jet_st, jet_st)
 @settings(max_examples=200, deadline=None)
 def test_subtraction_inverts_addition(a, b):
     _close((a + b) - b, a)
 
 
-@given(hd_st)
+@given(jet_st)
 @settings(max_examples=200, deadline=None)
 def test_reciprocal(a):
-    if abs(a.value) < 0.1:
+    if abs(a.c[0]) < 0.1:
         return
-    _close(a * a.reciprocal(), HyperDual(1.0, 0.0, 0.0, 0.0), tol=1e-8)
+    _close(a * a.reciprocal(), Jet(1.0, 0.0, 0.0, 0.0), tol=1e-8)
 
 
 def test_derivative_seeding_cubic():
-    # f(t) = t^3 with both dual directions along t
-    t = HyperDual(2.0, 1.0, 1.0, 0.0)
+    # f(t) = t^3 seeded along t: lane j is f^(j)(2) / j!
+    t = Jet.variable(2.0, 3)
     f = t * t * t
-    assert f.value == approx(8.0)
-    assert f.d1 == approx(12.0)  # f'
-    assert f.d2 == approx(12.0)
-    assert f.d12 == approx(12.0)  # f''
+    assert f.c[0] == approx(8.0)
+    assert f.c[1] == approx(12.0)  # f'
+    assert 2.0 * f.c[2] == approx(12.0)  # f''
+    assert 6.0 * f.c[3] == approx(6.0)  # f'''
 
 
 def test_mixed_partial():
-    # f(x, y) = x^2 y, cross derivative 2x
-    x = HyperDual(3.0, 1.0, 0.0, 0.0)
-    y = HyperDual(5.0, 0.0, 1.0, 0.0)
-    f = x * x * y
-    assert f.d1 == approx(30.0)  # df/dx = 2xy
-    assert f.d2 == approx(9.0)  # df/dy = x^2
-    assert f.d12 == approx(6.0)
+    # f(x, y) = x^2 y at (3, 5): gradient (2xy, x^2), and the cross derivative
+    # 2x by polarization, D^2 f[u, v] = (D^2 f[u + v] - D^2 f[u - v]) / 4
+    def seeded(du, dv):
+        x, y = Jet(3.0, du, 0.0), Jet(5.0, dv, 0.0)
+        f = x * x * y
+        return f.c[1], 2.0 * f.c[2]  # D f[w], D^2 f[w] along w = (du, dv)
+
+    assert seeded(1.0, 0.0)[0] == approx(30.0)  # df/dx = 2xy
+    assert seeded(0.0, 1.0)[0] == approx(9.0)  # df/dy = x^2
+    assert (seeded(1.0, 1.0)[1] - seeded(1.0, -1.0)[1]) / 4.0 == approx(6.0)
 
 
 @mark.parametrize(
     "fn, inv",
-    [(hd_exp, hd_log), (lambda u: u * u, hd_sqrt)],
+    [(exp, log), (lambda u: u * u, sqrt)],
 )
 def test_transcendental_inverses(fn, inv):
-    u = HyperDual(1.7, 0.3, -0.2, 0.5)
+    u = Jet(1.7, 0.3, -0.2, 0.5)
     _close(inv(fn(u)), u, tol=1e-10)
 
 
 def test_trig_derivatives():
-    t = HyperDual(0.6, 1.0, 1.0, 0.0)
-    s, c = hd_sin(t), hd_cos(t)
-    assert s.d1 == approx(math.cos(0.6))
-    assert s.d12 == approx(-math.sin(0.6))
-    assert c.d1 == approx(-math.sin(0.6))
-    _close(s * s + c * c, HyperDual(1.0, 0.0, 0.0, 0.0), tol=1e-12)
+    t = Jet.variable(0.6, 2)
+    s, c = sin(t), cos(t)
+    assert s.c[1] == approx(math.cos(0.6))
+    assert 2.0 * s.c[2] == approx(-math.sin(0.6))
+    assert c.c[1] == approx(-math.sin(0.6))
+    _close(s * s + c * c, Jet(1.0, 0.0, 0.0), tol=1e-12)
 
 
 def test_power_rule_fractional():
-    t = HyperDual(4.0, 1.0, 1.0, 0.0)
+    t = Jet.variable(4.0, 2)
     f = t**1.5
-    assert f.value == approx(8.0)
-    assert f.d1 == approx(3.0)
-    assert f.d12 == approx(0.375)
+    assert f.c[0] == approx(8.0)
+    assert f.c[1] == approx(3.0)
+    assert 2.0 * f.c[2] == approx(0.375)
 
 
 def test_power_at_zero_base():
-    # squares of a vanishing quantity keep the cross term, higher powers drop it
-    z = HyperDual(0.0, 2.0, 3.0, 0.0)
+    # squares of a vanishing quantity keep the second-order lane, higher powers drop it
+    z = Jet(0.0, 2.0, 0.0)
     sq = z**2
-    assert (sq.value, sq.d1, sq.d2) == (0.0, 0.0, 0.0)
-    assert sq.d12 == approx(12.0)  # 2 * d1 * d2
+    assert (sq.c[0], sq.c[1]) == (0.0, 0.0)
+    assert 2.0 * sq.c[2] == approx(8.0)  # 2 * c1^2
     cub = z**3
-    assert (cub.value, cub.d1, cub.d2, cub.d12) == (0.0, 0.0, 0.0, 0.0)
+    assert cub.c == [0.0, 0.0, 0.0]
     with raises(ValueError):
         z**1.5
 
 
+def test_zero_base_raises_only_where_a_coefficient_is_singular():
+    # lane j of u^c at u = 0 is binom(c, j) 0^(c-j) c1^j: finite while j <= c
+    assert (Jet(0.0, 2.0) ** 1.5).c == [0.0, 0.0]
+    assert (Jet(0.0, 2.0, 0.0) ** 2.5).c == [0.0, 0.0, 0.0]
+    assert (Jet(0.0, 1.0, 0.0, 0.0, 0.0) ** 2).c == [0.0, 0.0, 1.0, 0.0, 0.0]
+    with raises(ValueError, match="zero base"):
+        Jet(0.0, 2.0, 0.0, 0.0) ** 2.5
+    with raises(ValueError, match="zero base"):
+        Jet(0.0, 2.0) ** -1
+
+
 def test_negative_base_fractional_power_rejected():
     with raises(ValueError):
-        HyperDual(-2.0, 1.0, 0.0, 0.0) ** 0.5
+        Jet(-2.0, 1.0, 0.0) ** 0.5
 
 
 def test_value_of_passthrough():
     assert value_of(3.25) == 3.25
-    assert value_of(HyperDual(1.5, 9.0, 9.0, 9.0)) == 1.5
+    assert value_of(Jet(1.5, 9.0, 9.0)) == 1.5
 
 
 def test_unary_functions_accept_plain_floats():
-    assert hd_exp(0.0) == approx(1.0)
-    assert hd_log(np.array([1.0, math.e])) == approx(np.array([0.0, 1.0]))
+    assert exp(0.0) == approx(1.0)
+    assert log(np.array([1.0, math.e])) == approx(np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +215,7 @@ def test_operator_in_higher_layers(ctx2):
 
 BATCH_FIELDS = {
     "barrier": radial_lift(lambda r: r**-1.5 - r**0.5),
-    "mixed": lambda x, y, phi: hd_exp(0.3 * (x * y).sum(axis=-1)) * hd_sin(phi + x[..., 0])
+    "mixed": lambda x, y, phi: exp(0.3 * (x * y).sum(axis=-1)) * sin(phi + x[..., 0])
     + (y * y * y).sum(axis=-1) / (2.0 + phi * phi),
 }
 
@@ -245,21 +260,17 @@ numpy_scalars = st.sampled_from([np.float64, np.float32, np.int64, np.array])
 
 @given(numpy_scalars, st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4))
 @settings(max_examples=50, deadline=None)
-def test_scalar_parts_are_python_floats(make, parts):
-    u = HyperDual(*(make(p) for p in parts))
-    for v in (u, u * make(2), u + make(1), hd_exp(u), u * u):
-        assert all(type(p) is float for p in (v.value, v.d1, v.d2, v.d12))
-
-
-def _parts(u):
-    return np.array([u.value, u.d1, u.d2, u.d12])
+def test_scalar_parts_are_python_floats(make, lanes):
+    u = Jet(*(make(p) for p in lanes))
+    for v in (u, u * make(2), u + make(1), exp(u), u * u):
+        assert all(type(p) is float for p in v.c)
 
 
 positive = st.floats(min_value=0.2, max_value=3.0)
-hd_pos = st.builds(HyperDual, positive, small, small, small)
-# +, -, *, / and the numpy transcendentals give bitwise equal parts; powers
+jet_pos = st.builds(Jet, positive, small, small, small)
+# +, -, *, / and the numpy transcendentals give bitwise equal lanes; powers
 # differ by an ulp between Python's float ** and numpy's array power, so they
-# are compared relative to the size of the parts
+# are compared relative to the size of the lanes
 OPS = {
     "add": (lambda u, v: u + v, 0.0),
     "sub": (lambda u, v: u - v, 0.0),
@@ -267,49 +278,49 @@ OPS = {
     "div": (lambda u, v: u / v, 0.0),
     "rsub": (lambda u, v: 1.5 - u, 0.0),
     "rdiv": (lambda u, v: 2.0 / v, 0.0),
-    "exp_log": (lambda u, v: hd_exp(u) * hd_log(v), 0.0),
-    "trig": (lambda u, v: hd_sin(u) + hd_cos(u), 0.0),
+    "exp_log": (lambda u, v: exp(u) * log(v), 0.0),
+    "trig": (lambda u, v: sin(u) + cos(u), 0.0),
     "pow": (lambda u, v: v**2.5, 1e-14),
     "int_pow": (lambda u, v: u**3, 1e-14),
-    "sqrt": (lambda u, v: hd_sqrt(v), 1e-14),
+    "sqrt": (lambda u, v: sqrt(v), 1e-14),
 }
 
 
 @mark.parametrize("op", sorted(OPS))
-@given(st.lists(st.tuples(hd_st, hd_pos), min_size=1, max_size=5))
+@given(st.lists(st.tuples(jet_st, jet_pos), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_array_ring_matches_scalar_ring(op, pairs):
     fn, rel = OPS[op]
 
-    def stack(hds):
-        return HyperDual(*(np.array([getattr(h, k) for h in hds]) for k in ("value", "d1", "d2", "d12")))
+    def stack(jets):
+        return Jet(*(np.array([u.c[j] for u in jets]) for j in range(4)))
 
     batched = fn(stack([u for u, _ in pairs]), stack([v for _, v in pairs]))
     for i, (u, v) in enumerate(pairs):
-        expect = _parts(fn(u, v))
-        got = np.array([batched.value[i], batched.d1[i], batched.d2[i], batched.d12[i]])
+        expect = np.array(fn(u, v).c)
+        got = np.array([lane[i] for lane in batched.c])
         assert np.all(np.abs(got - expect) <= rel * (1.0 + np.abs(expect).max())), (got, expect)
 
 
 def test_array_power_branches_are_elementwise():
-    u = HyperDual(np.array([0.0, 2.0]), np.array([2.0, 1.0]), np.array([3.0, 1.0]), np.zeros(2))
+    u = Jet(np.array([0.0, 2.0]), np.array([2.0, 1.0]), np.zeros(2))
     sq = u**2
-    assert sq.d12 == approx(np.array([12.0, 2.0]))
-    assert (u**3).value == approx(np.array([0.0, 8.0]))
+    assert 2.0 * sq.c[2] == approx(np.array([8.0, 2.0]))
+    assert (u**3).c[0] == approx(np.array([0.0, 8.0]))
     with raises(ValueError):
         u**1.5
     with raises(ValueError):
-        HyperDual(np.array([1.0, -2.0]), np.ones(2), np.zeros(2), np.zeros(2)) ** 0.5
+        Jet(np.array([1.0, -2.0]), np.ones(2), np.zeros(2)) ** 0.5
 
 
 def test_abs_is_elementwise_on_arrays():
-    u = HyperDual(np.array([-2.0, 0.0, 3.0]), np.array([1.0, 1.0, 1.0]),
-                  np.array([2.0, 2.0, 2.0]), np.array([5.0, 5.0, 5.0]))
+    u = Jet(np.array([-2.0, 0.0, 3.0]), np.array([1.0, 1.0, 1.0]),
+            np.array([2.0, 2.0, 2.0]), np.array([5.0, 5.0, 5.0]))
     got = abs(u)
-    assert np.array_equal(got.value, [2.0, 0.0, 3.0])
-    assert np.array_equal(got.d1, [-1.0, 1.0, 1.0])
-    assert np.array_equal(got.d2, [-2.0, 2.0, 2.0])
-    assert np.array_equal(got.d12, [-5.0, 5.0, 5.0])
+    assert np.array_equal(got.c[0], [2.0, 0.0, 3.0])
+    assert np.array_equal(got.c[1], [-1.0, 1.0, 1.0])
+    assert np.array_equal(got.c[2], [-2.0, 2.0, 2.0])
+    assert np.array_equal(got.c[3], [-5.0, 5.0, 5.0])
 
 
 @mark.parametrize("n", [1, 2])

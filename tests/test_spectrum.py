@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
 from koranyi.hgroup import GroupContext, HPoint, sphere_chart
-from koranyi.hcalc import HyperDual, value_of
+from koranyi.hcalc import Jet, value_of
 from koranyi.spectrum import (
     Classification,
     ProblemParams,
@@ -109,13 +109,12 @@ class TestSigma:
         with raises(ValueError, match="s > 0"):
             sigma_lambda(np.array([0.5, -0.1]), params(-1.0))
 
-    def test_hyperdual_input(self):
-        hd = HyperDual(0.5, 1.0, 1.0, 0.0)
-        out = sigma_lambda(hd, params(0.0))
+    def test_jet_input(self):
+        out = sigma_lambda(Jet.variable(0.5, 2), params(0.0))
         # sigma = s^-2 - 1, sigma' = -2 s^-3 = -16, sigma'' = 6 s^-4 = 96
-        assert out.value == approx(3.0)
-        assert out.d1 == approx(-16.0)
-        assert out.d12 == approx(96.0)
+        assert out.c[0] == approx(3.0)
+        assert out.c[1] == approx(-16.0)
+        assert 2.0 * out.c[2] == approx(96.0)
 
     def test_slope_at_boundary(self):
         assert sigma_prime_one(params(0.0)) == approx(-2.0)
