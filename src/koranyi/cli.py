@@ -6,12 +6,13 @@ classifier (classify), explicit supersolutions (witness), scaling-law fits
 (simulate), status sweeps (phase-sweep), and report aggregation (report).
 
 Each subcommand has one table of `Key` rows (see `COMMANDS`): name, default,
-kind, range, choices, flag and help.  The table builds the argument parser,
-and one resolver starts from its defaults, overlays an optional JSON config
-file, then overlays explicit flags, and checks every value against its row.
-The resolved configuration is embedded in whatever a command emits, so each
-artifact records how it was produced.  Reports are JSON, sweeps and fits
-also land as CSV, and SVG plots appear only when matplotlib is importable.
+kind, range, choices, flag and help.  The tables build the argument parser
+once per process, and one resolver starts from a table's defaults, overlays
+an optional JSON config file, then overlays explicit flags, and checks every
+value against its row.  The resolved configuration is embedded in whatever a
+command emits, so each artifact records how it was produced.  Reports are
+JSON, sweeps and fits also land as CSV, and SVG plots appear only when
+matplotlib is importable.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage
 or configuration (including inadmissible parameters).
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -593,7 +595,10 @@ def cmd_scaling(cfg: dict) -> int:
                 "the log-decay law applies at critical coupling with zero margin; "
                 f"got margin {margin:.3e}"
             )
-    rows = law.rows(cfg["scales"] or law.scales, params, iota)
+    scales = cfg["scales"] or law.scales
+    if len(scales) < 2:  # one scale leaves nothing to compare
+        raise UsageError(f"scales needs at least 2 values, got {len(scales)}")
+    rows = law.rows(scales, params, iota)
     out = _out_dir(cfg)
     _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))
     fit, extra = None, {}
@@ -825,7 +830,11 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process from
+    `COMMANDS`.  Sharing one is safe: `parse_args` fills a fresh namespace
+    and never mutates the parser, and `COMMANDS` is not mutated after import."""
     parser = argparse.ArgumentParser(
         prog="koranyi",
         description="numerical checks for weighted evolution inequalities on "

@@ -187,8 +187,14 @@ def log(u):
     if not isinstance(u, Jet):
         return np.log(u)
     a = u.c[0]
-    r = 1.0 / a  # coefficient j >= 1 is (-1)^(j+1) r^j / j
-    return u._compose([np.log(a), r] + [(-r) ** j / -j for j in range(2, len(u.c))])
+    q = -1.0 / a  # coefficient j >= 1 is -q^j / j
+    # q^j as a running product: float ** and numpy's array power can differ
+    # by an ulp, so a power would split scalar and array jets
+    f, power = [np.log(a)], 1.0
+    for j in range(1, len(u.c)):
+        power = power * q
+        f.append(power / -j)
+    return u._compose(f)
 
 
 def sqrt(u):

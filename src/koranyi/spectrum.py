@@ -50,7 +50,7 @@ from .hgroup import (
     random_directions,
     sphere_chart,
 )
-from .hquad import Annulus, radial_integral, surface_integral
+from .hquad import Annulus, radial_integral, surface_nodes
 
 CRITICAL_TOL = 1e-12
 # sample points of the identity checks keep psi >= PSI_MIN (the identities
@@ -331,20 +331,19 @@ def l1plus_test(f_boundary, nodes: int, ctx: GroupContext) -> tuple[float, bool]
     """Weighted boundary functional int f * psi/|grad rho| dH and its sign.
 
     Membership in the positive class requires a strictly positive value; the
-    decision threshold is 1e-10 times the absolute-mass scale of the
-    integrand, so odd integrands land on the 'not a member' side.
+    decision threshold is 1e-10 times the absolute mass of the integrand on
+    the same surface rule, so odd integrands land on the 'not a member' side.
+    The rule is built and the integrand evaluated once; no error estimate is
+    formed.
     """
-
-    def weighted(x, y, phi):
-        gx, gy, gphi = knorm_grad_of(x, y, phi)
-        gnorm = np.sqrt((gx * gx).sum(axis=-1) + (gy * gy).sum(axis=-1) + gphi * gphi)
-        return np.asarray(f_boundary(x, y, phi)) * psi_of(x, y, phi) / gnorm
-
-    def absolute(x, y, phi):
-        return np.abs(weighted(x, y, phi))
-
-    value = surface_integral(weighted, nodes, ctx).value
-    scale = surface_integral(absolute, max(8, nodes // 2), ctx).value
+    x, y, phi, w = surface_nodes(nodes, ctx)
+    gx, gy, gphi = knorm_grad_of(x, y, phi)
+    gnorm = np.sqrt((gx * gx).sum(axis=-1) + (gy * gy).sum(axis=-1) + gphi * gphi)
+    vals = np.asarray(f_boundary(x, y, phi), dtype=float) * psi_of(x, y, phi) / gnorm
+    if not np.isfinite(vals).all():
+        raise RuntimeError("surface integrand returned non-finite values")
+    value = float(np.dot(w, vals))
+    scale = float(np.dot(w, np.abs(vals)))
     return value, value > 1e-10 * max(scale, 1e-300)
 
 

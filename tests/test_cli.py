@@ -173,6 +173,17 @@ class TestScalingCommand:
         assert "[PASS] domination-gap" in out
         assert "[PASS] domination-monotone" in out
 
+    def test_one_scale_is_refused(self, capsys, tmp_path):
+        # one scale gives domination-monotone nothing to compare
+        code, _, err = run(capsys, "scaling", "--law", "domination", "--scales", "10")
+        assert code == 2
+        assert "scales" in err
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"law": "domination", "scales": [10.0]}))
+        code, _, err = run(capsys, "scaling", "--config", str(cfg))
+        assert code == 2
+        assert "scales" in err
+
     def test_capacity_integrand_past_double_range_is_one_error_line(self, capsys, tmp_path):
         # at p = 1.01 the elliptic integrand reaches about 1e790 inside the
         # gamma transition; read as 0, it would end in a power-law fit through
@@ -574,6 +585,20 @@ class TestCliSurface:
             for name, sub in subs.choices.items()
         }
         assert found == self.EXPECTED
+
+    def test_reused_parser_carries_nothing_between_calls(self, capsys, tmp_path):
+        d1, d2 = tmp_path / "d1", tmp_path / "d2"
+        assert main(["classify", "--N", "2", "--lambda", "3", "--a", "1", "--p", "2",
+                     "--out", str(d1)]) == 0
+        assert main(["classify", "--out", str(d2)]) == 0
+        config = json.loads((d2 / "classify.json").read_text())["config"]
+        assert config == {key.name: key.default for key in COMMANDS["classify"][2]
+                          if key.name != "out"}
+        with raises(SystemExit) as exc:
+            main(["classify", "--N", "two"])
+        assert exc.value.code == 2
+        assert main(["classify", "--a", "2"]) == 0
+        assert build_parser() is build_parser()
 
     def test_law_choices_come_from_the_law_table(self):
         subs = next(a for a in build_parser()._actions

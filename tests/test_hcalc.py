@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
@@ -288,6 +288,9 @@ OPS = {
 
 @mark.parametrize("op", sorted(OPS))
 @given(st.lists(st.tuples(jet_st, jet_pos), min_size=1, max_size=5))
+# at this base Python's float (-1/a) ** 2 and numpy's array square differ by
+# an ulp, which split the log lanes while they were formed with **
+@example([(Jet(0.0, 0.0, 0.0, 0.0), Jet(0.29552422471475287, 1.0, 0.0, 0.0))])
 @settings(max_examples=40, deadline=None)
 def test_array_ring_matches_scalar_ring(op, pairs):
     fn, rel = OPS[op]

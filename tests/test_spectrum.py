@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
+from koranyi import spectrum
 from koranyi.hgroup import GroupContext, HPoint, sphere_chart
 from koranyi.hcalc import Jet, value_of
+from koranyi.hquad import c_n, surface_nodes
 from koranyi.spectrum import (
     Classification,
     ProblemParams,
@@ -245,6 +247,27 @@ class TestBoundaryFunctional:
         value, member = l1plus_test(lambda x, y, phi: phi, 200, GroupContext(1))
         assert value == approx(0.0, abs=1e-12)
         assert not member
+
+    def test_n2_builds_one_rule_per_call(self, monkeypatch):
+        # 24 nodes at N = 2 is the benchmark's resolution; the functional
+        # needs one surface rule per call, the scale reusing its values
+        calls = []
+
+        def counted(nodes, ctx):
+            calls.append(nodes)
+            return surface_nodes(nodes, ctx)
+
+        monkeypatch.setattr(spectrum, "surface_nodes", counted)
+        ctx = GroupContext(2)
+        value, member = l1plus_test(lambda x, y, phi: np.ones(len(phi)), 24, ctx)
+        assert value == approx(c_n(ctx), rel=1e-12)
+        assert member
+        value, member = l1plus_test(lambda x, y, phi: phi, 24, ctx)
+        assert abs(value) <= 1e-12
+        assert not member
+        with raises(RuntimeError, match="non-finite"):
+            l1plus_test(lambda x, y, phi: np.full(len(phi), np.inf), 24, ctx)
+        assert calls == [24, 24, 24]
 
 
 class TestLiminfProbe:
