@@ -280,14 +280,19 @@ def eta(R: float, params: ProblemParams) -> float:
     return float(radial_integral(F, Annulus(0.5 / R, 1.0), params.ctx).value)
 
 
+FIT_MIN_POINTS = 4  # fewest points scaling_fit accepts
+
+
 def scaling_fit(values: Sequence[tuple[float, float]]) -> ScalingFit:
     """Least-squares line through (ln scale, ln value).
 
-    Needs at least 4 points whose scales span a factor of 10, and strictly
-    positive values; r_squared is 1.0 for degenerate (constant) data.
+    Needs at least FIT_MIN_POINTS points whose scales span a factor of 10,
+    and strictly positive values; r_squared is 1.0 for degenerate (constant)
+    data.
     """
-    if len(values) < 4:
-        raise ValueError(f"need at least 4 points for a scaling fit, got {len(values)}")
+    if len(values) < FIT_MIN_POINTS:
+        raise ValueError(
+            f"need at least {FIT_MIN_POINTS} points for a scaling fit, got {len(values)}")
     scales = np.array([s for s, _ in values], dtype=float)
     vals = np.array([v for _, v in values], dtype=float)
     if (scales <= 0.0).any():

@@ -54,6 +54,7 @@ from .spectrum import (
 )
 from .capacity import (
     DEFAULT_SCALES,
+    FIT_MIN_POINTS,
     default_family,
     eta,
     j1_space_factor,
@@ -530,7 +531,7 @@ def _logdecay_checks(fit, rows, params, tol):
 
 def _domination_checks(fit, rows, params, tol):
     worst_gap = float(np.max([sf - env for _, sf, env in rows]))
-    envs = [-math.inf] + [env for *_, env in rows]
+    envs = [-math.inf] + [env for *_, env in sorted(rows)]  # in ascending scale
     monotone = all(b >= a - 1e-12 * abs(b) for a, b in zip(envs, envs[1:]))
     return [
         _check("domination-gap", worst_gap <= 1e-9, worst_gap, "≤ 0", 1e-9,
@@ -596,8 +597,10 @@ def cmd_scaling(cfg: dict) -> int:
                 f"got margin {margin:.3e}"
             )
     scales = cfg["scales"] or law.scales
-    if len(scales) < 2:  # one scale leaves nothing to compare
-        raise UsageError(f"scales needs at least 2 values, got {len(scales)}")
+    least = FIT_MIN_POINTS if law.title else 2  # one scale leaves nothing to compare
+    if len(scales) < least:
+        fitted = f"the {name} law fits a power law, so " if law.title else ""
+        raise UsageError(f"{fitted}scales needs at least {least} values, got {len(scales)}")
     rows = law.rows(scales, params, iota)
     out = _out_dir(cfg)
     _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))

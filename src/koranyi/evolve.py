@@ -17,19 +17,24 @@ the solver that fits it:
   backward differentiation, switched by stiffness), stepped directly, with
   the analytic Jacobian L + diag(p rho^a |u|^{p-1} sign u) in the (1, 1)
   band storage that `linear_part` holds.  Its right-hand side is L u by the
-  bands plus `_forcing`, the helper both solvers share for everything but
-  L u.  After each accepted step sup|u| is tested against BLOWUP_SUP, and
-  T* is the end of the first step that crosses it.  There is no root
-  search inside that step: near blow-up LSODA's interpolant does not
-  reproduce the state at the step's start, and the step is a negligible
-  part of T*.
+  bands plus rho^a |u|^{p-1} |u|, added in place; a source or an inner slope
+  goes through `_extra`, the helper both solvers share.  After each
+  accepted step sup|u| is tested against BLOWUP_SUP, and T* is the end of
+  the first step that crosses it.  There is no root search inside that
+  step: near blow-up LSODA's interpolant does not reproduce the state at
+  the step's start, and the step is a negligible part of T*.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
   evaluated once per step at the Taylor predictor.  dt follows the
   Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
-  |u|^{p-1}), so it shrinks as a blow-up develops.
+  |u|^{p-1}), so it shrinks as a blow-up develops.  `_newmark` advances any
+  number of runs on one grid in lockstep: each attempt is one tridiagonal
+  solve of their block-diagonal system, while dt, the counters and the end
+  of each run stay its own, so a run's result does not depend on the runs
+  beside it.  `phase_sweep` sends all its k = 2 cells through one call, and
+  `integrate` sends one run.
 
 Each scipy routine (`LSODA`, LAPACK's `dgtsv`) is imported at its call
 site, so importing this module loads no scipy.
@@ -58,10 +63,11 @@ existence frontier must not be over-read.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -121,7 +127,7 @@ class SimResult:
     end_reason: str = "completed"  # see the module docstring
     steps: int = 0  # accepted steps
     rejected: int = 0  # step attempts that were not accepted
-    lu: int = 0  # LSODA Jacobians, each factorized once, or Newmark banded solves
+    lu: int = 0  # LSODA Jacobians, each factorized once, or the Newmark block solves of the run
 
 
 @lru_cache(maxsize=64)
@@ -193,11 +199,15 @@ class LinearPart:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u by the three bands."""
-        ab = self.bands
-        out = ab[1] * u
-        out[:-1] += ab[0, 1:] * u[1:]
-        out[1:] += ab[2, :-1] * u[:-1]
-        return out
+        return _band_product(self.bands, u)
+
+
+def _band_product(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """L u for bands ab (3, ..., n) in `LinearPart` storage and states u (..., n)."""
+    out = ab[1] * u
+    out[..., :-1] += ab[0, ..., 1:] * u[..., 1:]
+    out[..., 1:] += ab[2, ..., :-1] * u[..., :-1]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -240,18 +250,33 @@ def integrate(
     MAX_HISTORY samples.  Raises ValueError for bad input and for a grid
     whose linear part has spectrum in the right half-plane.
     """
+    layers, op = _prepare(params, ic, grid, t_end, boundary_value)
+    cell = (params, layers, op)
+    rho = grid.nodes()
+    extra = _extra(rho, op, source, neumann_slope)
+    if params.k == 1:
+        return _lsoda(cell, rho, t_end, nonlinear, extra)
+    (res,) = _newmark([cell], rho, t_end, nonlinear, extra)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _prepare(params, ic, grid, t_end, boundary_value):
+    """Validate one run; return its initial layers, boundary node pinned, and
+    the linear part of its grid."""
     if params.k not in (1, 2):
         raise ValueError(f"time order must be 1 or 2, got {params.k}")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if not math.isfinite(boundary_value):
         raise ValueError(f"boundary_value must be finite, got {boundary_value}")
-    rho = grid.nodes()
+    n = grid.n_cells + 1
     layers = np.array(ic, dtype=float, copy=True)
     if layers.ndim == 1:
         layers = layers[None, :]
-    if layers.shape != (params.k, rho.size):
-        raise ValueError(f"initial data must be ({params.k}, {rho.size}), got {layers.shape}")
+    if layers.shape != (params.k, n):
+        raise ValueError(f"initial data must be ({params.k}, {n}), got {layers.shape}")
     if not np.all(np.isfinite(layers)):
         raise ValueError("initial data contains non-finite values")
     op = linear_part(grid, params.ctx.N, params.lam)
@@ -261,57 +286,55 @@ def integrate(
             f"{op.max_real_eig:.3g} > 0 at lambda = {params.lam:g}, so the grid would "
             'manufacture growth; use a log-spaced grid (spacing "log")'
         )
-
     layers[0, -1] = boundary_value
     if params.k == 2:
         layers[1, -1] = 0.0
-    slope = neumann_slope if neumann_slope is not None else (lambda t: 0.0)
-    forcing = _forcing(params, rho, op, nonlinear, source, slope)
-    run = _lsoda if params.k == 1 else _newmark
-    return run(params, layers, rho, op, t_end, nonlinear, forcing)
+    return layers, op
 
 
-def _forcing(params, rho, op, nonlinear, source, slope):
-    """forcing(t, u): everything but L u in the rate at the state u (the
-    nonlinearity rho^a |u|^p, the source and the inner slope), and the
-    nonlinear rate max p rho^a |u|^(p-1)."""
-    weight = rho[:-1] ** params.a
-    p = params.p
+def _extra(rho, op, source, slope):
+    """extra(t, g) adds the source and the inner slope term to the forcing g
+    of one run in place; None when the run has neither."""
+    if source is None and slope is None:
+        return None
 
-    def forcing(t, u):
-        g = np.zeros(u.shape)
-        rate = 0.0
-        if nonlinear:
-            mag = np.abs(u[:-1])
-            w = weight * mag ** (p - 1.0)
-            g[:-1] = w * mag
-            rate = p * w.max()
+    def extra(t, g):
         if source is not None:
             g[:-1] += source(t, rho[:-1])
-        g[0] += op.slope_coef * slope(t)
-        return g, rate
+        if slope is not None:
+            g[0] += op.slope_coef * slope(t)
 
-    return forcing
+    return extra
 
 
-def _lsoda(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
+def _lsoda(cell, rho, t_end, nonlinear, extra) -> SimResult:
     """k = 1 by stepping scipy's LSODA directly, with the Jacobian in the (1, 1)
     band storage of `op.bands`; T* is the end of the first step whose sup|u|
     exceeds BLOWUP_SUP."""
     from scipy.integrate import LSODA
 
+    params, layers, op = cell
     calls = set()  # distinct times of right-hand-side calls
+    weight = rho[:-1] ** params.a
+    p = params.p
 
     def fun(t, u):
         calls.add(t)
-        return op.apply(u) + forcing(t, u)[0]
-
-    weight = rho[:-1] ** params.a
+        out = op.apply(u)
+        # with no source and no slope, the nonlinearity goes straight into L u
+        g = out if extra is None else np.zeros(u.shape)
+        if nonlinear:
+            mag = np.abs(u[:-1])
+            g[:-1] += weight * mag ** (p - 1.0) * mag
+        if extra is not None:
+            extra(t, g)
+            out += g
+        return out
 
     def jac(t, u):
         jb = op.bands.copy()
         if nonlinear:
-            jb[1, :-1] += params.p * weight * np.abs(u[:-1]) ** (params.p - 1.0) * np.sign(u[:-1])
+            jb[1, :-1] += p * weight * np.abs(u[:-1]) ** (p - 1.0) * np.sign(u[:-1])
         return jb
 
     solver = LSODA(fun, 0.0, layers[0], t_end, jac=jac, lband=1, uband=1,
@@ -365,73 +388,187 @@ def _lsoda(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
                      policy, note, reason, **counters)
 
 
-def _newmark(params, layers, rho, op, t_end, nonlinear, forcing) -> SimResult:
-    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit."""
+@dataclass(eq=False)
+class _Run:
+    """The step controller's state of one Newmark run, on Python floats."""
+
+    index: int  # position in the caller's list of runs
+    p: float
+    dt: float
+    next_record: float
+    t: float = 0.0
+    sup: float = 0.0
+    rate: float = 0.0
+    history: list = field(default_factory=list)
+    grow_cap: float = 2.0
+    steps: int = 0
+    rejected: int = 0
+    # once the run ends: (status, end_reason, blow-up time, note), or the error
+    end: Optional[object] = None
+
+
+def _newmark(cells, rho, t_end, nonlinear, extra=None) -> list:
+    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit.
+
+    cells holds (params, layers, op) for B runs on the grid of rho, which
+    advance in lockstep: u, v and a are (B, n) arrays, and each attempt
+    solves every running system in one `dgtsv` call on the block-diagonal
+    matrix of order B n.  The blocks decouple exactly, since the boundary
+    row of L is zero: the couplings between blocks are zero and partial
+    pivoting never crosses them.  dt and the counters are kept per run on
+    Python floats, so every run steps as it would alone; a rejected run keeps
+    its state, and a run leaves the arrays when it ends.  extra (B = 1 only)
+    adds a source and an inner slope to the forcing.  Returns, in the order
+    of cells, a SimResult or, for a run whose system was singular, a
+    RuntimeError.
+    """
     # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
     # for one band on each side.  Called directly, it skips solve_banded's
     # per-call argument checks, which cost several times a 65-node solve.
     from scipy.linalg.lapack import dgtsv
 
-    u, v = layers[0].copy(), layers[1].copy()
-    g, rate = forcing(0.0, u)
-    a = op.apply(u) + g
-    t = 0.0
-    sup = float(np.abs(u).max())
-    history = [(0.0, sup)]
+    n = rho.size
     record_dt = t_end / MAX_HISTORY
-    next_record = record_dt
-    status, reason, blow_time, note = "running", "completed", None, ""
-    steps = rejected = 0
-    dt = NEWMARK_DT0 * t_end
-    grow_cap = 2.0
-    while t < t_end:
-        # the rate of the last predictor, a second-order guess of the current state
-        if rate > 0.0:
-            dt = min(dt, NEWMARK_RATE_CAP / math.sqrt(rate))
-        if dt < DT_FLOOR:
-            status, reason, blow_time = "blown_up", "dt_floor", t
-            note = f"dt underflow ({dt:.3e}) at t = {t:.6g}"
-            history.append((t, sup))
-            break
-        dt = min(dt, t_end - t)
-        q = 0.25 * dt * dt
-        u_star = u + dt * v + q * a
-        g, rate_new = forcing(t + dt, u_star + q * a)  # Taylor predictor u + dt v + dt^2/2 a
-        system = -q * op.bands
-        system[1] += 1.0
-        *_, u_new, info = dgtsv(system[2, :-1], system[1], system[0, 1:], u_star + q * g)
-        if info != 0:
-            raise RuntimeError(f"singular Newmark system at t = {t:.6g}, dt = {dt:.3e}")
-        a_new = op.apply(u_new) + g
-        sup_new = float(np.abs(u_new).max())
-        err = (dt * dt / 12.0) * float(np.abs(a_new - a).max()) / (
-            NEWMARK_RTOL * sup_new + NEWMARK_ATOL)
-        if err > 1.0:
-            rejected += 1
-            dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
-            grow_cap = 1.0
-            continue
-        v = v + 0.5 * dt * (a + a_new)
-        u, a, sup, rate = u_new, a_new, sup_new, rate_new
-        t += dt
-        steps += 1
-        if not sup <= BLOWUP_SUP:  # also catches a non-finite state
-            status, reason, blow_time = "blown_up", "sup_threshold", t
-            note = f"sup norm {sup:.3e} at t = {t:.6g}"
-            history.append((t, sup))
-            break
-        if t >= next_record or t >= t_end:
-            history.append((t, sup))
-            next_record += record_dt
-        dt *= min(grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else grow_cap
-        grow_cap = 2.0
-
-    if status == "running":
-        status = "completed"
+    # runs of equal p sit next to each other, so |u|^(p-1) is raised with one
+    # scalar exponent per slice (an array of exponents rounds differently)
+    order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
+    live = [_Run(i, cells[i][0].p, NEWMARK_DT0 * t_end, record_dt) for i in order]
+    u = np.stack([cells[i][1][0] for i in order])
+    v = np.stack([cells[i][1][1] for i in order])
+    bands = np.stack([cells[i][2].bands for i in order], axis=1)
+    weight = np.stack([rho[:-1] ** cells[i][0].a for i in order])
+    slices, p_col = _p_slices(live)
+    results = [None] * len(cells)
     policy = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
               f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
-    return SimResult(status, t, tuple(history), blow_time, np.stack([u, v]), policy, note,
-                     reason, steps=steps, rejected=rejected, lu=steps + rejected)
+
+    def forcing(t, x):
+        """Everything but L u in the rates at the states x, and each run's
+        nonlinear rate max p rho^a |x|^(p-1)."""
+        g = np.zeros(x.shape)
+        if not nonlinear:
+            rate = [0.0] * len(live)
+        else:
+            mag = np.abs(x[:, :-1])
+            w = np.empty(mag.shape)
+            for p, rows in slices:
+                w[rows] = weight[rows] * mag[rows] ** (p - 1.0)
+            g[:, :-1] = w * mag
+            rate = (p_col * w.max(axis=1)).tolist()
+        if extra is not None:
+            extra(t, g[0])
+        return g, rate
+
+    g, rate = forcing(0.0, u)
+    a = _band_product(bands, u) + g
+    for run, sup, r0 in zip(live, np.abs(u).max(axis=1).tolist(), rate):
+        run.sup, run.rate, run.history = sup, r0, [(0.0, sup)]
+
+    while live:
+        for run in live:
+            # the rate of the last predictor, a second-order guess of the current state
+            if run.rate > 0.0:
+                run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate))
+            if run.dt < DT_FLOOR:
+                run.end = ("blown_up", "dt_floor", run.t,
+                           f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}")
+                run.history.append((run.t, run.sup))
+            else:
+                run.dt = min(run.dt, t_end - run.t)
+
+        if all(run.end is None for run in live):
+            dt = np.array([[run.dt] for run in live])
+            q = 0.25 * dt * dt
+            u_star = u + dt * v + q * a
+            # Taylor predictor u + dt v + dt^2/2 a; extra sees only run 0's time
+            g, rate_new = forcing(live[0].t + live[0].dt, u_star + q * a)
+            system = -q * bands
+            system[1] += 1.0
+            rhs = u_star + q * g
+            *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
+                                system[0].ravel()[1:], rhs.ravel())
+            if info != 0:
+                run = live[(info - 1) // n]  # the other runs retry the same step
+                run.end = RuntimeError(
+                    f"singular Newmark system at t = {run.t:.6g}, dt = {run.dt:.3e}")
+            else:
+                u_new = x.reshape(u.shape)
+                sup_new = np.abs(u_new).max(axis=1)
+                if len(live) > 1 and not np.isfinite(sup_new).all():
+                    # 0 * inf at a block edge spreads NaN to the neighbours:
+                    # solve each non-finite block again on its own
+                    for r in np.flatnonzero(~np.isfinite(sup_new)).tolist():
+                        *_, u_new[r], _ = dgtsv(system[2, r, :-1], system[1, r],
+                                                system[0, r, 1:], rhs[r])
+                    sup_new = np.abs(u_new).max(axis=1)
+                a_new = _band_product(bands, u_new) + g
+                v_new = v + 0.5 * dt * (a + a_new)
+                change = np.abs(a_new - a).max(axis=1).tolist()
+                accepted = [
+                    _control(run, d, sup, r_new, t_end, record_dt)
+                    for run, d, sup, r_new in zip(live, change, sup_new.tolist(), rate_new)
+                ]
+                if all(accepted):
+                    u, v, a = u_new, v_new, a_new
+                else:
+                    took = np.array(accepted)[:, None]
+                    u, v, a = (np.where(took, new, old)
+                               for new, old in ((u_new, u), (v_new, v), (a_new, a)))
+
+        if any(run.end is not None for run in live):
+            keep = []
+            for r, run in enumerate(live):
+                if run.end is None:
+                    keep.append(r)
+                elif isinstance(run.end, Exception):
+                    results[run.index] = run.end
+                else:
+                    status, reason, blow_time, note = run.end
+                    results[run.index] = SimResult(
+                        status, run.t, tuple(run.history), blow_time, np.stack([u[r], v[r]]),
+                        policy, note, reason, steps=run.steps, rejected=run.rejected,
+                        lu=run.steps + run.rejected)
+            live = [live[r] for r in keep]
+            u, v, a, weight, bands = u[keep], v[keep], a[keep], weight[keep], bands[:, keep]
+            slices, p_col = _p_slices(live)
+    return results
+
+
+def _p_slices(runs):
+    """(p, rows) for each stretch of runs that share p, and the column of p."""
+    slices, start = [], 0
+    for p, same in itertools.groupby(run.p for run in runs):
+        stop = start + len(list(same))
+        slices.append((p, slice(start, stop)))
+        start = stop
+    return slices, np.array([run.p for run in runs])
+
+
+def _control(run, change, sup, rate, t_end, record_dt) -> bool:
+    """Judge one run's attempt by its local error estimate and set its next
+    dt; on acceptance advance its clock, counters and history and mark its
+    end.  Returns whether the attempt was accepted."""
+    err = (run.dt * run.dt / 12.0) * change / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
+    if err > 1.0:
+        run.rejected += 1
+        run.dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
+        run.grow_cap = 1.0
+        return False
+    run.t += run.dt
+    run.sup, run.rate = sup, rate
+    run.steps += 1
+    if not sup <= BLOWUP_SUP:  # also catches a non-finite state
+        run.end = ("blown_up", "sup_threshold", run.t, f"sup norm {sup:.3e} at t = {run.t:.6g}")
+        run.history.append((run.t, sup))
+        return True
+    if run.t >= run.next_record or run.t >= t_end:
+        run.history.append((run.t, sup))
+        run.next_record += record_dt
+    run.dt *= min(run.grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else run.grow_cap
+    run.grow_cap = 2.0
+    if run.t >= t_end:
+        run.end = ("completed", "completed", None, "")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -503,48 +640,66 @@ def phase_sweep(
 
     Rows carry the simulator outcome next to the classifier verdict; cells
     whose parameters are inadmissible are recorded as errors rather than
-    aborting the sweep.  Deterministic: fixed data, ordered assembly.
+    aborting the sweep.  The admissible k = 2 cells advance in lockstep, all
+    in one `_newmark` call; every other cell is one `integrate` call, split
+    over `threads` workers (default KORANYI_THREADS, else the CPU count).
+    Every cell's row is the one a lone `integrate` call gives, whatever the
+    order of the lists.  Deterministic: fixed data, ordered assembly.
     """
     rho = grid.nodes()
     ic0 = canonical_bump(rho)
+    ic = ic0 if k == 1 else np.stack([ic0, np.zeros_like(ic0)])
 
-    cells = [
-        (lam, a, p) for lam in lambda_list for a in a_list for p in p_list
-    ]
+    rows, jobs = [], []
+    for lam in lambda_list:
+        for a in a_list:
+            for p in p_list:
+                row = {
+                    "lambda": lam, "a": a, "p": p, "k": k,
+                    "status": "", "blow_up_time": "", "classifier_verdict": "",
+                    "grid": grid.describe(), "dt_policy": "",
+                    "end_reason": "", "steps": "", "rejected": "", "lu": "",
+                }
+                rows.append(row)
+                try:
+                    params = ProblemParams(ctx, lam, a, p, k)
+                except ValueError as exc:
+                    row["status"] = f"error: {exc}"
+                    continue
+                row["classifier_verdict"] = classify(params).verdict.value
+                jobs.append((row, params))
 
-    def run(cell: tuple[float, float, float]) -> dict:
-        lam, a, p = cell
-        row = {
-            "lambda": lam, "a": a, "p": p, "k": k,
-            "status": "", "blow_up_time": "", "classifier_verdict": "",
-            "grid": grid.describe(), "dt_policy": "",
-            "end_reason": "", "steps": "", "rejected": "", "lu": "",
-        }
-        try:
-            params = ProblemParams(ctx, lam, a, p, k)
-        except ValueError as exc:
-            row["status"] = f"error: {exc}"
-            return row
-        row["classifier_verdict"] = classify(params).verdict.value
-        ic = ic0 if k == 1 else np.stack([ic0, np.zeros_like(ic0)])
-        try:
-            res = integrate(
-                params, ic, grid, t_end, boundary_value=boundary_value
-            )
-        except (ValueError, RuntimeError) as exc:
-            row["status"] = f"error: {exc}"
-            return row
+    if k == 2:
+        results, cells = [], []
+        for _, params in jobs:
+            try:
+                cells.append((params, *_prepare(params, ic, grid, t_end, boundary_value)))
+                results.append(None)
+            except ValueError as exc:
+                results.append(exc)
+        lockstep = iter(_newmark(cells, rho, t_end, True))
+        results = [next(lockstep) if res is None else res for res in results]
+    else:
+        def run(params):
+            try:
+                return integrate(params, ic, grid, t_end, boundary_value=boundary_value)
+            except (ValueError, RuntimeError) as exc:
+                return exc
+
+        if threads is None:
+            threads = int(os.environ.get("KORANYI_THREADS", "0")) or (os.cpu_count() or 1)
+        if threads > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(run, [params for _, params in jobs]))
+        else:
+            results = [run(params) for _, params in jobs]
+
+    for (row, _), res in zip(jobs, results):
+        if isinstance(res, Exception):
+            row["status"] = f"error: {res}"
+            continue
         row["status"] = res.status
         row["blow_up_time"] = "" if res.blow_up_time is None else f"{res.blow_up_time:.6g}"
         row["dt_policy"] = res.dt_policy
         row.update(end_reason=res.end_reason, steps=res.steps, rejected=res.rejected, lu=res.lu)
-        return row
-
-    if threads is None:
-        threads = int(os.environ.get("KORANYI_THREADS", "0")) or (os.cpu_count() or 1)
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(c) for c in cells]
     return rows

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from koranyi.cli import COMMANDS, LAWS, build_parser, main
+from koranyi.capacity import FIT_MIN_POINTS
+from koranyi.cli import COMMANDS, LAWS, _domination_checks, build_parser, main
 
 # SVG plots are written only when matplotlib is importable (see cli.py).
 HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
@@ -172,6 +173,31 @@ class TestScalingCommand:
         assert code == 0
         assert "[PASS] domination-gap" in out
         assert "[PASS] domination-monotone" in out
+
+    @mark.parametrize("scales", [("10", "100", "1000"), ("1000", "100", "10")],
+                      ids=["ascending", "descending"])
+    def test_domination_passes_in_any_scale_order(self, capsys, scales):
+        code, out, _ = run(capsys, "scaling", "--law", "domination", "--scales", *scales)
+        assert code == 0
+        assert "[PASS] domination-monotone" in out
+
+    def test_decreasing_envelope_fails_monotone(self):
+        # rows (R, space factor, envelope), given out of scale order
+        increasing = [(100.0, 1.0, 4.0), (10.0, 1.0, 3.0), (1000.0, 1.0, 5.0)]
+        decreasing = [(100.0, 1.0, 4.0), (10.0, 1.0, 5.0), (1000.0, 1.0, 3.0)]
+        status = {c["name"]: c["status"] for c in _domination_checks(None, increasing, None, 0.0)}
+        assert status == {"domination-gap": "pass", "domination-monotone": "pass"}
+        (_, monotone) = _domination_checks(None, decreasing, None, 0.0)
+        assert monotone["status"] == "fail"
+
+    def test_too_few_scales_for_a_fit_write_nothing(self, capsys, tmp_path):
+        # a fitted law needs FIT_MIN_POINTS scales; the refusal comes before the CSV
+        for scales in (["10", "100"], ["10", "100", "1000"]):
+            code, _, err = run(capsys, "scaling", "--law", "time", "--scales", *scales,
+                               "--out", str(tmp_path))
+            assert code == 2
+            assert "scales" in err and f"at least {FIT_MIN_POINTS}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_scale_is_refused(self, capsys, tmp_path):
         # one scale gives domination-monotone nothing to compare

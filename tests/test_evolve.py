@@ -440,10 +440,68 @@ class TestPhaseSweep:
 
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         g = RadialGrid(rho_min=0.01, n_cells=32)
-        monkeypatch.setenv("KORANYI_THREADS", "1")
-        cells = ([0.0], [-3.0, -2.0, 2.0], [2.0], GroupContext(1))
-        serial = phase_sweep(*cells, grid=g, t_end=0.02)
-        monkeypatch.setenv("KORANYI_THREADS", "4")
-        threaded = phase_sweep(*cells, grid=g, t_end=0.02)
-        assert serial[0]["status"] == "blown_up"
-        assert serial == threaded
+        for k, t_end in ((1, 0.02), (2, 0.5)):
+            monkeypatch.setenv("KORANYI_THREADS", "1")
+            cells = ([0.0], [-3.0, -2.0, 2.0], [2.0], GroupContext(1), k)
+            serial = phase_sweep(*cells, grid=g, t_end=t_end)
+            monkeypatch.setenv("KORANYI_THREADS", "4")
+            threaded = phase_sweep(*cells, grid=g, t_end=t_end)
+            assert serial[0]["status"] == "blown_up"
+            assert serial == threaded
+
+    # lambda = -0.5 is refused on the uniform grid, so its cells are error rows
+    LOCKSTEP_BOX = ([0.0, -0.5, 0.75], [-3.0, -2.0, 2.0], [1.5, 2.0, 3.0])
+
+    def test_lockstep_rows_equal_single_runs(self):
+        # the k = 2 cells advance in lockstep; each row must be the one a lone
+        # integrate call gives, field for field, whatever the order of the lists
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        ic0 = canonical_bump(g.nodes())
+        ic = np.stack([ic0, np.zeros_like(ic0)])
+        rows = phase_sweep(*self.LOCKSTEP_BOX, GroupContext(1), 2, grid=g, t_end=0.3, threads=1)
+        cells = [(lam, a, p) for lam in self.LOCKSTEP_BOX[0]
+                 for a in self.LOCKSTEP_BOX[1] for p in self.LOCKSTEP_BOX[2]]
+        assert [(r["lambda"], r["a"], r["p"]) for r in rows] == cells
+        for row, cell in zip(rows, cells):
+            pr = params(*cell, k=2)
+            single = {"status": "", "blow_up_time": "", "dt_policy": "", "end_reason": "",
+                      "steps": "", "rejected": "", "lu": ""}
+            try:
+                res = integrate(pr, ic, g, 0.3, boundary_value=0.1)
+            except ValueError as exc:
+                single["status"] = f"error: {exc}"
+            else:
+                single.update(
+                    status=res.status, dt_policy=res.dt_policy, end_reason=res.end_reason,
+                    steps=res.steps, rejected=res.rejected, lu=res.lu,
+                    blow_up_time="" if res.blow_up_time is None else f"{res.blow_up_time:.6g}")
+            assert {key: row[key] for key in single} == single, cell
+        reasons = {row["end_reason"] for row in rows}
+        assert reasons == {"", "sup_threshold", "dt_floor", "completed"}
+        assert sum(row["status"].startswith("error:") for row in rows) == 9
+
+        shuffled = [list(reversed(self.LOCKSTEP_BOX[0])), [2.0, -3.0, -2.0], [3.0, 1.5, 2.0]]
+        again = phase_sweep(*shuffled, GroupContext(1), 2, grid=g, t_end=0.3, threads=1)
+        by_cell = {(r["lambda"], r["a"], r["p"]): r for r in again}
+        assert [by_cell[cell] for cell in cells] == rows
+
+    def test_non_finite_run_does_not_spread(self):
+        # zero data against a weight past double range gives inf * 0 = NaN in
+        # one run's forcing; a zero coupling between blocks would carry it into
+        # every other run of the block solve
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        rho = g.nodes()
+        ic0 = canonical_bump(rho)
+        runs = [(params(0.0, a=a, p=p, k=2), data) for a, p, data in (
+            (0.0, 2.0, ic0), (-150.0, 2.5, np.zeros_like(ic0)), (2.0, 3.0, ic0))]
+        cells = [(pr, *evolve._prepare(pr, np.stack([x, np.zeros_like(x)]), g, 0.3, 0.1))
+                 for pr, x in runs]
+        with np.errstate(all="ignore"):
+            together = evolve._newmark(cells, rho, 0.3, True)
+            alone = [evolve._newmark([cell], rho, 0.3, True)[0] for cell in cells]
+        assert together[1].end_reason == "sup_threshold" and "nan" in together[1].note
+        for x, y in zip(together, alone):
+            assert (x.status, x.end_reason, x.steps, x.rejected, x.lu, x.t_final) == \
+                (y.status, y.end_reason, y.steps, y.rejected, y.lu, y.t_final)
+            assert np.array_equal(x.final_layers, y.final_layers, equal_nan=True)
+        assert [x.end_reason for x in together] == ["completed", "sup_threshold", "completed"]
