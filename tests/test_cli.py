@@ -353,11 +353,12 @@ class TestPhaseSweepCommand:
                 "end_reason,steps,rejected,lu") in lines
 
     def test_inadmissible_cell_is_a_row_not_an_abort(self, capsys):
-        code, out, _ = run(capsys, "phase-sweep", "--lambda-list", "-9",
-                           "--a-list", "2", "--p-list", "2",
-                           "--t-end", "0.02", "--n-cells", "32", "--rho-min", "0.01")
-        assert code == 0
-        assert "error:" in out
+        for k in ("1", "2"):
+            code, out, _ = run(capsys, "phase-sweep", "--lambda-list", "-9",
+                               "--a-list", "2", "--p-list", "2", "--k", k,
+                               "--t-end", "0.02", "--n-cells", "32", "--rho-min", "0.01")
+            assert code == 0
+            assert "error:" in out
 
     def test_empty_list_is_parse_error(self, capsys):
         with raises(SystemExit) as exc:

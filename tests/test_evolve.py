@@ -4,7 +4,7 @@ import time
 import numpy as np
 from pytest import approx, mark, raises
 
-from koranyi import evolve
+from koranyi import evolve, newmark
 from koranyi.hgroup import GroupContext
 from koranyi.spectrum import ProblemParams
 from koranyi.evolve import (
@@ -434,9 +434,10 @@ class TestPhaseSweep:
     def test_refused_grid_is_an_error_row(self, monkeypatch):
         monkeypatch.setenv("KORANYI_THREADS", "1")
         g = RadialGrid(rho_min=1e-3, n_cells=64)
-        (row,) = phase_sweep([-0.5], [2.0], [2.0], GroupContext(1), grid=g, t_end=0.02)
-        assert row["status"].startswith("error:") and "log" in row["status"]
-        assert row["classifier_verdict"] != ""
+        for k in (1, 2):
+            (row,) = phase_sweep([-0.5], [2.0], [2.0], GroupContext(1), k, grid=g, t_end=0.02)
+            assert row["status"].startswith("error:") and "log" in row["status"]
+            assert row["classifier_verdict"] != ""
 
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         g = RadialGrid(rho_min=0.01, n_cells=32)
@@ -497,8 +498,8 @@ class TestPhaseSweep:
         cells = [(pr, *evolve._prepare(pr, np.stack([x, np.zeros_like(x)]), g, 0.3, 0.1))
                  for pr, x in runs]
         with np.errstate(all="ignore"):
-            together = evolve._newmark(cells, rho, 0.3, True)
-            alone = [evolve._newmark([cell], rho, 0.3, True)[0] for cell in cells]
+            together = newmark.advance(cells, rho, 0.3, True)
+            alone = [newmark.advance([cell], rho, 0.3, True)[0] for cell in cells]
         assert together[1].end_reason == "sup_threshold" and "nan" in together[1].note
         for x, y in zip(together, alone):
             assert (x.status, x.end_reason, x.steps, x.rejected, x.lu, x.t_final) == \
