@@ -11,8 +11,7 @@ once per process, and one resolver starts from a table's defaults, overlays
 an optional JSON config file, then overlays explicit flags, and checks every
 value against its row.  The resolved configuration is embedded in whatever a
 command emits, so each artifact records how it was produced.  Reports are
-JSON, sweeps and fits also land as CSV, and SVG plots appear only when
-matplotlib is importable.
+JSON, and sweeps and fits also land as CSV.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage
 or configuration (including inadmissible parameters).
@@ -223,81 +222,6 @@ def _finish(suite: str, cfg: dict, checks: list[dict], extra: Optional[dict] = N
     _write_json(_out_dir(cfg), f"{suite}.json", payload)
     print(f"{suite}: {len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
-
-
-# ---------------------------------------------------------------------------
-# optional SVG emission (matplotlib only if importable)
-# ---------------------------------------------------------------------------
-
-def _pyplot():
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
-    return plt
-
-
-def _plot_fit(out, name, points, fit, title):
-    plt = _pyplot()
-    if plt is None or out is None:
-        return
-    s = np.array([p[0] for p in points])
-    v = np.array([p[1] for p in points])
-    fig, ax = plt.subplots(figsize=(5, 4))
-    ax.loglog(s, v, "o", label="measured")
-    ax.loglog(s, np.exp(fit.intercept) * s**fit.slope, "-",
-              label=f"fit slope {fit.slope:.3f}")
-    ax.set_xlabel("scale")
-    ax.set_ylabel("value")
-    ax.set_title(title)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(out / f"{name}.svg")
-    plt.close(fig)
-
-
-def _plot_sweep(out, rows, ctx):
-    """Status scatter over (a, p) for a single-lambda sweep, with the
-    zero-margin frontier overlaid."""
-    plt = _pyplot()
-    if plt is None or out is None:
-        return
-    lams = sorted({r["lambda"] for r in rows})
-    if len(lams) != 1:
-        return
-    lam = lams[0]
-    colors = {"completed": "tab:blue", "blown_up": "tab:red"}
-    fig, ax = plt.subplots(figsize=(5, 4))
-    for status in sorted({r["status"] for r in rows}):
-        pts = [(r["a"], r["p"]) for r in rows if r["status"] == status]
-        ax.plot(
-            [q[0] for q in pts],
-            [q[1] for q in pts],
-            "o",
-            color=colors.get(status, "tab:gray"),
-            label=status,
-        )
-    a_lo = min(r["a"] for r in rows) - 0.5
-    a_hi = max(r["a"] for r in rows) + 0.5
-    p_lo = max(1.05, min(r["p"] for r in rows) - 0.5)
-    p_hi = max(r["p"] for r in rows) + 0.5
-    aa, pp = np.meshgrid(np.linspace(a_lo, a_hi, 81), np.linspace(p_lo, p_hi, 81))
-    margin = np.empty_like(aa)
-    for idx in np.ndindex(aa.shape):
-        margin[idx] = existence_margin(
-            ProblemParams(ctx, lam, float(aa[idx]), float(pp[idx]))
-        )
-    ax.contour(aa, pp, margin, levels=[0.0], colors="k", linestyles="--")
-    ax.set_xlabel("a")
-    ax.set_ylabel("p")
-    ax.set_title(f"status sweep, lambda = {lam:g}")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(out / "phase-sweep.svg")
-    plt.close(fig)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +472,8 @@ class Law(NamedTuple):
     them None; a callable default maps the config filled so far to the value.
     rows(scales, params, iota) measures one CSV row per scale, the abscissa
     first, under the header columns, and checks(fit, rows, params, tol_slope)
-    judges them.  A law with a plot title is fitted as a power law and
-    plotted; a critical law holds only at critical coupling with zero margin.
+    judges them.  fitted marks a law whose rows are fitted as a power law, and
+    critical one that holds only at critical coupling with zero margin.
     """
 
     defaults: dict
@@ -558,7 +482,7 @@ class Law(NamedTuple):
     columns: tuple
     rows: Callable
     checks: Callable
-    title: Optional[str] = None
+    fitted: bool = True
     critical: bool = False
 
 
@@ -568,16 +492,15 @@ _CRITICAL_ZERO_MARGIN = {"lambda": lambda cfg: -float(cfg["N"]) ** 2, "a": 0.0,
                          "p": lambda cfg: 1.0 + (cfg["a"] + 2.0) / cfg["N"]}
 
 LAWS = {
-    "time": Law(_PLAIN, 0.05, DEFAULT_SCALES, ("T", "value"), _time_rows, _time_checks,
-                "time factor"),
+    "time": Law(_PLAIN, 0.05, DEFAULT_SCALES, ("T", "value"), _time_rows, _time_checks),
     "annulus": Law(_PLAIN, 0.1, DEFAULT_SCALES, ("R", "value"), _j2_rows("gamma", lambda R: R),
-                   _annulus_checks, "inner-cutoff factor"),
+                   _annulus_checks),
     "logdecay": Law(_CRITICAL_ZERO_MARGIN, 0.1,
                     tuple(10.0**e for e in (2, 5, 8, 11, 14, 17, 20)), ("lnR", "value"),
-                    _j2_rows("mu", math.log), _logdecay_checks, "log-cutoff factor",
-                    critical=True),
+                    _j2_rows("mu", math.log), _logdecay_checks, critical=True),
     "domination": Law(_PLAIN, 0.0, tuple(10.0**e for e in (1, 1.5, 2, 2.5, 3)),
-                      ("R", "space_factor", "eta"), _domination_rows, _domination_checks),
+                      ("R", "space_factor", "eta"), _domination_rows, _domination_checks,
+                      fitted=False),
 }
 
 
@@ -597,18 +520,17 @@ def cmd_scaling(cfg: dict) -> int:
                 f"got margin {margin:.3e}"
             )
     scales = cfg["scales"] or law.scales
-    least = FIT_MIN_POINTS if law.title else 2  # one scale leaves nothing to compare
+    least = FIT_MIN_POINTS if law.fitted else 2  # one scale leaves nothing to compare
     if len(scales) < least:
-        fitted = f"the {name} law fits a power law, so " if law.title else ""
-        raise UsageError(f"{fitted}scales needs at least {least} values, got {len(scales)}")
+        why = f"the {name} law fits a power law, so " if law.fitted else ""
+        raise UsageError(f"{why}scales needs at least {least} values, got {len(scales)}")
     rows = law.rows(scales, params, iota)
-    out = _out_dir(cfg)
-    _write_csv(out, f"scaling-{name}.csv", law.columns, rows, comment=json.dumps(_echo(cfg)))
+    _write_csv(_out_dir(cfg), f"scaling-{name}.csv", law.columns, rows,
+               comment=json.dumps(_echo(cfg)))
     fit, extra = None, {}
-    if law.title:
+    if law.fitted:
         fit = scaling_fit(rows)
         extra["fit"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-        _plot_fit(out, f"scaling-{name}", rows, fit, law.title)
     return _finish("scaling", cfg, law.checks(fit, rows, params, law.tol_slope), extra=extra)
 
 
@@ -666,21 +588,6 @@ def cmd_simulate(cfg: dict) -> int:
     _write_csv(out, "simulate-history.csv", ("t", "sup_norm"),
                result.sup_norm_history,
                comment=json.dumps(payload["config"]))
-    plt = _pyplot()
-    if plt is not None and out is not None:
-        t = [h[0] for h in result.sup_norm_history]
-        v = [h[1] for h in result.sup_norm_history]
-        fig, ax = plt.subplots(figsize=(5, 4))
-        if any(x > 0 for x in v):
-            ax.semilogy(t, v)
-        else:
-            ax.plot(t, v)
-        ax.set_xlabel("t")
-        ax.set_ylabel("sup |u|")
-        ax.set_title(f"{result.status}, {grid.describe()}")
-        fig.tight_layout()
-        fig.savefig(out / "simulate.svg")
-        plt.close(fig)
     return 0
 
 
@@ -702,7 +609,6 @@ def cmd_phase_sweep(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_csv(out, "phase-sweep.csv", header, csv_rows,
                comment=json.dumps(_echo(cfg)))
-    _plot_sweep(out, rows, ctx)
     for row in rows:
         print(f"lambda={row['lambda']:g} a={row['a']:g} p={row['p']:g}: "
               f"{row['status']} (verdict {row['classifier_verdict']})")
@@ -749,7 +655,7 @@ def cmd_report(cfg: dict) -> int:
 # key tables and argument parsing
 # ---------------------------------------------------------------------------
 
-_OUT = Key("out", None, str, help="directory for JSON/CSV/SVG artifacts")
+_OUT = Key("out", None, str, help="directory for JSON/CSV artifacts")
 _N = Key("N", 1, int, 1, help="number of horizontal layer pairs")
 _LAMBDA = Key("lambda", 0.0, help="inverse-square coupling")
 _CRITICAL = Key("lambda_critical", False, bool, help="use the borderline coupling -((Q-2)/2)^2")

@@ -388,50 +388,6 @@ def _lsoda(cell, rho, t_end, nonlinear, extra) -> SimResult:
 
 
 # ---------------------------------------------------------------------------
-# manufactured solution helpers
-# ---------------------------------------------------------------------------
-
-def mms_reference(t: float, rho: np.ndarray) -> np.ndarray:
-    """The manufactured profile e^{-t} cos(pi rho/2); vanishes at rho = 1."""
-    return np.exp(-t) * np.cos(0.5 * math.pi * rho)
-
-
-def mms_source(params: ProblemParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Forcing that makes mms_reference an exact solution of the k-th order
-    equation (nonlinearity included; the profile is nonnegative on [0,1])."""
-    half_pi = 0.5 * math.pi
-    sign = -1.0 if params.k == 1 else 1.0  # d^k/dt^k e^{-t} = (-1)^k e^{-t}
-
-    def src(t: float, rho: np.ndarray) -> np.ndarray:
-        e = math.exp(-t)
-        c = np.cos(half_pi * rho)
-        s = np.sin(half_pi * rho)
-        spatial = (
-            -half_pi**2 * e * c
-            - (2 * params.ctx.N + 1) * half_pi * e * s / rho
-            - params.lam * e * c / rho**2
-            + rho**params.a * (e * c) ** params.p
-        )
-        return sign * e * c - spatial
-
-    return src
-
-
-def mms_neumann(rho_min: float) -> Callable[[float], float]:
-    """Exact inner slope of the manufactured profile."""
-    half_pi = 0.5 * math.pi
-    return lambda t: -math.exp(-t) * half_pi * math.sin(half_pi * rho_min)
-
-
-def mms_initial_layers(params: ProblemParams, grid: RadialGrid) -> np.ndarray:
-    rho = grid.nodes()
-    u0 = mms_reference(0.0, rho)
-    if params.k == 1:
-        return u0[None, :]
-    return np.stack([u0, -u0])  # du*/dt = -u* at t = 0
-
-
-# ---------------------------------------------------------------------------
 # phase sweep
 # ---------------------------------------------------------------------------
 

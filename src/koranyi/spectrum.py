@@ -279,6 +279,15 @@ def check_k_boundary(
 def classify(params: ProblemParams) -> Classification:
     """Three-way existence verdict from the sign of the margin
     (a+2) - (Q-2+alpha-)(p-1), with the open equality case at critical lambda.
+
+    Whether `NonexistenceAllF` means no global solution or no local one, the
+    repository does not know: PAPER.md carries only the abstract, which states
+    nonexistence without a time horizon.  What the repository computes points
+    to global nonexistence.  The test-function argument (Mitidieri & Pohozaev
+    2001) sends the time scale T to infinity: the time factor checked by the
+    `time` scaling law decays like T^(1 - kp/(p-1)), and the bound needs that
+    decay.  That argument rules out solutions on all of (0, infinity), not on
+    a short interval.
     """
     margin = existence_margin(params)
     thr = critical_exponent(params.ctx, params.lam, params.a)

@@ -50,14 +50,9 @@ from koranyi.witness import (
     tau_window,
     verify_witness,
 )
-from koranyi.evolve import (
-    RadialGrid,
-    integrate,
-    mms_initial_layers,
-    mms_neumann,
-    mms_reference,
-    mms_source,
-)
+from koranyi.evolve import RadialGrid, integrate
+
+from conftest import mms_initial_layers, mms_neumann, mms_reference, mms_source
 
 
 CTX1 = GroupContext(1)
@@ -398,6 +393,13 @@ def test_9_cli_end_to_end(tmp_path):
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["failed"] == 0
         assert len(report["suites"]) == 3
+
+        # the artifact contract: one JSON per suite, CSV for the series, nothing else
+        assert {f.name for f in out.iterdir()} == {
+            "verify-identities.json", "classify.json", "witness.json", "scaling.json",
+            "scaling-time.csv", "integrate.json", "simulate.json", "simulate-history.csv",
+            "phase-sweep.csv", "report.json",
+        }
 
         # exit-code contract: forced check failure -> 1, inadmissible input -> 2
         strict = tmp_path / "strict.json"

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import importlib.util
 import io
 import json
 import math
@@ -14,9 +13,6 @@ from pytest import approx, mark, raises
 
 from koranyi.capacity import FIT_MIN_POINTS
 from koranyi.cli import COMMANDS, LAWS, _domination_checks, build_parser, main
-
-# SVG plots are written only when matplotlib is importable (see cli.py).
-HAVE_MATPLOTLIB = importlib.util.find_spec("matplotlib") is not None
 
 
 def run(capsys, *argv):
@@ -269,7 +265,6 @@ class TestSimulateCommand:
         lines = (tmp_path / "simulate-history.csv").read_text().splitlines()
         assert lines[0].startswith("# ")
         assert lines[1] == "t,sup_norm"
-        assert (tmp_path / "simulate.svg").exists() == HAVE_MATPLOTLIB
 
     def test_stiff_cell_reports_factorizations(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--lambda", "3", "--a", "-2", "--t-end", "0.02",
@@ -343,7 +338,6 @@ class TestPhaseSweepCommand:
         assert run(capsys, *self.ARGS, "--out", str(d1))[0] == 0
         assert run(capsys, *self.ARGS, "--out", str(d2))[0] == 0
         assert (d1 / "phase-sweep.csv").read_bytes() == (d2 / "phase-sweep.csv").read_bytes()
-        assert (d1 / "phase-sweep.svg").exists() == HAVE_MATPLOTLIB
 
     def test_stdout_csv_when_no_out(self, capsys):
         code, out, _ = run(capsys, *self.ARGS)

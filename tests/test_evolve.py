@@ -14,13 +14,11 @@ from koranyi.evolve import (
     canonical_bump,
     integrate,
     linear_part,
-    mms_initial_layers,
-    mms_neumann,
-    mms_reference,
-    mms_source,
     phase_sweep,
     radial_rhs,
 )
+
+from conftest import mms_initial_layers, mms_neumann, mms_reference, mms_source
 
 
 def params(lam, a=0.0, p=2.0, k=1):
