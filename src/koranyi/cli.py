@@ -599,7 +599,7 @@ def cmd_phase_sweep(cfg: dict) -> int:
     rows = phase_sweep(
         lams, avals, pvals, ctx, k=cfg["k"],
         grid=RadialGrid(cfg["rho_min"], cfg["n_cells"], cfg["spacing"]),
-        t_end=cfg["t_end"], boundary_value=cfg["boundary_value"], threads=cfg["threads"],
+        t_end=cfg["t_end"], boundary_value=cfg["boundary_value"],
     )
     header = ("lambda", "a", "p", "k", "status", "blow_up_time", "classifier_verdict",
               "grid", "dt_policy", "end_reason", "steps", "rejected", "lu")
@@ -729,7 +729,6 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         _K._replace(choices=(1, 2)),
         *_GRID,
         _BOUNDARY._replace(flag=None),
-        Key("threads", None, int, 1),
         _OUT,
     )),
     "report": ("aggregate suite reports", cmd_report, (

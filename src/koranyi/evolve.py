@@ -13,44 +13,37 @@ one tridiagonal matrix L per grid and lambda, built from the same stencil
 weights, plus an affine term carrying the inner slope.  Each time order gets
 the solver that fits it:
 
-- k = 1 (parabolic and stiff near rho_min): scipy's LSODA (Adams or
-  backward differentiation, switched by stiffness), stepped directly, with
-  the analytic Jacobian L + diag(p rho^a |u|^{p-1} sign u) in the (1, 1)
-  band storage that `linear_part` holds.  Its right-hand side is L u by the
-  bands plus rho^a |u|^{p-1} |u|, added in place; a source or an inner slope
-  goes through `_extra`, the helper both solvers share.  After each
-  accepted step sup|u| is tested against BLOWUP_SUP, and T* is the end of
-  the first step that crosses it.  There is no root search inside that
-  step: near blow-up LSODA's interpolant does not reproduce the state at
-  the step's start, and the step is a negligible part of T*.
+- k = 1 (parabolic and stiff near rho_min): RODAS3 (Sandu et al. 1997;
+  Hairer & Wanner, Solving ODEs II, IV.7), an L-stable, stiffly accurate
+  Rosenbrock method of order 3.  Each attempt factorizes I/(h/2) - J once,
+  J = L + diag(p rho^a |u|^{p-1} sign u), for four banded solves and three
+  forcing evaluations; a source or an inner slope enters through `_extra`,
+  and its time derivative as a forward difference.  dt follows the RMS of
+  the embedded error at RODAS_RTOL and RODAS_ATOL by 0.9 err^{-1/3},
+  clipped to [0.2, 5] and not above 1 right after a rejection.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
   evaluated once per step at the Taylor predictor.  dt follows the
   Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
-  |u|^{p-1}), so it shrinks as a blow-up develops.  `newmark.advance`
-  advances any number of runs on one grid in lockstep: each attempt is one
-  tridiagonal solve of their block-diagonal system, while dt, the counters
-  and the end of each run stay its own, so a run's result does not depend
-  on the runs beside it.  `phase_sweep` sends all its k = 2 cells through
-  one call, and `integrate` sends one run.
+  |u|^{p-1}), so it shrinks as a blow-up develops.
 
-Each scipy routine (`LSODA`, LAPACK's `dgtsv`) and the `newmark` module are
-imported at their call sites, so importing this module loads no scipy and
-compiles no k = 2 stepper.
+`newmark.advance` steps runs of one time order in lockstep, with dt, the
+counters and the end of each run its own: `phase_sweep` sends all its cells
+in one call, `integrate` one run.  It and LAPACK are imported at the first
+run, so importing this module loads no scipy.
 
-A run ends in one of five ways, `SimResult.end_reason`:
+A run ends in one of four ways, `SimResult.end_reason`:
 
 - completed: t_end was reached;
-- sup_threshold: sup|u| crossed BLOWUP_SUP, or the k = 2 state turned
-  non-finite (blown_up);
-- step_collapse: LSODA failed, its state turned non-finite or it took
-  K1_MAX_STEPS steps, after sup|u| grew at least STALL_GROWTH-fold; read as
-  blow-up at the last finite state (blown_up);
-- solver_stall: the same stop without that growth; status solver_stall,
-  with the cause in the note;
-- dt_floor: the Newmark step fell below DT_FLOOR (blown_up).
+- sup_threshold: sup|u| crossed BLOWUP_SUP at the end of an accepted step,
+  which is T*, or the k = 2 state turned non-finite (blown_up);
+- dt_floor: dt fell below DT_FLOOR (k = 2) or ULP_FLOOR ulps of t (k = 1),
+  which is T* (blown_up); at k = 1 only once sup|u| grew STALL_GROWTH-fold;
+- solver_stall: a k = 1 run at the floor without that growth, for example
+  one whose forcing turned non-finite, since a non-finite attempt is
+  rejected like any other; the cause is in the note.
 
 Before a run, the spectrum of L on the free nodes is checked.  Where it has
 an eigenvalue with positive real part (the uniform grid for every lambda < 0,
@@ -65,8 +58,6 @@ existence frontier must not be over-read.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -80,9 +71,10 @@ BLOWUP_SUP = 1e8
 DT_FLOOR = 1e-12
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
 STALL_GROWTH = 100.0  # sup growth that makes a stopped k = 1 run a blow-up
-K1_RTOL = 1e-7
-K1_ATOL = 1e-10
-K1_MAX_STEPS = 50_000  # LSODA steps on below the spacing of t; a stall ends here
+ULP_FLOOR = 16  # a k = 1 run stops once dt < ULP_FLOOR ulps of t
+RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
+RODAS_ATOL = 1e-10
+RODAS_DT0 = 1e-5  # first k = 1 dt, as a fraction of t_end
 NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
 NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
@@ -127,7 +119,7 @@ class SimResult:
     end_reason: str = "completed"  # see the module docstring
     steps: int = 0  # accepted steps
     rejected: int = 0  # step attempts that were not accepted
-    lu: int = 0  # LSODA Jacobians, each factorized once, or the Newmark block solves of the run
+    lu: int = 0  # block factorizations the run took part in, one per attempt
 
 
 @lru_cache(maxsize=64)
@@ -251,14 +243,11 @@ def integrate(
     whose linear part has spectrum in the right half-plane.
     """
     layers, op = _prepare(params, ic, grid, t_end, boundary_value)
-    cell = (params, layers, op)
     rho = grid.nodes()
     extra = _extra(rho, op, source, neumann_slope)
-    if params.k == 1:
-        return _lsoda(cell, rho, t_end, nonlinear, extra)
     from .newmark import advance
 
-    (res,) = advance([cell], rho, t_end, nonlinear, extra)
+    (res,) = advance([(params, layers, op)], rho, t_end, nonlinear, extra)
     if isinstance(res, Exception):
         raise res
     return res
@@ -309,84 +298,6 @@ def _extra(rho, op, source, slope):
     return extra
 
 
-def _lsoda(cell, rho, t_end, nonlinear, extra) -> SimResult:
-    """k = 1 by stepping scipy's LSODA directly, with the Jacobian in the (1, 1)
-    band storage of `op.bands`; T* is the end of the first step whose sup|u|
-    exceeds BLOWUP_SUP."""
-    from scipy.integrate import LSODA
-
-    params, layers, op = cell
-    calls = set()  # distinct times of right-hand-side calls
-    weight = rho[:-1] ** params.a
-    p = params.p
-
-    def fun(t, u):
-        calls.add(t)
-        out = op.apply(u)
-        if nonlinear:
-            mag = np.abs(u[:-1])
-            out[:-1] += weight * mag ** (p - 1.0) * mag
-        if extra is not None:
-            extra(t, out)
-        return out
-
-    def jac(t, u):
-        jb = op.bands.copy()
-        if nonlinear:
-            jb[1, :-1] += p * weight * np.abs(u[:-1]) ** (p - 1.0) * np.sign(u[:-1])
-        return jb
-
-    solver = LSODA(fun, 0.0, layers[0], t_end, jac=jac, lband=1, uband=1,
-                   rtol=K1_RTOL, atol=K1_ATOL)
-    record = np.linspace(0.0, t_end, MAX_HISTORY + 1)
-    history = []
-    t, u = 0.0, layers[0]
-    sup0 = sup = float(np.abs(u).max())
-    accepted = {0.0}
-    steps = recorded = 0
-    while solver.status == "running":
-        if steps == K1_MAX_STEPS:
-            message = f"{steps} steps without reaching t_end"
-            break
-        message = solver.step()
-        if solver.status == "failed":
-            break
-        sup_new = float(np.abs(solver.y).max())
-        if not math.isfinite(sup_new):
-            message = f"non-finite right-hand side at t = {solver.t:.6g}"
-            break
-        steps += 1
-        t, u, sup = float(solver.t), solver.y, sup_new
-        accepted.add(t)
-        new = int(np.searchsorted(record, t, side="right"))
-        if new > recorded:
-            at = record[recorded:new]
-            history += zip(at.tolist(), np.abs(solver.dense_output()(at)).max(axis=0).tolist())
-            recorded = new
-        if sup > BLOWUP_SUP:
-            break
-    counters = {"steps": steps, "rejected": len(calls - accepted), "lu": int(solver.njev)}
-    policy = (f"lsoda rtol={K1_RTOL:g} atol={K1_ATOL:g} banded jacobian; "
-              f"blow-up at sup>{BLOWUP_SUP:g} or collapse after {STALL_GROWTH:g}x growth")
-    note = ""
-    if sup > BLOWUP_SUP:
-        status, reason, blow_time = "blown_up", "sup_threshold", t
-        note = f"sup norm {sup:.3e} at t = {t:.6g}"
-    elif message is None and solver.status == "finished":
-        status, reason, blow_time = "completed", "completed", None
-    else:
-        if sup > 0.0 and sup >= STALL_GROWTH * sup0:
-            status, reason, blow_time = "blown_up", "step_collapse", t
-        else:
-            status, reason, blow_time = "solver_stall", "solver_stall", None
-        note = (f"{message}; last finite state at t = {t:.6g}, sup {sup:.3e} "
-                f"({sup / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
-    if status != "completed":
-        history.append((t, sup))
-    return SimResult(status, t, tuple(history), blow_time, np.array(u, dtype=float)[None, :],
-                     policy, note, reason, **counters)
-
-
 # ---------------------------------------------------------------------------
 # phase sweep
 # ---------------------------------------------------------------------------
@@ -406,24 +317,21 @@ def phase_sweep(
     grid: RadialGrid,
     t_end: float,
     boundary_value: float = 0.1,
-    threads: Optional[int] = None,
+    threads: Optional[int] = None,  # ignored; the benchmark passes it (ROADMAP item 5)
 ) -> list[dict]:
     """Run the canonical setup over the parameter box; one row per tuple.
 
     Rows carry the simulator outcome next to the classifier verdict; cells
     whose parameters are inadmissible are recorded as errors rather than
-    aborting the sweep.  The admissible k = 2 cells advance in lockstep,
-    all in one `newmark.advance` call; every other cell is one `integrate`
-    call, split over `threads` workers (default KORANYI_THREADS, else the
-    CPU count).
-    Every cell's row is the one a lone `integrate` call gives, whatever the
-    order of the lists.  Deterministic: fixed data, ordered assembly.
+    aborting the sweep.  The admissible cells advance in lockstep, all in
+    one `newmark.advance` call, and every cell's row is the one a lone
+    `integrate` call gives, whatever the order of the lists.
     """
     rho = grid.nodes()
     ic0 = canonical_bump(rho)
     ic = ic0 if k == 1 else np.stack([ic0, np.zeros_like(ic0)])
 
-    rows, jobs = [], []
+    rows, jobs, cells = [], [], []
     for lam in lambda_list:
         for a in a_list:
             for p in p_list:
@@ -440,36 +348,15 @@ def phase_sweep(
                     row["status"] = f"error: {exc}"
                     continue
                 row["classifier_verdict"] = classify(params).verdict.value
-                jobs.append((row, params))
+                try:
+                    cells.append((params, *_prepare(params, ic, grid, t_end, boundary_value)))
+                except ValueError as exc:
+                    row["status"] = f"error: {exc}"
+                    continue
+                jobs.append(row)
+    from .newmark import advance
 
-    if k == 2:
-        results, cells = [], []
-        for _, params in jobs:
-            try:
-                cells.append((params, *_prepare(params, ic, grid, t_end, boundary_value)))
-                results.append(None)
-            except ValueError as exc:
-                results.append(exc)
-        from .newmark import advance
-
-        lockstep = iter(advance(cells, rho, t_end, True))
-        results = [next(lockstep) if res is None else res for res in results]
-    else:
-        def run(params):
-            try:
-                return integrate(params, ic, grid, t_end, boundary_value=boundary_value)
-            except (ValueError, RuntimeError) as exc:
-                return exc
-
-        if threads is None:
-            threads = int(os.environ.get("KORANYI_THREADS", "0")) or (os.cpu_count() or 1)
-        if threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, [params for _, params in jobs]))
-        else:
-            results = [run(params) for _, params in jobs]
-
-    for (row, _), res in zip(jobs, results):
+    for row, res in zip(jobs, advance(cells, rho, t_end, True)):
         if isinstance(res, Exception):
             row["status"] = f"error: {res}"
             continue

@@ -1,14 +1,7 @@
-"""The k = 2 stepper: Newmark average acceleration over runs in lockstep.
+"""Lockstep time stepping: Newmark for k = 2 and RODAS3 for k = 1.
 
-`advance` steps any number of k = 2 runs on one grid together.  Each
-attempt is one tridiagonal solve of their block-diagonal system, while dt,
-the counters and the end of each run stay its own, so a run's result does
-not depend on the runs beside it.  `evolve.phase_sweep` sends all its k = 2
-cells through one call, and `evolve.integrate` sends one run; the scheme,
-its step control and its tolerances are described in `evolve`.
-
-`evolve` imports this module at its first k = 2 run, so commands that step
-no k = 2 run never load it.
+`advance` steps any number of runs of one time order on one grid together;
+`evolve` describes the schemes and imports this module at its first run.
 """
 
 from __future__ import annotations
@@ -20,147 +13,91 @@ from typing import Optional
 
 import numpy as np
 
-from .evolve import (
-    BLOWUP_SUP,
-    DT_FLOOR,
-    MAX_HISTORY,
-    NEWMARK_ATOL,
-    NEWMARK_DT0,
-    NEWMARK_RATE_CAP,
-    NEWMARK_RTOL,
-    SimResult,
-    _band_product,
-)
+from .evolve import (BLOWUP_SUP, DT_FLOOR, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
+                     NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RTOL,
+                     STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
+
+NEWMARK_POLICY = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
+                  f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
+RODAS_POLICY = (f"rodas3 rtol={RODAS_RTOL:g} atol={RODAS_ATOL:g} banded; blow-up at "
+                f"sup>{BLOWUP_SUP:g} or at dt<{ULP_FLOOR} ulp(t) after {STALL_GROWTH:g}x growth")
+GAMMA = 0.5  # the diagonal of RODAS3's Rosenbrock matrix
 
 
 @dataclass(eq=False)
 class _Run:
-    """The step controller's state of one Newmark run, on Python floats."""
+    """The step controller's state of one run, on Python floats."""
 
     index: int  # position in the caller's list of runs
-    p: float
     dt: float
     next_record: float
+    grow_cap: float  # largest factor of the next dt; 1 after a rejection
     t: float = 0.0
     sup: float = 0.0
-    rate: float = 0.0
+    rate: float = 0.0  # Newmark's nonlinear rate at the last predictor
     history: list = field(default_factory=list)
-    grow_cap: float = 2.0
     steps: int = 0
     rejected: int = 0
+    nonfinite: bool = False  # the last rejected attempt was not finite
     # once the run ends: (status, end_reason, blow-up time, note), or the error
     end: Optional[object] = None
 
 
 def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
-    """k = 2 by average acceleration; linear part implicit, nonlinearity explicit.
+    """Step the runs cells = [(params, layers, op), ...] of equal k on the grid
+    of rho in lockstep, each to t_end or to its end.
 
-    cells holds (params, layers, op) for B runs on the grid of rho, which
-    advance in lockstep: u, v and a are (B, n) arrays, and each attempt
-    solves every running system in one `dgtsv` call on the block-diagonal
-    matrix of order B n.  The blocks decouple exactly, since the boundary
-    row of L is zero: the couplings between blocks are zero and partial
-    pivoting never crosses them.  dt and the counters are kept per run on
-    Python floats, so every run steps as it would alone; a rejected run keeps
-    its state, and a run leaves the arrays when it ends.  extra (B = 1 only)
-    adds a source and an inner slope to the forcing.  Returns, in the order
-    of cells, a SimResult or, for a run whose system was singular, a
-    RuntimeError; no cells give no results.
+    Each attempt factorizes the block-diagonal system of all running runs in
+    one LAPACK call.  The blocks decouple exactly, since the boundary row of L
+    is zero.  dt and the counters are kept per run on Python floats, so every
+    run steps as it would alone.  extra (B = 1 only) adds a source and an
+    inner slope to the forcing.  Returns a SimResult per cell, or a
+    RuntimeError for a run whose system was singular.
     """
     if not cells:
         return []
-    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
-    # for one band on each side.  Called directly, it skips solve_banded's
-    # per-call argument checks, which cost several times a 65-node solve.
-    from scipy.linalg.lapack import dgtsv
-
-    n = rho.size
+    k = cells[0][0].k
+    name, attempt, grow, dt0, policy = (
+        ("Newmark", _newmark, 2.0, NEWMARK_DT0, NEWMARK_POLICY) if k == 2
+        else ("RODAS3", _rodas3, 5.0, RODAS_DT0, RODAS_POLICY))
     record_dt = t_end / MAX_HISTORY
     # runs of equal p sit next to each other, so |u|^(p-1) is raised with one
     # scalar exponent per slice (an array of exponents rounds differently)
     order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
-    live = [_Run(i, cells[i][0].p, NEWMARK_DT0 * t_end, record_dt) for i in order]
-    u = np.stack([cells[i][1][0] for i in order])
-    v = np.stack([cells[i][1][1] for i in order])
-    bands = np.stack([cells[i][2].bands for i in order], axis=1)
-    weight = np.stack([rho[:-1] ** cells[i][0].a for i in order])
-    slices, p_col = _p_slices(live)
+    live = [_Run(i, dt0 * t_end, record_dt, grow) for i in order]
+    state = [np.stack([cells[i][1][j] for i in order]) for j in range(k)]
+    batch = _Batch(np.stack([cells[i][2].bands for i in order], axis=1),
+                   np.stack([rho[:-1] ** cells[i][0].a for i in order]),
+                   np.array([cells[i][0].p for i in order]), nonlinear, extra)
     results = [None] * len(cells)
-    policy = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
-              f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
 
-    def forcing(t, x):
-        """Everything but L u in the rates at the states x, and each run's
-        nonlinear rate max p rho^a |x|^(p-1)."""
-        g = np.zeros(x.shape)
-        if not nonlinear:
-            rate = [0.0] * len(live)
-        else:
-            mag = np.abs(x[:, :-1])
-            w = np.empty(mag.shape)
-            for p, rows in slices:
-                w[rows] = weight[rows] * mag[rows] ** (p - 1.0)
-            g[:, :-1] = w * mag
-            rate = (p_col * w.max(axis=1)).tolist()
-        if extra is not None:
-            extra(t, g[0])
-        return g, rate
-
-    g, rate = forcing(0.0, u)
-    a = _band_product(bands, u) + g
-    for run, sup, r0 in zip(live, np.abs(u).max(axis=1).tolist(), rate):
-        run.sup, run.rate, run.history = sup, r0, [(0.0, sup)]
+    if k == 2:  # the acceleration at t = 0
+        g, w = batch.forcing(0.0, state[0])
+        state.append(_band_product(batch.bands, state[0]) + g)
+        for run, r0 in zip(live, batch.rate(w)):
+            run.rate = r0
+    for run, sup in zip(live, np.abs(state[0]).max(axis=1).tolist()):
+        run.sup, run.history = sup, [(0.0, sup)]
 
     while live:
         for run in live:
-            # the rate of the last predictor, a second-order guess of the current state
-            if run.rate > 0.0:
-                run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate))
-            if run.dt < DT_FLOOR:
-                run.end = ("blown_up", "dt_floor", run.t,
-                           f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}")
-                run.history.append((run.t, run.sup))
-            else:
-                run.dt = min(run.dt, t_end - run.t)
+            _limit(run, k, t_end)
 
         if all(run.end is None for run in live):
-            dt = np.array([[run.dt] for run in live])
-            q = 0.25 * dt * dt
-            u_star = u + dt * v + q * a
-            # Taylor predictor u + dt v + dt^2/2 a; extra sees only run 0's time
-            g, rate_new = forcing(live[0].t + live[0].dt, u_star + q * a)
-            system = -q * bands
-            system[1] += 1.0
-            rhs = u_star + q * g
-            *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
-                                system[0].ravel()[1:], rhs.ravel())
-            if info != 0:
-                run = live[(info - 1) // n]  # the other runs retry the same step
+            out = attempt(live, state, batch)
+            if isinstance(out, int):
+                run = live[out]  # the other runs retry the same step
                 run.end = RuntimeError(
-                    f"singular Newmark system at t = {run.t:.6g}, dt = {run.dt:.3e}")
+                    f"singular {name} system at t = {run.t:.6g}, dt = {run.dt:.3e}")
             else:
-                u_new = x.reshape(u.shape)
-                sup_new = np.abs(u_new).max(axis=1)
-                if len(live) > 1 and not np.isfinite(sup_new).all():
-                    # 0 * inf at a block edge spreads NaN to the neighbours:
-                    # solve each non-finite block again on its own
-                    for r in np.flatnonzero(~np.isfinite(sup_new)).tolist():
-                        *_, u_new[r], _ = dgtsv(system[2, r, :-1], system[1, r],
-                                                system[0, r, 1:], rhs[r])
-                    sup_new = np.abs(u_new).max(axis=1)
-                a_new = _band_product(bands, u_new) + g
-                v_new = v + 0.5 * dt * (a + a_new)
-                change = np.abs(a_new - a).max(axis=1).tolist()
-                accepted = [
-                    _control(run, d, sup, r_new, t_end, record_dt)
-                    for run, d, sup, r_new in zip(live, change, sup_new.tolist(), rate_new)
-                ]
+                new, errs, sups, rates = out
+                accepted = [_control(run, err, sup, rate, t_end, record_dt, grow)
+                            for run, err, sup, rate in zip(live, errs, sups, rates)]
                 if all(accepted):
-                    u, v, a = u_new, v_new, a_new
+                    state = new
                 else:
                     took = np.array(accepted)[:, None]
-                    u, v, a = (np.where(took, new, old)
-                               for new, old in ((u_new, u), (v_new, v), (a_new, a)))
+                    state = [np.where(took, x, old) for x, old in zip(new, state)]
 
         if any(run.end is not None for run in live):
             keep = []
@@ -172,32 +109,208 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                 else:
                     status, reason, blow_time, note = run.end
                     results[run.index] = SimResult(
-                        status, run.t, tuple(run.history), blow_time, np.stack([u[r], v[r]]),
-                        policy, note, reason, steps=run.steps, rejected=run.rejected,
-                        lu=run.steps + run.rejected)
+                        status, run.t, tuple(run.history), blow_time,
+                        np.stack([x[r] for x in state[:k]]), policy, note, reason,
+                        steps=run.steps, rejected=run.rejected, lu=run.steps + run.rejected)
             live = [live[r] for r in keep]
-            u, v, a, weight, bands = u[keep], v[keep], a[keep], weight[keep], bands[:, keep]
-            slices, p_col = _p_slices(live)
+            state = [x[keep] for x in state]
+            batch = _Batch(batch.bands[:, keep], batch.weight[keep], batch.p[keep],
+                           nonlinear, extra)
     return results
 
 
-def _p_slices(runs):
-    """(p, rows) for each stretch of runs that share p, and the column of p."""
-    slices, start = [], 0
-    for p, same in itertools.groupby(run.p for run in runs):
-        stop = start + len(list(same))
-        slices.append((p, slice(start, stop)))
-        start = stop
-    return slices, np.array([run.p for run in runs])
+@dataclass(eq=False)
+class _Batch:
+    """The arrays of the running runs, one row per run in the order of `live`."""
+
+    bands: np.ndarray  # (3, B, n), L of each run in `LinearPart` storage
+    weight: np.ndarray  # (B, n - 1), rho^a on the free nodes
+    p: np.ndarray  # (B,)
+    nonlinear: bool
+    extra: object
+
+    def __post_init__(self):
+        # L of all runs as one tridiagonal matrix of order B n, whose couplings
+        # between blocks are zero
+        self.upper = self.bands[0].ravel()[1:]
+        self.lower = self.bands[2].ravel()[:-1]
+        # (p, rows) for each stretch of runs that share p
+        self.slices, start = [], 0
+        for p, same in itertools.groupby(self.p.tolist()):
+            stop = start + len(list(same))
+            self.slices.append((p, slice(start, stop)))
+            start = stop
+
+    def power(self, x):
+        """w = rho^a |x|^(p-1) and |x| on the free nodes of the states x."""
+        mag = np.abs(x[:, :-1])
+        w = np.empty(mag.shape)
+        for p, rows in self.slices:
+            w[rows] = self.weight[rows] * mag[rows] ** (p - 1.0)
+        return w, mag
+
+    def forcing(self, t, x):
+        """Everything but L u in the rates at the states x, and w (None when
+        the nonlinearity is off)."""
+        g = np.zeros(x.shape)
+        w = None
+        if self.nonlinear:
+            w, mag = self.power(x)
+            g[:, :-1] = w * mag
+        if self.extra is not None:
+            self.extra(t, g[0])  # extra sees only run 0's time
+        return g, w
+
+    def rates(self, t, x):
+        """The whole rates L x + forcing at the states x, and w."""
+        flat = x.ravel()
+        out = self.bands[1].ravel() * flat
+        out[:-1] += self.upper * flat[1:]
+        out[1:] += self.lower * flat[:-1]
+        g, w = self.forcing(t, x)
+        return out.reshape(x.shape) + g, w
+
+    def rate(self, w) -> list:
+        """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
+        return [0.0] * len(self.p) if w is None else (self.p * w.max(axis=1)).tolist()
 
 
-def _control(run, change, sup, rate, t_end, record_dt) -> bool:
-    """Judge one run's attempt by its local error estimate and set its next
-    dt; on acceptance advance its clock, counters and history and mark its
-    end.  Returns whether the attempt was accepted."""
-    err = (run.dt * run.dt / 12.0) * change / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
+def _limit(run, k, t_end) -> None:
+    """Cap a run's next dt, or end the run if dt has fallen below its floor:
+    DT_FLOOR for k = 2, ULP_FLOOR ulps of t for k = 1."""
+    if k == 2 and run.rate > 0.0:
+        # the rate of the last predictor, a second-order guess of the current state
+        run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate))
+    if run.dt >= (DT_FLOOR if k == 2 else ULP_FLOOR * math.ulp(run.t)):
+        run.dt = min(run.dt, t_end - run.t)
+        return
+    note = f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}"
+    sup0 = run.history[0][1]
+    if k == 2 or run.sup > 0.0 and run.sup >= STALL_GROWTH * sup0:
+        run.end = ("blown_up", "dt_floor", run.t, note)
+    else:
+        cause = "non-finite right-hand side; " if run.nonfinite else ""
+        run.end = ("solver_stall", "solver_stall", None,
+                   f"{cause}{note}; last finite state sup {run.sup:.3e} "
+                   f"({run.sup / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
+    run.history.append((run.t, run.sup))
+
+
+def _newmark(live, state, batch):
+    """One Newmark attempt of every run: the new (u, v, a), each run's error
+    estimate, sup|u| and nonlinear rate; or the row of a singular system."""
+    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
+    # for one band on each side.  Called directly, it skips solve_banded's
+    # per-call argument checks, which cost several times a 65-node solve.
+    from scipy.linalg.lapack import dgtsv
+
+    u, v, a = state
+    dt = np.array([[run.dt] for run in live])
+    q = 0.25 * dt * dt
+    u_star = u + dt * v + q * a
+    # Taylor predictor u + dt v + dt^2/2 a
+    g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
+    system = -q * batch.bands
+    system[1] += 1.0
+    rhs = u_star + q * g
+    *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
+                        system[0].ravel()[1:], rhs.ravel())
+    if info != 0:
+        return (info - 1) // u.shape[1]
+    u_new = x.reshape(u.shape)
+    sup_new = np.abs(u_new).max(axis=1)
+    if len(live) > 1 and not np.isfinite(sup_new).all():
+        # 0 * inf at a block edge spreads NaN to the neighbours:
+        # solve each non-finite block again on its own
+        for r in np.flatnonzero(~np.isfinite(sup_new)).tolist():
+            *_, u_new[r], _ = dgtsv(system[2, r, :-1], system[1, r], system[0, r, 1:], rhs[r])
+        sup_new = np.abs(u_new).max(axis=1)
+    a_new = _band_product(batch.bands, u_new) + g
+    v_new = v + 0.5 * dt * (a + a_new)
+    change = np.abs(a_new - a).max(axis=1).tolist()
+    sups = sup_new.tolist()
+    errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
+            for run, d, sup in zip(live, change, sups)]
+    return [u_new, v_new, a_new], errs, sups, batch.rate(w)
+
+
+def _rodas3(live, state, batch):
+    """One RODAS3 attempt of every run: the new u, each run's error estimate
+    (inf where the attempt is not finite), sup|u| and a zero rate; or the
+    row of a singular system."""
+    h = np.array([[run.dt] for run in live])
+    out = _rosenbrock(live[0].t, state[0], h, batch)
+    if isinstance(out, int):
+        return out
+    u_new, err = out
+    bad = ~np.isfinite(err + np.abs(u_new).max(axis=1))
+    if len(live) > 1 and bad.any():
+        # 0 * NaN at a block edge spreads NaN to the neighbours:
+        # take each non-finite run's attempt again on its own
+        for r in np.flatnonzero(bad).tolist():
+            alone = _rosenbrock(live[r].t, state[0][r:r + 1], h[r:r + 1], _Batch(
+                batch.bands[:, r:r + 1], batch.weight[r:r + 1], batch.p[r:r + 1],
+                batch.nonlinear, None))
+            if isinstance(alone, int):
+                return r
+            u_new[r], err[r] = alone[0][0], alone[1][0]
+    sups = np.abs(u_new).max(axis=1)
+    err[~np.isfinite(err + sups)] = math.inf
+    return [u_new], err.tolist(), sups.tolist(), [0.0] * len(live)
+
+
+def _rosenbrock(t, u, h, batch):
+    """RODAS3 (Sandu et al. 1997, with the coefficients of KPP's Rodas3) from
+    the states u (B, n) over the steps h (B, 1): the new states and the RMS
+    of each run's embedded error K4, or the row of a singular system.  Stage
+    i solves (I/(GAMMA h) - J) K_i = f(t_i, Y_i) + sum_j C_ij K_j / h +
+    gamma_i h df/dt, J = L + diag(p rho^a |u|^(p-1) sign u); df/dt is a
+    forward difference of extra in t, as in KPP's ros_FunTimeDerivative.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by the caller
+        f0, w = batch.rates(t, u)
+        d = 1.0 / (GAMMA * h) - batch.bands[1]
+        if w is not None:
+            d[:, :-1] -= batch.p[:, None] * w * np.sign(u[:, :-1])
+        # a non-finite pivot comes with a non-finite forcing, so its attempt is
+        # rejected anyway; a finite one keeps LAPACK's row swaps inside each block
+        d[~np.isfinite(d)] = 1.0
+        dl, d, du, du2, ipiv, info = dgttrf(-batch.lower, d.ravel(), -batch.upper,
+                                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            return (info - 1) // u.shape[1]
+
+        def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
+            return dgttrs(dl, d, du, du2, ipiv, rhs.ravel(), overwrite_b=1)[0].reshape(u.shape)
+
+        inv_h = 1.0 / h
+        r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
+        if batch.extra is not None:
+            delta = math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t))
+            dfdt = (batch.forcing(t + delta, u)[0] - batch.forcing(t, u)[0]) / delta
+            r1, r2 = f0 + (GAMMA * h) * dfdt, f0 + (1.5 * h) * dfdt
+        k1 = solve(r1)
+        k2 = solve(r2 + (4.0 * inv_h) * k1)
+        t1 = t + float(h[0, 0])
+        y = u + 2.0 * k1
+        back = (k1 - k2) * inv_h
+        k3 = solve(batch.rates(t1, y)[0] + back)
+        y += k3
+        k4 = solve(batch.rates(t1, y)[0] + back - (8.0 / 3.0) * inv_h * k3)
+        u_new = y + k4
+        e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), np.abs(u_new)))
+        return u_new, np.sqrt((e * e).sum(axis=1) / u.shape[1])
+
+
+def _control(run, err, sup, rate, t_end, record_dt, grow) -> bool:
+    """Judge one run's attempt by its error estimate and set its next dt; on
+    acceptance advance its clock, counters and history and mark its end.
+    Returns whether the attempt was accepted."""
     if err > 1.0:
         run.rejected += 1
+        run.nonfinite = err == math.inf
         run.dt *= max(0.2, 0.9 * err ** (-1.0 / 3.0))
         run.grow_cap = 1.0
         return False
@@ -212,7 +325,7 @@ def _control(run, change, sup, rate, t_end, record_dt) -> bool:
         run.history.append((run.t, sup))
         run.next_record += record_dt
     run.dt *= min(run.grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else run.grow_cap
-    run.grow_cap = 2.0
+    run.grow_cap = grow
     if run.t >= t_end:
         run.end = ("completed", "completed", None, "")
     return True

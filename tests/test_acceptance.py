@@ -350,7 +350,7 @@ def run_cli(tmp, *argv):
     # The subprocess runs in tmp, where a relative or missing PYTHONPATH cannot
     # find an uninstalled package, so the absolute src directory goes first.
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, KORANYI_THREADS="2", PYTHONPATH=pythonpath)
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     return subprocess.run(
         [sys.executable, "-m", "koranyi", *argv],
         cwd=tmp, env=env, capture_output=True, text=True, timeout=120,

@@ -331,7 +331,7 @@ class TestLambdaCriticalConfigKey:
 class TestPhaseSweepCommand:
     ARGS = ("phase-sweep", "--lambda-list", "0", "--a-list", "-2", "2",
             "--p-list", "2", "--t-end", "0.02", "--n-cells", "32",
-            "--rho-min", "0.01", "--threads", "2")
+            "--rho-min", "0.01")
 
     def test_csv_is_byte_deterministic(self, capsys, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -594,7 +594,7 @@ class TestCliSurface:
         "simulate": COMMON | PARAMS | {"--k", "--rho-min", "--n-cells", "--t-end",
                                        "--boundary-value", "--ic", "--linear"},
         "phase-sweep": COMMON | {"--N", "--k", "--lambda-list", "--a-list", "--p-list",
-                                 "--rho-min", "--n-cells", "--t-end", "--threads"},
+                                 "--rho-min", "--n-cells", "--t-end"},
         "report": COMMON | {"--inputs"},
     }
 
