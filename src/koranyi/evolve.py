@@ -18,9 +18,13 @@ the solver that fits it:
   Rosenbrock method of order 3.  Each attempt factorizes I/(h/2) - J once,
   J = L + diag(p rho^a |u|^{p-1} sign u), for four banded solves and three
   forcing evaluations; a source or an inner slope enters through `_extra`,
-  and its time derivative as a forward difference.  dt follows the RMS of
-  the embedded error at RODAS_RTOL and RODAS_ATOL by 0.9 err^{-1/3},
-  clipped to [0.2, 5] and not above 1 right after a rejection.
+  and its time derivative as a forward difference over a probe inside the
+  step.  dt follows the RMS of the embedded error at RODAS_RTOL and
+  RODAS_ATOL by 0.9 err^{-1/3}, clipped to [0.2, 5] and not above 1 right
+  after a rejection, and is capped at RODAS_RATE_CAP / max diag J, short
+  of the pole of the step's rational function at h = 2/J, past which a
+  step can jump over a local blow-up.  sup|u| is recorded at equally spaced
+  times, from a cubic Hermite interpolant within each step.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
@@ -39,8 +43,9 @@ A run ends in one of four ways, `SimResult.end_reason`:
 - completed: t_end was reached;
 - sup_threshold: sup|u| crossed BLOWUP_SUP at the end of an accepted step,
   which is T*, or the k = 2 state turned non-finite (blown_up);
-- dt_floor: dt fell below DT_FLOOR (k = 2) or ULP_FLOOR ulps of t (k = 1),
-  which is T* (blown_up); at k = 1 only once sup|u| grew STALL_GROWTH-fold;
+- dt_floor: dt fell below DT_FLOOR (k = 2) or ULP_FLOOR ulps of t, or of
+  the first dt while t is smaller (k = 1), which is T* (blown_up); at k = 1
+  only once sup|u| grew STALL_GROWTH-fold;
 - solver_stall: a k = 1 run at the floor without that growth, for example
   one whose forcing turned non-finite, since a non-finite attempt is
   rejected like any other; the cause is in the note.
@@ -71,15 +76,16 @@ BLOWUP_SUP = 1e8
 DT_FLOOR = 1e-12
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
 STALL_GROWTH = 100.0  # sup growth that makes a stopped k = 1 run a blow-up
-ULP_FLOOR = 16  # a k = 1 run stops once dt < ULP_FLOOR ulps of t
+ULP_FLOOR = 16  # a k = 1 run stops once dt < ULP_FLOOR ulps of max(t, first dt)
 RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
 RODAS_ATOL = 1e-10
 RODAS_DT0 = 1e-5  # first k = 1 dt, as a fraction of t_end
+RODAS_RATE_CAP = 0.3  # dt <= cap / largest diagonal entry of J, where positive
 NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
 NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
 NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
-MAX_HISTORY = 400  # sup-norm samples recorded per run, at equal spacing in t
+MAX_HISTORY = 400  # sup-norm samples per run, at equal spacing in t (k = 2: steps past them)
 
 
 @dataclass(frozen=True)

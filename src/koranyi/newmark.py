@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -14,13 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .evolve import (BLOWUP_SUP, DT_FLOOR, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
-                     NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RTOL,
-                     STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
+                     NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RATE_CAP,
+                     RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
 
 NEWMARK_POLICY = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
                   f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
-RODAS_POLICY = (f"rodas3 rtol={RODAS_RTOL:g} atol={RODAS_ATOL:g} banded; blow-up at "
-                f"sup>{BLOWUP_SUP:g} or at dt<{ULP_FLOOR} ulp(t) after {STALL_GROWTH:g}x growth")
+RODAS_POLICY = (f"rodas3 rtol={RODAS_RTOL:g} atol={RODAS_ATOL:g} banded; dt cap "
+                f"{RODAS_RATE_CAP:g}/max diag J; blow-up at sup>{BLOWUP_SUP:g} or at "
+                f"dt<{ULP_FLOOR} ulp(t) after {STALL_GROWTH:g}x growth")
 GAMMA = 0.5  # the diagonal of RODAS3's Rosenbrock matrix
 
 
@@ -30,12 +32,13 @@ class _Run:
 
     index: int  # position in the caller's list of runs
     dt: float
-    next_record: float
+    next_record: float  # k = 2 records the first step at or past this time
     grow_cap: float  # largest factor of the next dt; 1 after a rejection
     t: float = 0.0
     sup: float = 0.0
-    rate: float = 0.0  # Newmark's nonlinear rate at the last predictor
+    rate: float = 0.0  # caps dt: k = 2's nonlinear rate, k = 1's largest diagonal of J
     history: list = field(default_factory=list)
+    recorded: int = 1  # k = 1 has recorded this many of the equally spaced times
     steps: int = 0
     rejected: int = 0
     nonfinite: bool = False  # the last rejected attempt was not finite
@@ -74,14 +77,17 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
     if k == 2:  # the acceleration at t = 0
         g, w = batch.forcing(0.0, state[0])
         state.append(_band_product(batch.bands, state[0]) + g)
-        for run, r0 in zip(live, batch.rate(w)):
-            run.rate = r0
-    for run, sup in zip(live, np.abs(state[0]).max(axis=1).tolist()):
-        run.sup, run.history = sup, [(0.0, sup)]
+        rates = batch.rate(w)
+    else:  # the rates and the diagonal of J at t = 0
+        state += _ends(0.0, state[0], batch)
+        rates = state[2].max(axis=1).tolist()
+    for run, sup, rate in zip(live, np.abs(state[0]).max(axis=1).tolist(), rates):
+        run.sup, run.rate, run.history = sup, rate, [(0.0, sup)]
+    times = np.linspace(0.0, t_end, MAX_HISTORY + 1).tolist()  # k = 1's record times
 
     while live:
         for run in live:
-            _limit(run, k, t_end)
+            _limit(run, k, t_end, dt0 * t_end)
 
         if all(run.end is None for run in live):
             out = attempt(live, state, batch)
@@ -91,8 +97,18 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                     f"singular {name} system at t = {run.t:.6g}, dt = {run.dt:.3e}")
             else:
                 new, errs, sups, rates = out
-                accepted = [_control(run, err, sup, rate, t_end, record_dt, grow)
+                starts = [run.t for run in live]
+                accepted = [_control(run, err, sup, rate, t_end, grow)
                             for run, err, sup, rate in zip(live, errs, sups, rates)]
+                took = [r for r, ok in enumerate(accepted) if ok]
+                if k == 1:
+                    _record_times(live, took, starts, times, state, new)
+                else:
+                    for run in (live[r] for r in took):
+                        # the first step at or past each multiple of record_dt, and the last
+                        if run.end is not None or run.t >= run.next_record:
+                            run.history.append((run.t, run.sup))
+                            run.next_record += record_dt
                 if all(accepted):
                     state = new
                 else:
@@ -131,7 +147,7 @@ class _Batch:
 
     def __post_init__(self):
         # L of all runs as one tridiagonal matrix of order B n, whose couplings
-        # between blocks are zero
+        # between blocks are zero, for RODAS3's factorization
         self.upper = self.bands[0].ravel()[1:]
         self.lower = self.bands[2].ravel()[:-1]
         # (p, rows) for each stretch of runs that share p
@@ -163,25 +179,24 @@ class _Batch:
 
     def rates(self, t, x):
         """The whole rates L x + forcing at the states x, and w."""
-        flat = x.ravel()
-        out = self.bands[1].ravel() * flat
-        out[:-1] += self.upper * flat[1:]
-        out[1:] += self.lower * flat[:-1]
         g, w = self.forcing(t, x)
-        return out.reshape(x.shape) + g, w
+        return _band_product(self.bands, x) + g, w
 
     def rate(self, w) -> list:
         """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
         return [0.0] * len(self.p) if w is None else (self.p * w.max(axis=1)).tolist()
 
 
-def _limit(run, k, t_end) -> None:
+def _limit(run, k, t_end, dt0) -> None:
     """Cap a run's next dt, or end the run if dt has fallen below its floor:
-    DT_FLOOR for k = 2, ULP_FLOOR ulps of t for k = 1."""
-    if k == 2 and run.rate > 0.0:
-        # the rate of the last predictor, a second-order guess of the current state
-        run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate))
-    if run.dt >= (DT_FLOOR if k == 2 else ULP_FLOOR * math.ulp(run.t)):
+    DT_FLOOR for k = 2; for k = 1, ULP_FLOOR ulps of t, or of the first dt
+    dt0 while t is smaller, so that a run that fails from t = 0 on ends too."""
+    if run.rate > 0.0:
+        # k = 2: the rate of the last predictor, a second-order guess of the
+        # current state; k = 1: a growing diagonal entry of J
+        run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate) if k == 2
+                     else RODAS_RATE_CAP / run.rate)
+    if run.dt >= (DT_FLOOR if k == 2 else ULP_FLOOR * math.ulp(max(run.t, dt0))):
         run.dt = min(run.dt, t_end - run.t)
         return
     note = f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}"
@@ -235,11 +250,12 @@ def _newmark(live, state, batch):
 
 
 def _rodas3(live, state, batch):
-    """One RODAS3 attempt of every run: the new u, each run's error estimate
-    (inf where the attempt is not finite), sup|u| and a zero rate; or the
-    row of a singular system."""
+    """One RODAS3 attempt of every run: the new (u, rates, diagonal of J),
+    each run's error estimate (inf where the attempt is not finite), sup|u|
+    and largest diagonal entry of J; or the row of a singular system."""
+    u, f, jd = state
     h = np.array([[run.dt] for run in live])
-    out = _rosenbrock(live[0].t, state[0], h, batch)
+    out = _rosenbrock(live[0].t, u, f, jd, h, batch)
     if isinstance(out, int):
         return out
     u_new, err = out
@@ -248,32 +264,41 @@ def _rodas3(live, state, batch):
         # 0 * NaN at a block edge spreads NaN to the neighbours:
         # take each non-finite run's attempt again on its own
         for r in np.flatnonzero(bad).tolist():
-            alone = _rosenbrock(live[r].t, state[0][r:r + 1], h[r:r + 1], _Batch(
-                batch.bands[:, r:r + 1], batch.weight[r:r + 1], batch.p[r:r + 1],
-                batch.nonlinear, None))
+            rows = slice(r, r + 1)
+            alone = _rosenbrock(live[r].t, u[rows], f[rows], jd[rows], h[rows], _Batch(
+                batch.bands[:, rows], batch.weight[rows], batch.p[rows], batch.nonlinear, None))
             if isinstance(alone, int):
                 return r
             u_new[r], err[r] = alone[0][0], alone[1][0]
     sups = np.abs(u_new).max(axis=1)
     err[~np.isfinite(err + sups)] = math.inf
-    return [u_new], err.tolist(), sups.tolist(), [0.0] * len(live)
+    ends = _ends(live[0].t + live[0].dt, u_new, batch)
+    return [u_new, *ends], err.tolist(), sups.tolist(), ends[1].max(axis=1).tolist()
 
 
-def _rosenbrock(t, u, h, batch):
+def _ends(t, u, batch):
+    """The rates f(t, u) and the diagonal of J at the states u."""
+    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by the caller
+        f, w = batch.rates(t, u)
+        jd = np.array(batch.bands[1])
+        if w is not None:
+            jd[:, :-1] += batch.p[:, None] * w * np.sign(u[:, :-1])
+    return [f, jd]
+
+
+def _rosenbrock(t, u, f0, jd, h, batch):
     """RODAS3 (Sandu et al. 1997, with the coefficients of KPP's Rodas3) from
-    the states u (B, n) over the steps h (B, 1): the new states and the RMS
-    of each run's embedded error K4, or the row of a singular system.  Stage
-    i solves (I/(GAMMA h) - J) K_i = f(t_i, Y_i) + sum_j C_ij K_j / h +
-    gamma_i h df/dt, J = L + diag(p rho^a |u|^(p-1) sign u); df/dt is a
-    forward difference of extra in t, as in KPP's ros_FunTimeDerivative.
+    the states u (B, n), their rates f0 and diagonals jd of J over the steps
+    h (B, 1): the new states and the RMS of each run's embedded error K4, or
+    the row of a singular system.  Stage i solves (I/(GAMMA h) - J) K_i =
+    f(t_i, Y_i) + sum_j C_ij K_j / h + gamma_i h df/dt, J = L + diag(p rho^a
+    |u|^(p-1) sign u); df/dt is a forward difference of extra in t, as in
+    KPP's ros_FunTimeDerivative, over a probe no longer than the step.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     with np.errstate(all="ignore"):  # a non-finite attempt is rejected by the caller
-        f0, w = batch.rates(t, u)
-        d = 1.0 / (GAMMA * h) - batch.bands[1]
-        if w is not None:
-            d[:, :-1] -= batch.p[:, None] * w * np.sign(u[:, :-1])
+        d = 1.0 / (GAMMA * h) - jd
         # a non-finite pivot comes with a non-finite forcing, so its attempt is
         # rejected anyway; a finite one keeps LAPACK's row swaps inside each block
         d[~np.isfinite(d)] = 1.0
@@ -285,15 +310,14 @@ def _rosenbrock(t, u, h, batch):
         def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
             return dgttrs(dl, d, du, du2, ipiv, rhs.ravel(), overwrite_b=1)[0].reshape(u.shape)
 
-        inv_h = 1.0 / h
+        inv_h, t1 = 1.0 / h, t + float(h[0, 0])
         r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
         if batch.extra is not None:
-            delta = math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t))
+            delta = min(math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t)), t1 - t)
             dfdt = (batch.forcing(t + delta, u)[0] - batch.forcing(t, u)[0]) / delta
             r1, r2 = f0 + (GAMMA * h) * dfdt, f0 + (1.5 * h) * dfdt
         k1 = solve(r1)
         k2 = solve(r2 + (4.0 * inv_h) * k1)
-        t1 = t + float(h[0, 0])
         y = u + 2.0 * k1
         back = (k1 - k2) * inv_h
         k3 = solve(batch.rates(t1, y)[0] + back)
@@ -304,9 +328,9 @@ def _rosenbrock(t, u, h, batch):
         return u_new, np.sqrt((e * e).sum(axis=1) / u.shape[1])
 
 
-def _control(run, err, sup, rate, t_end, record_dt, grow) -> bool:
+def _control(run, err, sup, rate, t_end, grow) -> bool:
     """Judge one run's attempt by its error estimate and set its next dt; on
-    acceptance advance its clock, counters and history and mark its end.
+    acceptance advance its clock, counters and rate and mark its end.
     Returns whether the attempt was accepted."""
     if err > 1.0:
         run.rejected += 1
@@ -319,13 +343,35 @@ def _control(run, err, sup, rate, t_end, record_dt, grow) -> bool:
     run.steps += 1
     if not sup <= BLOWUP_SUP:  # also catches a non-finite state
         run.end = ("blown_up", "sup_threshold", run.t, f"sup norm {sup:.3e} at t = {run.t:.6g}")
-        run.history.append((run.t, sup))
         return True
-    if run.t >= run.next_record or run.t >= t_end:
-        run.history.append((run.t, sup))
-        run.next_record += record_dt
     run.dt *= min(run.grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else run.grow_cap
     run.grow_cap = grow
     if run.t >= t_end:
         run.end = ("completed", "completed", None, "")
     return True
+
+
+def _record_times(live, took, starts, times, old, new) -> None:
+    """k = 1's history after the accepted steps of live[r], r in took, from
+    (starts[r], old) to (run.t, new): sup|u| at the record times each step
+    covers, from one cubic Hermite interpolant of u and its rates for all
+    the runs, and the step itself if it ends a blow-up."""
+    picks = []  # (row, record time, fraction of the step, step)
+    for r in took:
+        run, h = live[r], live[r].t - starts[r]
+        stop = len(times) if run.end and run.end[0] == "completed" else \
+            bisect.bisect_right(times, run.t)
+        picks += [(r, tau, min((tau - starts[r]) / h, 1.0), h) for tau in times[run.recorded:stop]]
+        run.recorded = stop
+    if picks:
+        rows, at, s, h = (list(x) for x in zip(*picks))
+        s, h = np.array(s)[:, None], np.array(h)[:, None]
+        u0, f0, u1, f1 = old[0][rows], old[1][rows], new[0][rows], new[1][rows]
+        with np.errstate(all="ignore"):
+            u = u0 + s * (h * f0 + s * (3.0 * (u1 - u0) - h * (2.0 * f0 + f1)
+                                        + s * (2.0 * (u0 - u1) + h * (f0 + f1))))
+        for r, tau, sup in zip(rows, at, np.abs(u).max(axis=1).tolist()):
+            live[r].history.append((tau, sup))
+    for run in (live[r] for r in took):
+        if run.end and run.end[0] == "blown_up":
+            run.history.append((run.t, run.sup))
