@@ -37,8 +37,9 @@ class _Run:
     t: float = 0.0
     sup: float = 0.0
     rate: float = 0.0  # caps dt: k = 2's nonlinear rate, k = 1's largest diagonal of J
-    history: list = field(default_factory=list)
-    recorded: int = 1  # k = 1 has recorded this many of the equally spaced times
+    history: list = field(default_factory=list)  # (0, sup0), then the steps or the end
+    samples: list = field(default_factory=list)  # k = 1's sup|u| at the record times past 0
+    recorded: int = 1  # how many record times k = 1 has queued
     steps: int = 0
     rejected: int = 0
     nonfinite: bool = False  # the last rejected attempt was not finite
@@ -84,6 +85,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
     for run, sup, rate in zip(live, np.abs(state[0]).max(axis=1).tolist(), rates):
         run.sup, run.rate, run.history = sup, rate, [(0.0, sup)]
     times = np.linspace(0.0, t_end, MAX_HISTORY + 1).tolist()  # k = 1's record times
+    pending = []  # k = 1's accepted attempts that cover record times, sampled in batches
 
     while live:
         for run in live:
@@ -102,7 +104,9 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                             for run, err, sup, rate in zip(live, errs, sups, rates)]
                 took = [r for r, ok in enumerate(accepted) if ok]
                 if k == 1:
-                    _record_times(live, took, starts, times, state, new)
+                    _queue(live, took, starts, times, state, new, pending)
+                    if len(pending) == 32:
+                        _sample(pending, times)
                 else:
                     for run in (live[r] for r in took):
                         # the first step at or past each multiple of record_dt, and the last
@@ -116,6 +120,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                     state = [np.where(took, x, old) for x, old in zip(new, state)]
 
         if any(run.end is not None for run in live):
+            _sample(pending, times)
             keep = []
             for r, run in enumerate(live):
                 if run.end is None:
@@ -124,8 +129,9 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                     results[run.index] = run.end
                 else:
                     status, reason, blow_time, note = run.end
+                    history = run.history[:1] + run.samples + run.history[1:]
                     results[run.index] = SimResult(
-                        status, run.t, tuple(run.history), blow_time,
+                        status, run.t, tuple(history), blow_time,
                         np.stack([x[r] for x in state[:k]]), policy, note, reason,
                         steps=run.steps, rejected=run.rejected, lu=run.steps + run.rejected)
             live = [live[r] for r in keep]
@@ -147,7 +153,7 @@ class _Batch:
 
     def __post_init__(self):
         # L of all runs as one tridiagonal matrix of order B n, whose couplings
-        # between blocks are zero, for RODAS3's factorization
+        # between blocks are zero
         self.upper = self.bands[0].ravel()[1:]
         self.lower = self.bands[2].ravel()[:-1]
         # (p, rows) for each stretch of runs that share p
@@ -178,9 +184,20 @@ class _Batch:
         return g, w
 
     def rates(self, t, x):
-        """The whole rates L x + forcing at the states x, and w."""
+        """The whole rates L x + forcing at the states x, and w.  L x is taken
+        on the flat block matrix, which costs half of `_band_product` on the
+        batch.  Its zero couplings between blocks reach only the boundary
+        nodes, whose row of L is zero: a NaN state in one run would reach its
+        neighbour's first node through the neighbour's boundary value, which
+        `_rodas3` keeps pinned in the states it returns."""
+        flat = x.ravel()
+        out = self.bands[1].ravel() * flat
+        out[:-1] += self.upper * flat[1:]
+        out[1:] += self.lower * flat[:-1]
+        out = out.reshape(x.shape)
+        out[:, -1] = 0.0  # not 0 * the next run's first node, which can be NaN
         g, w = self.forcing(t, x)
-        return _band_product(self.bands, x) + g, w
+        return out + g, w
 
     def rate(self, w) -> list:
         """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
@@ -270,6 +287,7 @@ def _rodas3(live, state, batch):
             if isinstance(alone, int):
                 return r
             u_new[r], err[r] = alone[0][0], alone[1][0]
+    u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
     sups = np.abs(u_new).max(axis=1)
     err[~np.isfinite(err + sups)] = math.inf
     ends = _ends(live[0].t + live[0].dt, u_new, batch)
@@ -351,27 +369,46 @@ def _control(run, err, sup, rate, t_end, grow) -> bool:
     return True
 
 
-def _record_times(live, took, starts, times, old, new) -> None:
-    """k = 1's history after the accepted steps of live[r], r in took, from
-    (starts[r], old) to (run.t, new): sup|u| at the record times each step
-    covers, from one cubic Hermite interpolant of u and its rates for all
-    the runs, and the step itself if it ends a blow-up."""
-    picks = []  # (row, record time, fraction of the step, step)
+def _queue(live, took, starts, times, old, new, pending) -> None:
+    """Queue the record times that the accepted k = 1 steps of live[r], r in
+    took, cover from (starts[r], old) to (run.t, new), and record the step
+    that ends a blow-up."""
+    spans = []  # (run, row, step start, step, first and end index of its record times)
     for r in took:
-        run, h = live[r], live[r].t - starts[r]
-        stop = len(times) if run.end and run.end[0] == "completed" else \
-            bisect.bisect_right(times, run.t)
-        picks += [(r, tau, min((tau - starts[r]) / h, 1.0), h) for tau in times[run.recorded:stop]]
+        run = live[r]
+        if run.end:
+            stop = len(times) if run.end[0] == "completed" else bisect.bisect_right(times, run.t)
+            if run.end[0] == "blown_up":
+                run.history.append((run.t, run.sup))
+        elif run.t < times[run.recorded]:
+            continue
+        else:
+            stop = bisect.bisect_right(times, run.t)
+        spans.append((run, r, starts[r], run.t - starts[r], run.recorded, stop))
         run.recorded = stop
-    if picks:
-        rows, at, s, h = (list(x) for x in zip(*picks))
-        s, h = np.array(s)[:, None], np.array(h)[:, None]
-        u0, f0, u1, f1 = old[0][rows], old[1][rows], new[0][rows], new[1][rows]
-        with np.errstate(all="ignore"):
-            u = u0 + s * (h * f0 + s * (3.0 * (u1 - u0) - h * (2.0 * f0 + f1)
-                                        + s * (2.0 * (u0 - u1) + h * (f0 + f1))))
-        for r, tau, sup in zip(rows, at, np.abs(u).max(axis=1).tolist()):
-            live[r].history.append((tau, sup))
-    for run in (live[r] for r in took):
-        if run.end and run.end[0] == "blown_up":
-            run.history.append((run.t, run.sup))
+    if spans:
+        pending.append((old[0], old[1], new[0], new[1], spans))
+
+
+def _sample(pending, times) -> None:
+    """sup|u| at the queued record times, from the cubic Hermite interpolant
+    of u and its rates over each step, in one pass over all of them."""
+    if not pending:
+        return
+    picks, offset = [], 0  # (run, record time, fraction of the step, step, row)
+    for u0, *_, spans in pending:
+        picks += [(run, tau, min((tau - t0) / h, 1.0), h, offset + r)
+                  for run, r, t0, h, first, stop in spans for tau in times[first:stop]]
+        offset += len(u0)
+    u0, f0, u1, f1 = (np.concatenate([p[i] for p in pending]) for i in range(4))
+    pending.clear()
+    if not picks:
+        return
+    runs, at, s, h, rows = zip(*picks)
+    s, h, rows = np.array(s)[:, None], np.array(h)[:, None], list(rows)
+    u0, f0, u1, f1 = u0[rows], f0[rows], u1[rows], f1[rows]
+    with np.errstate(all="ignore"):
+        u = u0 + s * (h * f0 + s * (3.0 * (u1 - u0) - h * (2.0 * f0 + f1)
+                                    + s * (2.0 * (u0 - u1) + h * (f0 + f1))))
+    for run, tau, sup in zip(runs, at, np.abs(u).max(axis=1).tolist()):
+        run.samples.append((tau, sup))
