@@ -38,17 +38,16 @@ counters and the end of each run its own: `phase_sweep` sends all its cells
 in one call, `integrate` one run.  It and LAPACK are imported at the first
 run, so importing this module loads no scipy.
 
-A run ends in one of four ways, `SimResult.end_reason`:
+A run of either order ends in one of four ways, `SimResult.end_reason`:
 
 - completed: t_end was reached;
 - sup_threshold: sup|u| crossed BLOWUP_SUP at the end of an accepted step,
-  which is T*, or the k = 2 state turned non-finite (blown_up);
-- dt_floor: dt fell below DT_FLOOR (k = 2) or ULP_FLOOR ulps of t, or of
-  the first dt while t is smaller (k = 1), which is T* (blown_up); at k = 1
-  only once sup|u| grew STALL_GROWTH-fold;
-- solver_stall: a k = 1 run at the floor without that growth, for example
-  one whose forcing turned non-finite, since a non-finite attempt is
-  rejected like any other; the cause is in the note.
+  which is T* (blown_up);
+- dt_floor: dt fell below ULP_FLOOR ulps of t, or of the first dt while t
+  is smaller, once sup|u| grew STALL_GROWTH-fold, which is T* (blown_up);
+- solver_stall: a run at that floor without that growth, for example one
+  whose forcing turned non-finite, since a non-finite attempt is rejected
+  like any other; the cause is in the note.
 
 Before a run, the spectrum of L on the free nodes is checked.  Where it has
 an eigenvalue with positive real part (the uniform grid for every lambda < 0,
@@ -73,10 +72,9 @@ from .hgroup import GroupContext
 from .spectrum import ProblemParams, classify
 
 BLOWUP_SUP = 1e8
-DT_FLOOR = 1e-12
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
-STALL_GROWTH = 100.0  # sup growth that makes a stopped k = 1 run a blow-up
-ULP_FLOOR = 16  # a k = 1 run stops once dt < ULP_FLOOR ulps of max(t, first dt)
+STALL_GROWTH = 100.0  # sup growth that makes a stopped run a blow-up
+ULP_FLOOR = 16  # a run stops once dt < ULP_FLOOR ulps of max(t, first dt)
 RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
 RODAS_ATOL = 1e-10
 RODAS_DT0 = 1e-5  # first k = 1 dt, as a fraction of t_end
@@ -201,10 +199,18 @@ class LinearPart:
 
 
 def _band_product(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """L u for bands ab (3, ..., n) in `LinearPart` storage and states u (..., n)."""
-    out = ab[1] * u
-    out[..., :-1] += ab[0, ..., 1:] * u[..., 1:]
-    out[..., 1:] += ab[2, ..., :-1] * u[..., :-1]
+    """L u for bands ab (3, ..., n) in `LinearPart` storage and states u
+    (..., n), taken on the flat block matrix of all states at once, whose
+    couplings between blocks are zero.  Those couplings reach only the
+    boundary nodes and the first nodes; the boundary entry is set to 0, the
+    boundary row of L, so that a NaN in the first node of one state does not
+    reach the state before it as 0 * NaN."""
+    flat = u.ravel()
+    out = ab[1].ravel() * flat
+    out[:-1] += ab[0].ravel()[1:] * flat[1:]
+    out[1:] += ab[2].ravel()[:-1] * flat[:-1]
+    out = out.reshape(u.shape)
+    out[..., -1] = 0.0
     return out
 
 

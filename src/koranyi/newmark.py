@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolve import (BLOWUP_SUP, DT_FLOOR, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
+from .evolve import (BLOWUP_SUP, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
                      NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RATE_CAP,
                      RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
 
@@ -76,8 +76,8 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
     results = [None] * len(cells)
 
     if k == 2:  # the acceleration at t = 0
-        g, w = batch.forcing(0.0, state[0])
-        state.append(_band_product(batch.bands, state[0]) + g)
+        a, w = batch.rates(0.0, state[0])
+        state.append(a)
         rates = batch.rate(w)
     else:  # the rates and the diagonal of J at t = 0
         state += _ends(0.0, state[0], batch)
@@ -92,7 +92,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
             _limit(run, k, t_end, dt0 * t_end)
 
         if all(run.end is None for run in live):
-            out = attempt(live, state, batch)
+            out = _attempt(attempt, live, state, batch)
             if isinstance(out, int):
                 run = live[out]  # the other runs retry the same step
                 run.end = RuntimeError(
@@ -136,9 +136,32 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                         steps=run.steps, rejected=run.rejected, lu=run.steps + run.rejected)
             live = [live[r] for r in keep]
             state = [x[keep] for x in state]
-            batch = _Batch(batch.bands[:, keep], batch.weight[keep], batch.p[keep],
-                           nonlinear, extra)
+            batch = batch.take(keep)
     return results
+
+
+def _attempt(step, live, state, batch):
+    """One attempt of every run by step, `_newmark` or `_rodas3`: the new
+    states, each run's error estimate, sup|u| and rate; or the row of a
+    singular system.  A zero coupling between blocks carries 0 * NaN from one
+    run into its neighbours, so a run whose error or sup|u| is not finite
+    takes its attempt again on its own; if it is still not finite, its error
+    is inf and the attempt is rejected."""
+    out = step(live, state, batch)
+    if isinstance(out, int):
+        return out
+    new, errs, sups, rates = out
+    for r in [r for r, (err, sup) in enumerate(zip(errs, sups)) if not math.isfinite(err + sup)]:
+        if len(live) > 1:
+            alone = step(live[r:r + 1], [x[r:r + 1] for x in state], batch.take([r]))
+            if isinstance(alone, int):
+                return r
+            for x, y in zip(new, alone[0]):
+                x[r] = y[0]
+            errs[r], sups[r], rates[r] = (z[0] for z in alone[1:])
+        if not math.isfinite(errs[r] + sups[r]):
+            errs[r] = math.inf
+    return new, errs, sups, rates
 
 
 @dataclass(eq=False)
@@ -152,16 +175,17 @@ class _Batch:
     extra: object
 
     def __post_init__(self):
-        # L of all runs as one tridiagonal matrix of order B n, whose couplings
-        # between blocks are zero
-        self.upper = self.bands[0].ravel()[1:]
-        self.lower = self.bands[2].ravel()[:-1]
         # (p, rows) for each stretch of runs that share p
         self.slices, start = [], 0
         for p, same in itertools.groupby(self.p.tolist()):
             stop = start + len(list(same))
             self.slices.append((p, slice(start, stop)))
             start = stop
+
+    def take(self, rows):
+        """The batch of the runs at the positions rows."""
+        return _Batch(self.bands[:, rows], self.weight[rows], self.p[rows], self.nonlinear,
+                      self.extra)
 
     def power(self, x):
         """w = rho^a |x|^(p-1) and |x| on the free nodes of the states x."""
@@ -184,20 +208,9 @@ class _Batch:
         return g, w
 
     def rates(self, t, x):
-        """The whole rates L x + forcing at the states x, and w.  L x is taken
-        on the flat block matrix, which costs half of `_band_product` on the
-        batch.  Its zero couplings between blocks reach only the boundary
-        nodes, whose row of L is zero: a NaN state in one run would reach its
-        neighbour's first node through the neighbour's boundary value, which
-        `_rodas3` keeps pinned in the states it returns."""
-        flat = x.ravel()
-        out = self.bands[1].ravel() * flat
-        out[:-1] += self.upper * flat[1:]
-        out[1:] += self.lower * flat[:-1]
-        out = out.reshape(x.shape)
-        out[:, -1] = 0.0  # not 0 * the next run's first node, which can be NaN
+        """The whole rates L x + forcing at the states x, and w."""
         g, w = self.forcing(t, x)
-        return out + g, w
+        return _band_product(self.bands, x) + g, w
 
     def rate(self, w) -> list:
         """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
@@ -205,20 +218,21 @@ class _Batch:
 
 
 def _limit(run, k, t_end, dt0) -> None:
-    """Cap a run's next dt, or end the run if dt has fallen below its floor:
-    DT_FLOOR for k = 2; for k = 1, ULP_FLOOR ulps of t, or of the first dt
-    dt0 while t is smaller, so that a run that fails from t = 0 on ends too."""
+    """Cap a run's next dt, or end the run if dt has fallen below its floor,
+    ULP_FLOOR ulps of t, or of the first dt dt0 while t is smaller, so that a
+    run that fails from t = 0 on ends too.  At the floor the run has blown up
+    once sup|u| grew STALL_GROWTH-fold, and has stalled otherwise."""
     if run.rate > 0.0:
         # k = 2: the rate of the last predictor, a second-order guess of the
         # current state; k = 1: a growing diagonal entry of J
         run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate) if k == 2
                      else RODAS_RATE_CAP / run.rate)
-    if run.dt >= (DT_FLOOR if k == 2 else ULP_FLOOR * math.ulp(max(run.t, dt0))):
+    if run.dt >= ULP_FLOOR * math.ulp(max(run.t, dt0)):
         run.dt = min(run.dt, t_end - run.t)
         return
     note = f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}"
     sup0 = run.history[0][1]
-    if k == 2 or run.sup > 0.0 and run.sup >= STALL_GROWTH * sup0:
+    if run.sup > 0.0 and run.sup >= STALL_GROWTH * sup0:
         run.end = ("blown_up", "dt_floor", run.t, note)
     else:
         cause = "non-finite right-hand side; " if run.nonfinite else ""
@@ -244,91 +258,50 @@ def _newmark(live, state, batch):
     g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
     system = -q * batch.bands
     system[1] += 1.0
-    rhs = u_star + q * g
     *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
-                        system[0].ravel()[1:], rhs.ravel())
+                        system[0].ravel()[1:], (u_star + q * g).ravel())
     if info != 0:
         return (info - 1) // u.shape[1]
     u_new = x.reshape(u.shape)
-    sup_new = np.abs(u_new).max(axis=1)
-    if len(live) > 1 and not np.isfinite(sup_new).all():
-        # 0 * inf at a block edge spreads NaN to the neighbours:
-        # solve each non-finite block again on its own
-        for r in np.flatnonzero(~np.isfinite(sup_new)).tolist():
-            *_, u_new[r], _ = dgtsv(system[2, r, :-1], system[1, r], system[0, r, 1:], rhs[r])
-        sup_new = np.abs(u_new).max(axis=1)
     a_new = _band_product(batch.bands, u_new) + g
     v_new = v + 0.5 * dt * (a + a_new)
     change = np.abs(a_new - a).max(axis=1).tolist()
-    sups = sup_new.tolist()
+    sups = np.abs(u_new).max(axis=1).tolist()
     errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
             for run, d, sup in zip(live, change, sups)]
     return [u_new, v_new, a_new], errs, sups, batch.rate(w)
 
 
 def _rodas3(live, state, batch):
-    """One RODAS3 attempt of every run: the new (u, rates, diagonal of J),
-    each run's error estimate (inf where the attempt is not finite), sup|u|
-    and largest diagonal entry of J; or the row of a singular system."""
-    u, f, jd = state
-    h = np.array([[run.dt] for run in live])
-    out = _rosenbrock(live[0].t, u, f, jd, h, batch)
-    if isinstance(out, int):
-        return out
-    u_new, err = out
-    bad = ~np.isfinite(err + np.abs(u_new).max(axis=1))
-    if len(live) > 1 and bad.any():
-        # 0 * NaN at a block edge spreads NaN to the neighbours:
-        # take each non-finite run's attempt again on its own
-        for r in np.flatnonzero(bad).tolist():
-            rows = slice(r, r + 1)
-            alone = _rosenbrock(live[r].t, u[rows], f[rows], jd[rows], h[rows], _Batch(
-                batch.bands[:, rows], batch.weight[rows], batch.p[rows], batch.nonlinear, None))
-            if isinstance(alone, int):
-                return r
-            u_new[r], err[r] = alone[0][0], alone[1][0]
-    u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
-    sups = np.abs(u_new).max(axis=1)
-    err[~np.isfinite(err + sups)] = math.inf
-    ends = _ends(live[0].t + live[0].dt, u_new, batch)
-    return [u_new, *ends], err.tolist(), sups.tolist(), ends[1].max(axis=1).tolist()
-
-
-def _ends(t, u, batch):
-    """The rates f(t, u) and the diagonal of J at the states u."""
-    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by the caller
-        f, w = batch.rates(t, u)
-        jd = np.array(batch.bands[1])
-        if w is not None:
-            jd[:, :-1] += batch.p[:, None] * w * np.sign(u[:, :-1])
-    return [f, jd]
-
-
-def _rosenbrock(t, u, f0, jd, h, batch):
-    """RODAS3 (Sandu et al. 1997, with the coefficients of KPP's Rodas3) from
-    the states u (B, n), their rates f0 and diagonals jd of J over the steps
-    h (B, 1): the new states and the RMS of each run's embedded error K4, or
-    the row of a singular system.  Stage i solves (I/(GAMMA h) - J) K_i =
-    f(t_i, Y_i) + sum_j C_ij K_j / h + gamma_i h df/dt, J = L + diag(p rho^a
-    |u|^(p-1) sign u); df/dt is a forward difference of extra in t, as in
-    KPP's ros_FunTimeDerivative, over a probe no longer than the step.
+    """One RODAS3 attempt of every run (Sandu et al. 1997, with the
+    coefficients of KPP's Rodas3) from the states (u, rates, diagonal of J):
+    the new states, the RMS of each run's embedded error K4, sup|u| and
+    largest diagonal entry of J; or the row of a singular system.  Stage i
+    solves (I/(GAMMA h) - J) K_i = f(t_i, Y_i) + sum_j C_ij K_j / h +
+    gamma_i h df/dt, J = L + diag(p rho^a |u|^(p-1) sign u); df/dt is a
+    forward difference of extra in t, as in KPP's ros_FunTimeDerivative,
+    over a probe no longer than the step.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by the caller
+    u, f0, jd = state
+    h = np.array([[run.dt] for run in live])
+    t, t1 = live[0].t, live[0].t + live[0].dt
+    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
         d = 1.0 / (GAMMA * h) - jd
         # a non-finite pivot comes with a non-finite forcing, so its attempt is
         # rejected anyway; a finite one keeps LAPACK's row swaps inside each block
         d[~np.isfinite(d)] = 1.0
-        dl, d, du, du2, ipiv, info = dgttrf(-batch.lower, d.ravel(), -batch.upper,
-                                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        dl, d, du, du2, ipiv, info = dgttrf(
+            -batch.bands[2].ravel()[:-1], d.ravel(), -batch.bands[0].ravel()[1:],
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
             return (info - 1) // u.shape[1]
 
         def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
             return dgttrs(dl, d, du, du2, ipiv, rhs.ravel(), overwrite_b=1)[0].reshape(u.shape)
 
-        inv_h, t1 = 1.0 / h, t + float(h[0, 0])
+        inv_h = 1.0 / h
         r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
         if batch.extra is not None:
             delta = min(math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t)), t1 - t)
@@ -343,7 +316,21 @@ def _rosenbrock(t, u, f0, jd, h, batch):
         k4 = solve(batch.rates(t1, y)[0] + back - (8.0 / 3.0) * inv_h * k3)
         u_new = y + k4
         e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), np.abs(u_new)))
-        return u_new, np.sqrt((e * e).sum(axis=1) / u.shape[1])
+        err = np.sqrt((e * e).sum(axis=1) / u.shape[1])
+    u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
+    ends = _ends(t1, u_new, batch)
+    return ([u_new, *ends], err.tolist(), np.abs(u_new).max(axis=1).tolist(),
+            ends[1].max(axis=1).tolist())
+
+
+def _ends(t, u, batch):
+    """The rates f(t, u) and the diagonal of J at the states u."""
+    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
+        f, w = batch.rates(t, u)
+        jd = np.array(batch.bands[1])
+        if w is not None:
+            jd[:, :-1] += batch.p[:, None] * w * np.sign(u[:, :-1])
+    return [f, jd]
 
 
 def _control(run, err, sup, rate, t_end, grow) -> bool:
@@ -359,7 +346,7 @@ def _control(run, err, sup, rate, t_end, grow) -> bool:
     run.t += run.dt
     run.sup, run.rate = sup, rate
     run.steps += 1
-    if not sup <= BLOWUP_SUP:  # also catches a non-finite state
+    if sup > BLOWUP_SUP:  # sup is finite: `_attempt` rejects a non-finite state
         run.end = ("blown_up", "sup_threshold", run.t, f"sup norm {sup:.3e} at t = {run.t:.6g}")
         return True
     run.dt *= min(run.grow_cap, 0.9 * err ** (-1.0 / 3.0)) if err > 0.0 else run.grow_cap

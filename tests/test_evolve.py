@@ -27,6 +27,11 @@ def params(lam, a=0.0, p=2.0, k=1):
     return ProblemParams(GroupContext(1), lam, a, p, k)
 
 
+def layers(ic, k):
+    """The initial layers of order k: ic, and zero velocity at k = 2."""
+    return ic if k == 1 else np.stack([ic, np.zeros_like(ic)])
+
+
 class TestRadialGrid:
     def test_node_endpoints(self):
         g = RadialGrid(rho_min=0.01, n_cells=50)
@@ -231,7 +236,8 @@ class TestIntegrate:
         assert (res.steps, res.rejected) == (accepted, len(attempts) - accepted)
         assert res.lu == res.steps + res.rejected
 
-    def test_stall_without_growth_is_not_blow_up(self):
+    @mark.parametrize("k", [1, 2])
+    def test_stall_without_growth_is_not_blow_up(self, k):
         # a forcing that turns to NaN makes every attempt past t = 0.005
         # non-finite, and each is rejected; the run ends at the dt floor at the
         # last finite state, and sup|u| has not grown there
@@ -240,8 +246,8 @@ class TestIntegrate:
         def poisoned(t, rho):
             return np.full_like(rho, np.nan if t > 0.005 else 0.0)
 
-        res = integrate(params(0.0, a=2.0), canonical_bump(g.nodes()), g, t_end=0.02,
-                        boundary_value=0.1, source=poisoned)
+        res = integrate(params(0.0, a=2.0, k=k), layers(canonical_bump(g.nodes()), k), g,
+                        t_end=0.02, boundary_value=0.1, source=poisoned)
         assert res.status == "solver_stall"
         assert res.end_reason == "solver_stall"
         assert res.blow_up_time is None
@@ -251,7 +257,8 @@ class TestIntegrate:
         assert np.all(np.isfinite(res.final_layers))
         assert res.sup_norm_history[-1] == (res.t_final, approx(0.1))
 
-    def test_step_budget_ends_a_stalled_run(self):
+    @mark.parametrize("k", [1, 2])
+    def test_step_budget_ends_a_stalled_run(self, k):
         # a forcing that jumps to a huge value at t = 0.005 cannot be crossed
         # within tolerance (1e250 also overflows the nonlinearity); the steps
         # shrink to the spacing of t there, and sup|u| has not grown
@@ -260,8 +267,8 @@ class TestIntegrate:
             def jump(t, rho):
                 return np.full_like(rho, size if t > 0.005 else 0.0)
 
-            res = integrate(params(0.0, a=2.0), canonical_bump(g.nodes()), g, t_end=0.02,
-                            boundary_value=0.1, source=jump)
+            res = integrate(params(0.0, a=2.0, k=k), layers(canonical_bump(g.nodes()), k), g,
+                            t_end=0.02, boundary_value=0.1, source=jump)
             assert res.status == res.end_reason == "solver_stall"
             assert res.steps + res.rejected < 1000
             assert res.t_final == approx(0.005, rel=1e-9) and res.t_final <= 0.005
@@ -419,9 +426,10 @@ class TestReferenceCells:
 
 
 def tight_reference(pr, grid, t_end, boundary_value):
-    """k = 1 by LSODA at rtol 1e-11 on `radial_rhs`, with the full Jacobian
-    assembled from `radial_rhs` columns; blow-up is the end of the first step
-    with sup|u| > BLOWUP_SUP.  Returns (status, blow-up time)."""
+    """The canonical run by LSODA at rtol 1e-11 on `radial_rhs`, for k = 2 on
+    the first-order system in (u, v) from zero velocity, with the full
+    Jacobian assembled from `radial_rhs` columns; blow-up is the end of the
+    first step with sup|u| > BLOWUP_SUP.  Returns (status, blow-up time)."""
     from scipy.integrate import LSODA
 
     rho = grid.nodes()
@@ -430,20 +438,37 @@ def tight_reference(pr, grid, t_end, boundary_value):
     n = rho.size
     L = np.column_stack([radial_rhs(col, grid, pr, 0.0, nonlinear=False) for col in np.eye(n)])
 
-    def jac(t, u):
+    def jac_u(u):
         d = np.zeros(n)
         d[:-1] = pr.p * rho[:-1] ** pr.a * np.abs(u[:-1]) ** (pr.p - 1.0) * np.sign(u[:-1])
         return L + np.diag(d)
 
-    solver = LSODA(lambda t, u: radial_rhs(u, grid, pr, boundary_value), 0.0, u0, t_end,
-                   jac=jac, rtol=1e-11, atol=1e-14)
+    if pr.k == 1:
+        y0 = u0
+
+        def fun(t, u):
+            return radial_rhs(u, grid, pr, boundary_value)
+
+        def jac(t, u):
+            return jac_u(u)
+    else:
+        y0 = np.concatenate([u0, np.zeros(n)])
+        zero, eye = np.zeros((n, n)), np.eye(n)
+
+        def fun(t, y):
+            return np.concatenate([y[n:], radial_rhs(y[:n], grid, pr, boundary_value)])
+
+        def jac(t, y):
+            return np.block([[zero, eye], [jac_u(y[:n]), zero]])
+
+    solver = LSODA(fun, 0.0, y0, t_end, jac=jac, rtol=1e-11, atol=1e-14)
     while solver.status == "running":
         solver.step()
-        if np.max(np.abs(solver.y)) > BLOWUP_SUP:
+        if np.max(np.abs(solver.y[:n])) > BLOWUP_SUP:
             return "blown_up", solver.t
     if solver.status == "finished":
         return "completed", None
-    if np.max(np.abs(solver.y)) >= STALL_GROWTH * np.max(np.abs(u0)):
+    if np.max(np.abs(solver.y[:n])) >= STALL_GROWTH * np.max(np.abs(u0)):
         return "blown_up", solver.t
     return "solver_stall", None
 
@@ -456,24 +481,32 @@ class TestTightReference:
     # only by overshooting.  On the coarse uniform grid the inner node of
     # (0.75, -3, 2) loses its quasi-steady state at a fold near t = 0.0895
     # and blows up within nanoseconds; a step past the pole of RODAS3's
-    # rational function jumps over that blow-up to a finite state.
-    @mark.parametrize("grid,cell,reason,blow_time", [
-        (RadialGrid(1e-3, 64), (0.0, -2.0, 1.5), "sup_threshold", 3.7377e-4),
-        (RadialGrid(1e-3, 64), (0.0, -2.0, 2.0), "sup_threshold", 7.0565e-3),
-        (RadialGrid(1e-3, 64), (0.0, 2.0, 2.0), "completed", None),
-        (RadialGrid(1e-4, 80, "log"), (-1.0, -1.0, 3.0), "dt_floor", 0.1067),
-        (RadialGrid(1e-3, 32), (0.75, -3.0, 2.0), "dt_floor", 0.089538),
-    ], ids=["sup_threshold", "sup_threshold_p2", "completed", "log_sup_threshold", "fold"])
-    def test_matches_tight_reference(self, grid, cell, reason, blow_time):
-        pr = params(*cell)
-        res = integrate(pr, canonical_bump(grid.nodes()), grid, t_end=0.25, boundary_value=0.1)
-        status, t_star = tight_reference(pr, grid, 0.25, 0.1)
+    # rational function jumps over that blow-up to a finite state.  k = 2
+    # runs Newmark at rtol 1e-4 on the sup norm, so it agrees with the
+    # reference to 1e-2 relative, on the uniform grid to t_end 0.75.
+    @mark.parametrize("k,grid,cell,reason,blow_time", [
+        (1, RadialGrid(1e-3, 64), (0.0, -2.0, 1.5), "sup_threshold", 3.7377e-4),
+        (1, RadialGrid(1e-3, 64), (0.0, -2.0, 2.0), "sup_threshold", 7.0565e-3),
+        (1, RadialGrid(1e-3, 64), (0.0, 2.0, 2.0), "completed", None),
+        (1, RadialGrid(1e-4, 80, "log"), (-1.0, -1.0, 3.0), "dt_floor", 0.1067),
+        (1, RadialGrid(1e-3, 32), (0.75, -3.0, 2.0), "dt_floor", 0.089538),
+        (2, RadialGrid(1e-3, 64), (0.0, -3.0, 3.0), "sup_threshold", 0.095546),
+        (2, RadialGrid(1e-3, 64), (0.0, -2.0, 2.0), "sup_threshold", 0.15397),
+        (2, RadialGrid(1e-3, 64), (0.0, -3.0, 1.5), "sup_threshold", 6.5943e-3),
+    ], ids=["sup_threshold", "sup_threshold_p2", "completed", "log_sup_threshold", "fold",
+            "k2_sup_threshold_p3", "k2_sup_threshold_p2", "k2_sup_threshold_p1.5"])
+    def test_matches_tight_reference(self, k, grid, cell, reason, blow_time):
+        pr = params(*cell, k=k)
+        t_end, rel = (0.25, 1e-5) if k == 1 else (0.75, 1e-2)
+        res = integrate(pr, layers(canonical_bump(grid.nodes()), k), grid, t_end=t_end,
+                        boundary_value=0.1)
+        status, t_star = tight_reference(pr, grid, t_end, 0.1)
         assert res.status == status
         assert res.end_reason == reason
         if blow_time is None:
             assert res.blow_up_time is None and t_star is None
         else:
-            assert res.blow_up_time == approx(t_star, rel=1e-5)
+            assert res.blow_up_time == approx(t_star, rel=rel)
             assert res.blow_up_time == approx(blow_time, rel=1e-4)
 
 
@@ -515,7 +548,7 @@ class TestPhaseSweep:
             assert serial == threaded
 
     # lambda = -0.5 is refused on the uniform grid, so its cells are error rows
-    LOCKSTEP_BOX = ([0.0, -0.5, 0.75], [-3.0, -2.0, 2.0], [1.5, 2.0, 3.0])
+    LOCKSTEP_BOX = ([0.0, -0.5, 0.75], [-3.0, -2.0, 2.0], [1.5, 2.0, 3.0, 4.0])
 
     def test_lockstep_rows_equal_single_runs(self):
         # the cells of either time order advance in lockstep; each row must be
@@ -544,9 +577,10 @@ class TestPhaseSweep:
                 assert {key: row[key] for key in single} == single, (k, cell)
             reasons = {row["end_reason"] for row in rows}
             assert reasons == {"", "sup_threshold", "dt_floor", "completed"}
-            assert sum(row["status"].startswith("error:") for row in rows) == 9
+            assert sum(row["status"].startswith("error:") for row in rows) == 12
 
-            shuffled = [list(reversed(self.LOCKSTEP_BOX[0])), [2.0, -3.0, -2.0], [3.0, 1.5, 2.0]]
+            shuffled = [list(reversed(self.LOCKSTEP_BOX[0])), [2.0, -3.0, -2.0],
+                        [3.0, 1.5, 4.0, 2.0]]
             again = phase_sweep(*shuffled, GroupContext(1), k, grid=g, t_end=0.3)
             by_cell = {(r["lambda"], r["a"], r["p"]): r for r in again}
             assert [by_cell[cell] for cell in cells] == rows
@@ -554,14 +588,13 @@ class TestPhaseSweep:
     def test_non_finite_run_does_not_spread(self):
         # zero data against a weight past double range gives inf * 0 = NaN in
         # one run's forcing; a zero coupling between blocks would carry it into
-        # every other run of the block solve.  At k = 2 the NaN state is
-        # accepted as a blow-up; at k = 1 every attempt of that run is
-        # rejected until dt reaches its floor.
+        # every other run of the block solve.  At either order every attempt
+        # of that run is rejected until dt reaches its floor.
         g = RadialGrid(rho_min=1e-3, n_cells=32)
         rho = g.nodes()
         ic0 = canonical_bump(rho)
-        for k, stop, note in ((2, "sup_threshold", "nan"),
-                              (1, "solver_stall", "non-finite right-hand side")):
+        stop = "solver_stall"
+        for k in (2, 1):
             runs = [(params(0.0, a=a, p=p, k=k), data) for a, p, data in (
                 (0.0, 2.0, ic0), (-150.0, 2.5, np.zeros_like(ic0)), (2.0, 3.0, ic0))]
             cells = [(pr, *evolve._prepare(pr, np.stack([x, np.zeros_like(x)])[:k], g, 0.3, 0.1))
@@ -569,9 +602,10 @@ class TestPhaseSweep:
             with np.errstate(all="ignore"):
                 together = newmark.advance(cells, rho, 0.3, True)
                 alone = [newmark.advance([cell], rho, 0.3, True)[0] for cell in cells]
-            assert together[1].end_reason == stop and note in together[1].note
-            # the k = 1 floor counts from the first dt at t = 0, not from ulp(0)
-            assert k == 2 or together[1].rejected < 30
+            assert together[1].end_reason == stop
+            assert "non-finite right-hand side" in together[1].note
+            # the floor counts from the first dt at t = 0, not from ulp(0)
+            assert together[1].rejected < 30
             for x, y in zip(together, alone):
                 assert (x.status, x.end_reason, x.steps, x.rejected, x.lu, x.t_final) == \
                     (y.status, y.end_reason, y.steps, y.rejected, y.lu, y.t_final)
