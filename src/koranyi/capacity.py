@@ -25,9 +25,9 @@ are measured empirically by least-squares fits over scale grids.
 The power iota is large enough that every differentiated cutoff retains a
 positive leftover power, so integrands extend by 0 where the cutoff
 vanishes; masks enforce this instead of trusting rounding.  Every cutoff and
-integrand takes a float, a float array or an array `Jet`, and the
-integrals go through `hquad.gk21`, which evaluates a whole round of nodes in
-one call.
+integrand takes a float, a float array or an array `Jet`.  The plural
+functions run one `gk21` round for all blocks and scales, bitwise as one at
+a time, with T, R or ln R taken by `math` and broadcast as a column.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .hcalc import Jet, exp, log, value_of
-from .hquad import Annulus, QuadResult, gk21, radial_integral
+from .hquad import Annulus, QuadResult, gk21, radial_integrals
 from .spectrum import ProblemParams, k_profile
 
 _CUT_FLOOR = 1e-12  # below this the leftover cutoff power forces the integrand to 0
@@ -102,21 +102,18 @@ def min_iota(k: int, p: float) -> int:
 
 
 class Cutoff(NamedTuple):
-    """A spatial cutoff ramp^iota(arg_R(rho)): 0 for rho <= lo(R), 1 for rho >= hi(R)."""
+    """A spatial cutoff ramp^iota(arg(rho, c_R)): 0 for rho <= lo(R), 1 for rho >= hi(R)."""
 
     ramp: Callable  # the 0 -> 1 transition
-    arg: Callable  # R -> the map rho -> ramp argument, per-R constants bound once
+    scale: Callable  # R -> the constant c_R of arg, taken once per scale
+    arg: Callable  # (rho, c_R) -> the ramp argument; c_R may be a column of constants
     zone: Callable  # R -> (lo, hi), the transition annulus
 
 
-def _log_arg(R: float) -> Callable:
-    lnR = math.log(R)
-    return lambda s: 1.0 + log(s) / lnR
-
-
 CUTOFFS: dict[str, Cutoff] = {
-    "gamma": Cutoff(ramp_zeta, lambda R: lambda s: R * s, lambda R: (0.5 / R, 1.0 / R)),
-    "mu": Cutoff(ramp_ell, _log_arg, lambda R: (1.0 / R, R ** -0.5)),
+    "gamma": Cutoff(ramp_zeta, float, lambda s, R: R * s, lambda R: (0.5 / R, 1.0 / R)),
+    "mu": Cutoff(ramp_ell, math.log, lambda s, lnR: 1.0 + log(s) / lnR,
+                 lambda R: (1.0 / R, R ** -0.5)),
 }
 
 
@@ -137,32 +134,41 @@ class ScalingFit:
 # test functions
 # ---------------------------------------------------------------------------
 
-def beta_t(t, T: float, iota: int):
-    """Time bump bump^iota(t/T), supported in (0, T); accepts a Jet t."""
-    if not T > 0.0:
+def beta_t(t, T, iota: int):
+    """Time bump bump^iota(t/T), supported in (0, T); accepts a Jet t and a column T."""
+    if not np.all(np.greater(T, 0.0)):
         raise ValueError(f"time scale must be positive, got {T}")
     return bump(t / T) ** iota
 
 
-def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
-    """Radial profile of D_R = K(s) * ramp^iota(arg_R(s)) for a `CUTOFFS` name;
-    Jet-ready; D_R and its derivatives are exactly 0 where the ramp
-    value is below _CUT_FLOOR."""
+def spatial_profiles(cutoff: str, Rs: Sequence[float], params: ProblemParams,
+                     iota: int) -> Callable:
+    """Radial profiles D_R = K(s) * ramp^iota(arg(s, c_R)) of a `CUTOFFS` name:
+    profile(s, which) at Rs[which], which an index (array) that broadcasts
+    against s.  Jet-ready; exactly 0 where the ramp is below _CUT_FLOOR."""
     if cutoff not in CUTOFFS:
         raise ValueError(f"cutoff must be {' or '.join(map(repr, CUTOFFS))}, got {cutoff!r}")
-    _check_scale(R)
-    ramp, arg, K = CUTOFFS[cutoff].ramp, CUTOFFS[cutoff].arg(R), k_profile(params)
+    _check_scales(Rs)
+    cut, K = CUTOFFS[cutoff], k_profile(params)
+    consts = np.array([cut.scale(R) for R in Rs])
 
-    def profile(s):
-        cut = ramp(arg(s))
-        return _select(value_of(cut) >= _CUT_FLOOR, K(s) * cut ** iota, 0.0)
+    def profile(s, which):
+        ramp = cut.ramp(cut.arg(s, consts[which]))
+        return _select(value_of(ramp) >= _CUT_FLOOR, K(s) * ramp ** iota, 0.0)
 
     return profile
 
 
-def _check_scale(R: float) -> None:
-    if not R > 1.0:
-        raise ValueError(f"spatial scale must exceed 1, got {R}")
+def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
+    """The profile of `spatial_profiles` at the one scale R, a function of s."""
+    profile = spatial_profiles(cutoff, [R], params, iota)
+    return lambda s: profile(s, 0)
+
+
+def _check_scales(Rs: Sequence[float]) -> None:
+    for R in Rs:
+        if not R > 1.0:
+            raise ValueError(f"spatial scale must exceed 1, got {R}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +177,16 @@ def _check_scale(R: float) -> None:
 
 def beta_time_integral(T: float, iota: int) -> QuadResult:
     """int_0^T beta_T dt; always <= T since 0 <= beta_T <= 1."""
-    return _time_quad(lambda t: beta_t(t, T, iota), T)
+    return _time_quads(lambda t, T: beta_t(t, T, iota), [T])[0]
 
 
 def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
-    """int_0^T |d^k beta_T/dt^k|^{p/(p-1)} beta_T^{-1/(p-1)} dt.
+    """`j1_time_factors` at the one scale T."""
+    return j1_time_factors([T], params, iota)[0]
+
+
+def j1_time_factors(Ts: Sequence[float], params: ProblemParams, iota: int) -> list[QuadResult]:
+    """int_0^T |d^k beta_T/dt^k|^{p/(p-1)} beta_T^{-1/(p-1)} dt at each T of Ts.
 
     The k-th derivative is k! c_k of beta_T at an order-k `Jet`, exact up to
     rounding for every time order k.  The integrand is formed as
@@ -186,36 +197,43 @@ def j1_time_factor(T: float, params: ProblemParams, iota: int) -> QuadResult:
     k, pexp = params.k, params.p / (params.p - 1.0)
     scale = math.factorial(k)
 
-    def integrand(t):
+    def integrand(t, T):
         b = beta_t(Jet.variable(t, k), T, iota).c
         return np.where(b[0] > 0.0, (abs(scale * b[k]) * b[0] ** (-1.0 / params.p)) ** pexp, 0.0)
 
-    return _time_quad(integrand, T)
+    return _time_quads(integrand, Ts)
 
 
-def _time_quad(f: Callable, T: float) -> QuadResult:
-    """int_0^T f dt by `gk21` on [0, T/2] and [T/2, T], split at the bump's peak."""
-    (v1, e1, n1), (v2, e2, n2) = gk21(f, 0.0, 0.5 * T), gk21(f, 0.5 * T, T)
-    return QuadResult(v1 + v2, e1 + e2, n1 + n2, "gk21")
+def _time_quads(f: Callable, Ts: Sequence[float]) -> list[QuadResult]:
+    """int_0^T f(t, T) dt at each T of Ts, T a column, by `gk21` on [0, T/2]
+    and [T/2, T], split at the bump's peak, all in the same rounds."""
+    cols = np.array(Ts, dtype=float)
+    halves = gk21(lambda t, which: f(t, cols[which // 2]),
+                  [ab for T in Ts for ab in ((0.0, 0.5 * T), (0.5 * T, T))])
+    return [QuadResult(v1 + v2, e1 + e2, n1 + n2, "gk21")
+            for (v1, e1, n1), (v2, e2, n2) in zip(halves[::2], halves[1::2])]
 
 
 def j1_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
-    """radial_integral of V^{-1/(p-1)} * D_R over the support of D_R."""
-    profile = spatial_profile(cutoff, R, params, iota)
+    """`j1_space_factors` at the one scale R."""
+    return j1_space_factors(cutoff, [R], params, iota)[0]
+
+
+def j1_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
+                     iota: int) -> list[QuadResult]:
+    """radial_integral of V^{-1/(p-1)} * D_R over the support of D_R at each R of Rs."""
+    profile = spatial_profiles(cutoff, Rs, params, iota)
     mexp = params.a / (params.p - 1.0)
 
-    def F(s):
-        return s ** -mexp * value_of(profile(s))
+    def F(s, which):
+        return s ** -mexp * value_of(profile(s, which))
 
-    lo, _ = CUTOFFS[cutoff].zone(R)
-    return radial_integral(F, Annulus(lo, 1.0), params.ctx)
+    return radial_integrals(F, [Annulus(CUTOFFS[cutoff].zone(R)[0], 1.0) for R in Rs], params.ctx)
 
 
 def j1(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """The full time-derivative functional: time factor x space factor."""
-    tf = j1_time_factor(T, params, iota)
-    sf = j1_space_factor(cutoff, R, params, iota)
-    return _product(tf, sf)
+    return _product(j1_time_factor(T, params, iota), j1_space_factor(cutoff, R, params, iota))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +241,14 @@ def j1(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> Qua
 # ---------------------------------------------------------------------------
 
 def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
+    """`j2_space_factors` at the one scale R."""
+    return j2_space_factors(cutoff, [R], params, iota)[0]
+
+
+def j2_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
+                     iota: int) -> list[QuadResult]:
     """radial_integral of D^{-1/(p-1)} |E|^{p/(p-1)} V^{-1/(p-1)} over the
-    transition annulus, where E = -D'' - (Q-1)D'/s + lambda D/s^2.
+    transition annulus at each R of Rs, where E = -D'' - (Q-1)D'/s + lambda D/s^2.
 
     Outside the annulus D coincides with 0 or with K, and E vanishes either
     way, so the restriction loses nothing.  The integrand is formed as
@@ -233,13 +257,13 @@ def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
     as 0 where D is 0: masked, or so far down the cutoff that D underflows and
     the leftover power has taken the integrand with it.
     """
-    profile = spatial_profile(cutoff, R, params, iota)
+    profile = spatial_profiles(cutoff, Rs, params, iota)
     p = params.p
     pexp = p / (p - 1.0)
     qm1 = params.Q - 1.0
 
-    def F(s):
-        d = profile(Jet.variable(s, 2)).c
+    def F(s, which):
+        d = profile(Jet.variable(s, 2), which).c
         elliptic = -2.0 * d[2] - qm1 * d[1] / s + params.lam * d[0] / (s * s)
         out = (abs(elliptic) * d[0] ** (-1.0 / p)) ** pexp * s ** (-params.a / (p - 1.0))
         out = np.where(d[0] > 0.0, out, 0.0)
@@ -248,14 +272,12 @@ def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> 
             raise RuntimeError(f"nonfinite capacity integrand at rho = {np.asarray(s)[bad][0]}")
         return out
 
-    return radial_integral(F, Annulus(*CUTOFFS[cutoff].zone(R)), params.ctx)
+    return radial_integrals(F, [Annulus(*CUTOFFS[cutoff].zone(R)) for R in Rs], params.ctx)
 
 
 def j2(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """The full elliptic functional: int beta_T dt x space factor."""
-    tf = beta_time_integral(T, iota)
-    sf = j2_space_factor(cutoff, R, params, iota)
-    return _product(tf, sf)
+    return _product(beta_time_integral(T, iota), j2_space_factor(cutoff, R, params, iota))
 
 
 def _product(a: QuadResult, b: QuadResult) -> QuadResult:
@@ -268,16 +290,21 @@ def _product(a: QuadResult, b: QuadResult) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 def eta(R: float, params: ProblemParams) -> float:
-    """int_{1/(2R) < rho <= 1} V^{-1/(p-1)} K psi dxi with V = rho^a, the
-    domination envelope of the J1 space factors.  Nondecreasing in R."""
-    _check_scale(R)
+    """`etas` at the one scale R."""
+    return etas([R], params)[0]
+
+
+def etas(Rs: Sequence[float], params: ProblemParams) -> list[float]:
+    """int_{1/(2R) < rho <= 1} V^{-1/(p-1)} K psi dxi with V = rho^a at each R
+    of Rs, the domination envelope of the J1 space factors.  Nondecreasing in R."""
+    _check_scales(Rs)
     mexp = 1.0 / (params.p - 1.0)
     K = k_profile(params)
 
-    def F(s):
+    def F(s, _):
         return (s ** params.a) ** -mexp * value_of(K(s))
 
-    return float(radial_integral(F, Annulus(0.5 / R, 1.0), params.ctx).value)
+    return [q.value for q in radial_integrals(F, [Annulus(0.5 / R, 1.0) for R in Rs], params.ctx)]
 
 
 FIT_MIN_POINTS = 4  # fewest points scaling_fit accepts

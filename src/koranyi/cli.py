@@ -55,10 +55,10 @@ from .capacity import (
     DEFAULT_SCALES,
     FIT_MIN_POINTS,
     default_family,
-    eta,
-    j1_space_factor,
-    j1_time_factor,
-    j2_space_factor,
+    etas,
+    j1_space_factors,
+    j1_time_factors,
+    j2_space_factors,
     scaling_fit,
 )
 from .witness import build_critical, build_subcritical, verify_witness, witness_json
@@ -409,20 +409,22 @@ def _slope_check(name, fit, predicted, tol, rule):
 
 
 def _time_rows(scales, params, iota):
-    return [(s, j1_time_factor(s, params, iota).value) for s in scales]
+    return [(s, q.value) for s, q in zip(scales, j1_time_factors(scales, params, iota))]
 
 
 def _j2_rows(cutoff: str, abscissa: Callable):
     """Rows (abscissa(R), J2 space factor) for a cutoff.  J2 is int beta_T
     times this factor, and the time integral does not depend on R."""
     def rows(scales, params, iota):
-        return [(abscissa(R), j2_space_factor(cutoff, R, params, iota).value) for R in scales]
+        factors = j2_space_factors(cutoff, scales, params, iota)
+        return [(abscissa(R), q.value) for R, q in zip(scales, factors)]
 
     return rows
 
 
 def _domination_rows(scales, params, iota):
-    return [(R, j1_space_factor("gamma", R, params, iota).value, eta(R, params)) for R in scales]
+    factors = j1_space_factors("gamma", scales, params, iota)
+    return [(R, q.value, env) for R, q, env in zip(scales, factors, etas(scales, params))]
 
 
 def _time_checks(fit, rows, params, tol):

@@ -368,7 +368,7 @@ def phase_sweep(
                 jobs.append(row)
     from .newmark import advance
 
-    for row, res in zip(jobs, advance(cells, rho, t_end, True)):
+    for row, res in zip(jobs, advance(cells, rho, t_end, True, history=False)):
         if isinstance(res, Exception):
             row["status"] = f"error: {res}"
             continue

@@ -12,10 +12,12 @@ Three routes, kept deliberately independent so they can cross-check each other:
   and int_0^pi sin^N = sqrt(pi) Gamma((N+1)/2) / Gamma(N/2 + 1).
   The 1D integral always runs in t = -ln(rho), which straightens an endpoint
   singularity at rho = 0 and spreads every decade of rho evenly: blocks at
-  most RADIAL_BLOCK wide in t, one call each of `gk21`, the vectorised
+  most RADIAL_BLOCK wide in t, each an interval of `gk21`, the vectorised
   adaptive Gauss-Kronrod G10/K21 rule that the time integrals of `capacity`
-  share.  Every panel still open goes through the integrand in one array
-  call per round, so the module needs numpy alone.
+  share.  `radial_integrals` runs one `gk21` round for all blocks and
+  scales: every panel still open, of every block of every annulus, goes
+  through the integrand in one array call per round, so the module needs
+  numpy alone.
 
 * `mc_annulus` -- rejection-sampled Monte Carlo over the bounding box, for
   arbitrary integrands.  Counter-based RNG, deterministic for a fixed seed.
@@ -111,46 +113,58 @@ def c_n(ctx: GroupContext) -> float:
     return omega * (parity * math.prod(range(n - 1, 0, -2)) / math.prod(range(n, 0, -2)))
 
 
-def gk21(f, a: float, b: float) -> tuple[float, float, int]:
-    """Adaptive Gauss-Kronrod integral of f over [a, b]: (value, error, evaluations).
+def gk21(f, bounds) -> list[tuple[float, float, int]]:
+    """Adaptive Gauss-Kronrod integrals of f over each interval (a, b) of
+    bounds: a list of (value, error, evaluations).
 
-    f maps an array of nodes, one row of 21 per panel, to values of that
-    shape.  The first round has GK_START equal panels, and each panel's
-    error estimate is |K21 - G10|.  A round keeps every
-    panel within its share of RADIAL_TOL, absolute or relative to the
-    current value, its share being its fraction of b - a; it bisects the
-    rest, which all go through f together in the next round.  A local share
+    f(nodes, which) maps an array of nodes, one row of 21 per panel, to values
+    of that shape; which, of shape (rows, 1), holds each row's position in
+    bounds.  Each round sends the open panels of every interval through f in
+    one call, and judges each interval alone, bitwise as a lone call would:
+    its first round has GK_START equal panels, each panel's error estimate is
+    |K21 - G10|, and a round keeps every panel within its share of
+    RADIAL_TOL, absolute or relative to the interval's current value, its
+    share being its fraction of b - a; it bisects the rest.  A local share
     rather than a global sum keeps bisecting a kink until its own estimate is
     small, where |K21 - G10| understates the K21 error.  Floating-point
-    faults are silenced while f runs; a non-finite value raises
-    RuntimeError, and so does a round that would take the call past GK_LIMIT
-    panels.
+    faults are silenced while f runs; a non-finite value raises RuntimeError,
+    and so does a bisection that takes an interval past GK_LIMIT panels.
     """
-    half = np.full(GK_START, 0.5 * (b - a) / GK_START)
-    centre = a + half * np.arange(1, 2 * GK_START, 2)
-    value = err = 0.0
-    panels = 0
-    while True:
-        panels += centre.size
-        if panels > GK_LIMIT:
-            raise RuntimeError(f"adaptive rule did not converge on [{a}, {b}] "
-                               f"within {GK_LIMIT} panels")
-        nodes = centre[:, None] + half[:, None] * _NODES
+    n = len(bounds)
+    half = [np.full(GK_START, 0.5 * (b - a) / GK_START) for a, b in bounds]
+    centre = [a + h * np.arange(1, 2 * GK_START, 2) for (a, _), h in zip(bounds, half)]
+    value, err, panels, out = [0.0] * n, [0.0] * n, [GK_START] * n, [None] * n
+    live = list(range(n))
+    while live:
+        sizes = [centre[i].size for i in live]
+        which = np.repeat(live, sizes)[:, None]
+        nodes = np.concatenate([centre[i][:, None] + half[i][:, None] * _NODES for i in live])
         with np.errstate(all="ignore"):
-            vals = f(nodes)
+            vals = f(nodes, which)
         if not np.isfinite(vals).all():
+            a, b = bounds[which[~np.isfinite(vals).all(axis=1), 0][0]]
             raise RuntimeError(f"non-finite integrand on [{a}, {b}]")
-        kg = (vals @ _WEIGHTS) * half[:, None]
-        est = np.abs(kg[:, 0] - kg[:, 1])
-        total = value + float(kg[:, 0].sum())
-        keep = est <= RADIAL_TOL * max(1.0, abs(total)) * (half / (0.5 * (b - a)))
-        if keep.all():
-            return total, err + float(est.sum()), 21 * panels
-        value += float(kg[keep, 0].sum())
-        err += float(est[keep].sum())
-        centre, half = centre[~keep], 0.5 * half[~keep]
-        centre = np.concatenate([centre - half, centre + half])
-        half = np.concatenate([half, half])
+        # each interval's own rows, in a lone call's panel order: a product
+        # over rows of several intervals rounds differently
+        for i, rows in zip(live, np.split(vals, np.cumsum(sizes)[:-1])):
+            a, b = bounds[i]
+            kg = (rows @ _WEIGHTS) * half[i][:, None]
+            est = np.abs(kg[:, 0] - kg[:, 1])
+            total = value[i] + float(kg[:, 0].sum())
+            keep = est <= RADIAL_TOL * max(1.0, abs(total)) * (half[i] / (0.5 * (b - a)))
+            if keep.all():
+                out[i] = (total, err[i] + float(est.sum()), 21 * panels[i])
+                continue
+            value[i] += float(kg[keep, 0].sum())
+            err[i] += float(est[keep].sum())
+            c, h = centre[i][~keep], 0.5 * half[i][~keep]
+            centre[i], half[i] = np.concatenate([c - h, c + h]), np.concatenate([h, h])
+            panels[i] += centre[i].size
+            if panels[i] > GK_LIMIT:
+                raise RuntimeError(f"adaptive rule did not converge on [{a}, {b}] "
+                                   f"within {GK_LIMIT} panels")
+        live = [i for i in live if out[i] is None]
+    return out
 
 
 def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
@@ -158,7 +172,7 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
 
     One route for every annulus: t = -ln(rho) runs from -ln(r_outer) to
     -ln(r_inner), or to infinity for a ball, in blocks at most RADIAL_BLOCK
-    wide, each one `gk21` call to RADIAL_TOL, absolute and relative.  Log
+    wide, each one `gk21` interval to RADIAL_TOL, absolute and relative.  Log
     spacing gives every decade of rho the same share of the rule, so a
     transition zone a few per mille of the rho-interval wide is still seen.
     F takes an array of radii; a scalar return stands for a constant.
@@ -170,80 +184,98 @@ def radial_integral(F, ann: Annulus, ctx: GroupContext) -> QuadResult:
     evaluation leaves double range while its neighbouring nodes still carry
     weight: the part of the integral there cannot be resolved.
     """
+    return radial_integrals(lambda rho, _: F(rho), [ann], ctx)[0]
+
+
+def radial_integrals(F, annuli, ctx: GroupContext) -> list[QuadResult]:
+    """`radial_integral` over each of the annuli, bitwise as alone: every block
+    of every annulus in one `gk21` call, but a ball's blocks one per call.
+    F(rho, which) takes, in shape (rows, 1), the annulus of each row of radii.
+    """
     cN = c_n(ctx)
     expo = 2 * ctx.N + 1
-    seen: list[tuple[np.ndarray, np.ndarray]] = []
+    seen = []  # (t, values, annulus of each row) of every round
 
-    def logspace(t: np.ndarray) -> np.ndarray:
+    def logspace(t: np.ndarray, which: np.ndarray) -> np.ndarray:
         # fused rho^{expo} F(rho) drho at rho = e^{-t}; a value that left
         # double range counts as 0 here and is judged after the march
-        vals = np.exp(-(expo + 1) * t) * F(np.exp(-t))
-        seen.append((t, vals))
+        rows = owner[which]
+        vals = np.exp(-(expo + 1) * t) * F(np.exp(-t), rows)
+        seen.append((t, vals, rows[:, 0]))
         return np.where(np.isfinite(vals), vals, 0.0)
 
-    ball = ann.r_inner == 0.0
-    t_end = math.inf if ball else -math.log(ann.r_inner)
+    n = len(annuli)
+    start = [-math.log(ann.r_outer) for ann in annuli]
+    end = [math.inf if ann.r_inner == 0.0 else -math.log(ann.r_inner) for ann in annuli]
+    val, err, neval, prev = [0.0] * n, [0.0] * n, [0] * n, [math.inf] * n
     # A ball is marched block by block rather than mapped onto a finite
     # interval: such a map starves tails that decay on a scale of hundreds of
     # t-units, and per-block mass is exactly the quantity that exposes a
     # divergent origin.
-    val = err = 0.0
-    neval = 0
-    prev = math.inf
-    a = -math.log(ann.r_outer)
+    live = list(range(n))
     for _ in range(400):
-        b = min(a + RADIAL_BLOCK, t_end)
-        v, e, n = gk21(logspace, a, b)
-        val += v
-        err += e
-        neval += n
-        a = b
-        if a == t_end:
+        blocks = []
+        for i in live:
+            stop = end[i] if end[i] < math.inf else start[i] + RADIAL_BLOCK
+            while start[i] < stop:
+                blocks.append((i, start[i], min(start[i] + RADIAL_BLOCK, stop)))
+                start[i] = blocks[-1][2]
+        owner = np.array([i for i, *_ in blocks])  # the annulus of each block
+        for (i, *_), (v, e, m) in zip(blocks, gk21(logspace, [ab for _, *ab in blocks])):
+            val[i] += v
+            err[i] += e
+            neval[i] += m
+            prev[i], last = v, prev[i]
+            if end[i] < math.inf:
+                continue
+            floor = RADIAL_TOL * max(1.0, abs(val[i]))
+            if abs(v) > 0.5 * abs(last) and abs(last) > floor:
+                raise RuntimeError(
+                    f"radial integral appears divergent on {annuli[i]}: "
+                    "mass per block toward the origin is not halving"
+                )
+            if abs(v) <= floor and abs(last) <= floor:
+                end[i] = start[i]
+        live = [i for i in live if start[i] != end[i]]
+        if not live:
             break
-        if not ball:
-            continue
-        floor = RADIAL_TOL * max(1.0, abs(val))
-        if abs(v) > 0.5 * abs(prev) and abs(prev) > floor:
-            raise RuntimeError(
-                f"radial integral appears divergent on {ann}: "
-                "mass per block toward the origin is not halving"
-            )
-        if abs(v) <= floor and abs(prev) <= floor:
-            break
-        prev = v
     else:
         raise RuntimeError(
-            f"radial integral appears divergent on {ann}: "
+            f"radial integral appears divergent on {annuli[live[0]]}: "
             "no decay toward the origin after 400 blocks"
         )
-    vals = np.concatenate([v.ravel() for _, v in seen])
-    if not np.isfinite(vals).all():
-        # Some nodes left double range.  The finite nodes next to them, in t
-        # order over every round and block, bound what was lost: beyond them
-        # the profile decays at least as fast as the block check tolerates,
-        # so the lost mass is at most their size over that rate.
-        t = np.concatenate([nodes.ravel() for nodes, _ in seen])
-        order = np.argsort(t, kind="stable")
-        t, vals = t[order], vals[order]
-        bad = ~np.isfinite(vals)
-        edge = np.zeros_like(bad)
-        edge[:-1] |= bad[1:]
-        edge[1:] |= bad[:-1]
-        tail = np.abs(vals[edge & ~bad]).max(initial=0.0) / (math.log(2.0) / RADIAL_BLOCK)
-        if tail > 1e-6 * max(1.0, abs(val)):
-            if bad[-1]:
-                where = "origin tail" if ball else "inner edge"
-            else:
-                where = f"stretch near rho = {math.exp(-t[bad][0]):.6g}"
+    lost = {int(i) for _, vals, rows in seen for i in rows[~np.isfinite(vals).all(axis=1)]}
+    out = []
+    for i, ann in enumerate(annuli):
+        if i in lost:
+            # Some nodes left double range.  The finite nodes next to them, in t
+            # order over every round and block, bound what was lost: beyond them
+            # the profile decays at least as fast as the block check tolerates,
+            # so the lost mass is at most their size over that rate.
+            t = np.concatenate([nodes[rows == i].ravel() for nodes, _, rows in seen])
+            vals = np.concatenate([v[rows == i].ravel() for _, v, rows in seen])
+            order = np.argsort(t, kind="stable")
+            t, vals = t[order], vals[order]
+            bad = ~np.isfinite(vals)
+            edge = np.zeros_like(bad)
+            edge[:-1] |= bad[1:]
+            edge[1:] |= bad[:-1]
+            tail = np.abs(vals[edge & ~bad]).max(initial=0.0) / (math.log(2.0) / RADIAL_BLOCK)
+            if tail > 1e-6 * max(1.0, abs(val[i])):
+                if bad[-1]:
+                    where = "origin tail" if ann.r_inner == 0.0 else "inner edge"
+                else:
+                    where = f"stretch near rho = {math.exp(-t[bad][0]):.6g}"
+                raise RuntimeError(
+                    f"radial integral on {ann} still carries weight at "
+                    f"the edge of double range; the {where} cannot be resolved"
+                )
+            err[i] += tail
+        if not (math.isfinite(val[i]) and math.isfinite(err[i])):
             raise RuntimeError(
-                f"radial integral on {ann} still carries weight at "
-                f"the edge of double range; the {where} cannot be resolved"
-            )
-        err += tail
-
-    if not (math.isfinite(val) and math.isfinite(err)):
-        raise RuntimeError(f"radial integral did not converge on {ann}: value={val}, err={err}")
-    return QuadResult(cN * val, cN * err, neval, "radial")
+                f"radial integral did not converge on {ann}: value={val[i]}, err={err[i]}")
+        out.append(QuadResult(cN * val[i], cN * err[i], neval[i], "radial"))
+    return out
 
 
 def mc_annulus(f, ann: Annulus, samples: int, seed: int, ctx: GroupContext) -> QuadResult:

@@ -47,7 +47,7 @@ class _Run:
     end: Optional[object] = None
 
 
-def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
+def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     """Step the runs cells = [(params, layers, op), ...] of equal k on the grid
     of rho in lockstep, each to t_end or to its end.
 
@@ -55,7 +55,8 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
     one LAPACK call.  The blocks decouple exactly, since the boundary row of L
     is zero.  dt and the counters are kept per run on Python floats, so every
     run steps as it would alone.  extra (B = 1 only) adds a source and an
-    inner slope to the forcing.  Returns a SimResult per cell, or a
+    inner slope to the forcing; history=False keeps only each sup-norm
+    history's first and last entries.  Returns a SimResult per cell, or a
     RuntimeError for a run whose system was singular.
     """
     if not cells:
@@ -64,7 +65,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
     name, attempt, grow, dt0, policy = (
         ("Newmark", _newmark, 2.0, NEWMARK_DT0, NEWMARK_POLICY) if k == 2
         else ("RODAS3", _rodas3, 5.0, RODAS_DT0, RODAS_POLICY))
-    record_dt = t_end / MAX_HISTORY
+    record_dt = t_end / MAX_HISTORY if history else math.inf
     # runs of equal p sit next to each other, so |u|^(p-1) is raised with one
     # scalar exponent per slice (an array of exponents rounds differently)
     order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
@@ -103,7 +104,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None) -> list:
                 accepted = [_control(run, err, sup, rate, t_end, grow)
                             for run, err, sup, rate in zip(live, errs, sups, rates)]
                 took = [r for r, ok in enumerate(accepted) if ok]
-                if k == 1:
+                if k == 1 and history:
                     _queue(live, took, starts, times, state, new, pending)
                     if len(pending) == 32:
                         _sample(pending, times)

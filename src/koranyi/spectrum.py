@@ -50,7 +50,7 @@ from .hgroup import (
     random_directions,
     sphere_chart,
 )
-from .hquad import Annulus, radial_integral, surface_nodes
+from .hquad import Annulus, radial_integrals, surface_nodes
 
 CRITICAL_TOL = 1e-12
 # sample points of the identity checks keep psi >= PSI_MIN (the identities
@@ -370,13 +370,13 @@ def liminf_probe(
     m = 1.0 / (params.p - 1.0)
     profile = k_profile(params)
 
-    def F(rho):
+    def F(rho, _):
         return V_radial(rho) ** (-m) * value_of(profile(rho))
 
-    out = []
+    R_list = list(R_list)
     for R in R_list:
         if not R > 1.0:
             raise ValueError(f"probe scale must exceed 1, got {R}")
-        q = radial_integral(F, Annulus(0.5 / R, 1.0 / R), params.ctx)
-        out.append((float(R), float(R ** (2.0 * params.p / (params.p - 1.0)) * q.value)))
-    return out
+    qs = radial_integrals(F, [Annulus(0.5 / R, 1.0 / R) for R in R_list], params.ctx)
+    return [(float(R), float(R ** (2.0 * params.p / (params.p - 1.0)) * q.value))
+            for R, q in zip(R_list, qs)]

@@ -15,11 +15,15 @@ from koranyi.capacity import (
     bump,
     default_family,
     eta,
+    etas,
     j1,
     j1_space_factor,
+    j1_space_factors,
     j1_time_factor,
+    j1_time_factors,
     j2,
     j2_space_factor,
+    j2_space_factors,
     min_iota,
     ramp_ell,
     ramp_zeta,
@@ -27,7 +31,7 @@ from koranyi.capacity import (
     smooth_step,
     spatial_profile,
 )
-from koranyi.spectrum import ProblemParams, existence_margin, k_profile
+from koranyi.spectrum import ProblemParams, existence_margin, k_profile, liminf_probe
 
 
 def params(lam, a=0.0, p=2.0, k=1):
@@ -379,6 +383,60 @@ class TestFullFunctionals:
             beta_time_integral(T, iota).value * j2_space_factor("mu", R, pr, iota).value
         )
         assert full.method == "product"
+
+
+class TestBatchedScales:
+    """Each plural function runs every scale in the same gk21 rounds; its
+    values are bitwise those of the one-scale calls."""
+
+    SCALES = (10.0, 56.2341, 316.228, 1e4)
+
+    @mark.parametrize("N", [1, 2])
+    @mark.parametrize("k", [1, 2])
+    def test_time_factors(self, N, k):
+        pr = ProblemParams(GroupContext(N), 0.0, 0.0, 2.0, k)
+        iota = default_family(pr)
+        assert j1_time_factors(self.SCALES, pr, iota) == [
+            j1_time_factor(T, pr, iota) for T in self.SCALES]
+
+    @mark.parametrize("N", [1, 2])
+    def test_j1_space_factors(self, N):
+        pr = ProblemParams(GroupContext(N), 3.0, 1.0, 2.0)
+        iota = default_family(pr)
+        for cutoff in sorted(CUTOFFS):
+            assert j1_space_factors(cutoff, self.SCALES, pr, iota) == [
+                j1_space_factor(cutoff, R, pr, iota) for R in self.SCALES]
+
+    @mark.parametrize("N", [1, 2])
+    @mark.parametrize("cutoff", sorted(CUTOFFS))
+    def test_j2_space_factors(self, N, cutoff):
+        # the log cutoff at critical coupling and zero margin, as the logdecay law runs it
+        pr = (ProblemParams(GroupContext(N), -float(N * N), 0.0, 1.0 + 2.0 / N)
+              if cutoff == "mu" else ProblemParams(GroupContext(N), 3.0, 0.0, 2.0))
+        iota = default_family(pr)
+        scales = (1e2, 10.0 ** 6.5, 1e11, 1e20) if cutoff == "mu" else self.SCALES
+        assert j2_space_factors(cutoff, scales, pr, iota) == [
+            j2_space_factor(cutoff, R, pr, iota) for R in scales]
+
+    @mark.parametrize("N", [1, 2])
+    def test_etas(self, N):
+        pr = ProblemParams(GroupContext(N), 0.0, -1.0, 2.0)
+        assert etas(self.SCALES, pr) == [eta(R, pr) for R in self.SCALES]
+
+    @mark.parametrize("N", [1, 2])
+    def test_liminf_probe(self, N):
+        pr = ProblemParams(GroupContext(N), 0.0, -3.0, 2.0)
+        weight = lambda r: r ** -3.0
+        scales = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert liminf_probe(weight, pr, scales) == [
+            pt for R in scales for pt in liminf_probe(weight, pr, [R])]
+
+    def test_a_bad_scale_is_refused_before_any_integral(self):
+        pr = params(0.0)
+        with raises(ValueError, match="exceed 1"):
+            j2_space_factors("gamma", [10.0, 1.0], pr, default_family(pr))
+        with raises(ValueError, match="positive"):
+            j1_time_factors([10.0, 0.0], pr, default_family(pr))
 
 
 class TestScalingFit:

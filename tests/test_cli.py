@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
+from koranyi import capacity, hquad
 from koranyi.capacity import FIT_MIN_POINTS
+from koranyi.hquad import gk21
 from koranyi.cli import COMMANDS, LAWS, _domination_checks, build_parser, main
 
 
@@ -205,6 +207,31 @@ class TestScalingCommand:
         code, _, err = run(capsys, "scaling", "--config", str(cfg))
         assert code == 2
         assert "scales" in err
+
+    # the certify benchmark's scale grids: quarter decades from 10, and 10^(2 + 1.5 i)
+    QUARTER_DECADES = [f"{10.0 ** (1.0 + 0.25 * i):.6g}" for i in range(13)]
+    LOG_DECAY_SCALES = [f"{10.0 ** (2.0 + 1.5 * i):.6g}" for i in range(13)]
+
+    @mark.parametrize("argv, most", [
+        (["--law", "logdecay", "--N", "1", "--lambda-critical", "--a", "0", "--p", "3",
+          "--scales", *LOG_DECAY_SCALES], 20),
+        (["--law", "annulus", "--N", "1", "--scales", *QUARTER_DECADES], 4),
+    ], ids=["logdecay", "annulus"])
+    def test_a_law_takes_its_scales_in_shared_rounds(self, capsys, tmp_path, monkeypatch,
+                                                      argv, most):
+        # a law costs as many integrand calls as its deepest scale has gk21
+        # rounds, not their sum over the scales (208 and 26 calls one scale
+        # at a time)
+        calls = []
+
+        def counting(f, bounds):
+            return gk21(lambda *args: calls.append(1) or f(*args), bounds)
+
+        monkeypatch.setattr(hquad, "gk21", counting)
+        monkeypatch.setattr(capacity, "gk21", counting)
+        code, _, err = run(capsys, "scaling", *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        assert 0 < len(calls) <= most
 
     def test_capacity_integrand_past_double_range_is_one_error_line(self, capsys, tmp_path):
         # at p = 1.01 the elliptic integrand reaches about 1e790 inside the

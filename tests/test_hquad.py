@@ -7,10 +7,13 @@ from scipy.integrate import quad
 
 from koranyi.hgroup import GroupContext, knorm_of, psi_of
 from koranyi.hquad import (
+    GK_LIMIT,
     Annulus,
     c_n,
+    gk21,
     mc_annulus,
     radial_integral,
+    radial_integrals,
     SURFACE_NODE_BUDGET,
     sphere_rule,
     surface_integral,
@@ -116,6 +119,79 @@ def test_borderline_power_diverges(ctx1):
 def test_annulus_validation(inner, outer):
     with raises(ValueError):
         Annulus(inner, outer)
+
+
+# ---------------------------------------------------------------------------
+# many intervals in one adaptive pass
+# ---------------------------------------------------------------------------
+
+def _rounds(f, bounds):
+    """gk21 over bounds, and the intervals each round sent through f."""
+    rounds = []
+
+    def counted(nodes, which):
+        rounds.append(sorted(set(which[:, 0].tolist())))
+        return f(nodes, which)
+
+    return gk21(counted, bounds), rounds
+
+
+def _alone(f, bounds):
+    return [gk21(lambda x, w, i=i: f(x, np.full_like(w, i)), [ab])[0]
+            for i, ab in enumerate(bounds)]
+
+
+KINKS = np.array([0.3, 1.7, -0.4])
+
+
+@mark.parametrize("f, bounds, least", [
+    (lambda x, w: np.exp(-x * x) * (1.0 + w), [(0.0, 1.0), (-2.0, 3.0), (0.5, 4.0)], 1),
+    (lambda x, w: np.abs(x - KINKS[w]) ** 1.5, [(0.0, 1.0), (-2.0, 3.0), (-1.0, 0.0)], 11),
+    (lambda x, w: np.where(w == 1, np.abs(x - 0.3) ** 1.5, np.cos(x)),
+     [(0.0, 1.0), (0.0, 1.0), (-3.0, 2.0)], 11),
+], ids=["smooth", "kink", "mixed"])
+def test_gk21_intervals_together_equal_each_alone(f, bounds, least):
+    together, rounds = _rounds(f, bounds)
+    assert together == _alone(f, bounds)  # bit for bit
+    assert len(rounds) >= least  # a kink of |t - c|^1.5 bisects for many rounds
+
+
+def test_gk21_intervals_finish_in_their_own_rounds():
+    f = lambda x, w: np.where(w == 1, np.abs(x - 0.3) ** 1.5, np.cos(x))
+    _, rounds = _rounds(f, [(0.0, 1.0), (0.0, 1.0), (-3.0, 2.0)])
+    assert rounds[0] == [0, 1, 2]
+    assert all(r == [1] for r in rounds[1:])
+
+
+def test_gk21_non_finite_value_raises():
+    with raises(RuntimeError, match="non-finite integrand on \\[2.0, 3.0\\]"):
+        gk21(lambda x, w: np.where(w == 1, np.log(x - 2.5), x), [(0.0, 1.0), (2.0, 3.0)])
+
+
+def test_gk21_panel_limit_is_per_interval():
+    # an oscillation no panel resolves bisects every panel of its interval
+    # each round, past GK_LIMIT; the smooth interval beside it is not at fault
+    with raises(RuntimeError, match=f"did not converge on \\[0.0, 1.0\\] within {GK_LIMIT}"):
+        gk21(lambda x, w: np.where(w == 0, np.sin(1e8 * x), x), [(0.0, 1.0), (0.0, 2.0)])
+
+
+def test_radial_integrals_equal_each_alone(ctx1):
+    # a ball marched beside an annulus whose inner edge overflows harmlessly,
+    # a narrow annulus and a second ball that needs more blocks
+    powers = (2.0, -3.0, -1.0, -3.9)
+    annuli = [Annulus(0.0, 1.0), Annulus(1e-300, 1.0), Annulus(0.25, 0.5), Annulus(0.0, 2.0)]
+    together = radial_integrals(
+        lambda r, w: np.select([w == i for i in range(4)], [r ** s for s in powers]),
+        annuli, ctx1)
+    alone = [radial_integral(lambda r, s=s: r ** s, ann, ctx1)
+             for s, ann in zip(powers, annuli)]
+    assert together == alone
+
+
+def test_radial_integrals_refuse_the_annulus_at_fault(ctx1):
+    annuli = [Annulus(0.25, 1.0), Annulus(1e-300, 1.0)]
+    with raises(RuntimeError, match="1e-300"):
+        radial_integrals(lambda r, w: r ** np.where(w == 1, float(-ctx1.Q), 0.0), annuli, ctx1)
 
 
 # ---------------------------------------------------------------------------
