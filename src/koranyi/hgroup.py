@@ -17,9 +17,10 @@ Two objects recur in every radial computation downstream:
 * the coefficient matrix A(z), z = (x, y), whose quadratic form turns Euclidean
   gradients into horizontal ones (A = M M^T for the field-coefficient matrix M).
 
-Coordinate-level helpers (`knorm_of`, `psi_of`, `knorm_grad_of`) operate on
-raw arrays with the N-axis last, so the same expressions run vectorized over
-sample batches and over Taylor jets with float or array lanes.
+Coordinate-level helpers (`knorm_of`, `psi_of`) operate on raw arrays with the
+N-axis last, so the same expressions run vectorized over sample batches and
+over Taylor jets with float or array lanes.  `sphere_chart` is the one chart
+that places points on a gauge sphere.
 
 An `HPoint` is one point or a batch of points, again with the N-axis last.
 `compose`, `inverse`, `knorm`, `psi`, `dilate` and `a_matrix` accept either
@@ -150,20 +151,6 @@ def psi_of(x, y, phi):
     """Angular weight psi = |z|^2 / |xi|^2 from raw coordinates."""
     zsq = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
     return zsq / (zsq * zsq + phi * phi) ** 0.5
-
-
-def knorm_grad_of(x, y, phi):
-    """Euclidean gradient of the gauge, as (grad_x, grad_y, grad_phi).
-
-    grad rho = (|z|^2 x, |z|^2 y, phi/2) / rho^3; hence
-    |grad rho|^2 = (|z|^6 + phi^2/4) / rho^6.  Vectorized over leading axes.
-    """
-    zsq = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-    rho3 = (zsq * zsq + phi * phi) ** 0.75
-    gx = x * (zsq / rho3)[..., None]
-    gy = y * (zsq / rho3)[..., None]
-    gphi = 0.5 * phi / rho3
-    return gx, gy, gphi
 
 
 def _scalar_or_batch(values):

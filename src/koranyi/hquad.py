@@ -22,12 +22,15 @@ Three routes, kept deliberately independent so they can cross-check each other:
 * `mc_annulus` -- rejection-sampled Monte Carlo over the bounding box, for
   arbitrary integrands.  Counter-based RNG, deterministic for a fixed seed.
 
-* `surface_integral` -- tensor-product quadrature on the unit gauge sphere in
-  the substituted chart r = sqrt(cos chi), where the surface element
+* `surface_integral` -- tensor-product quadrature on the unit gauge sphere,
+  its points placed by `hgroup.sphere_chart` at r = sqrt(cos chi), where the
+  surface element
 
       dH = (1/2) cos^{N-1}(chi) sqrt(sin^2(chi) + 4 cos^3(chi)) dchi dsigma(omega)
 
   is smooth on [0, pi/2] (the raw (r, omega) chart is singular at the equator).
+  The boundary functional's measure psi/|grad rho| dH is cos^N(chi) dchi
+  dsigma(omega) in the same chart, and `surface_nodes` weights it too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hgroup import GroupContext
+from .hgroup import GroupContext, HPoint, sphere_chart
 
 # Largest surface rule `surface_nodes` builds, in points.  It admits 200
 # nodes at N = 1 (80 000 points), 24 at N = 2 (165 888) and the smallest rule
@@ -388,9 +391,11 @@ def sphere_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def surface_nodes(nodes: int, ctx: GroupContext):
     """Quadrature nodes and weights on the unit gauge sphere.
 
-    Returns (x, y, phi, w) with the N-axis last; sum(w * g) approximates the
-    surface integral of g.  `nodes` sets the chi resolution; the omega grid
-    scales with it.  Gauss-Legendre chi nodes are interior, so the poles
+    Returns (pts, w, w_flux): an `HPoint` batch placed by `sphere_chart` at
+    r = sqrt(cos chi), then the weights of dH, so that sum(w * g) approximates
+    the surface integral of g, and those of cos^N(chi) dchi dsigma(omega), the
+    measure psi/|grad rho| dH.  `nodes` sets the chi resolution; the omega
+    grid scales with it.  Gauss-Legendre chi nodes are interior, so the poles
     (r -> 0) and the equator are never sampled exactly.  The rule has
     4 n_chi n_om^(2N-1) points; above SURFACE_NODE_BUDGET it raises
     ValueError before allocating anything.
@@ -407,23 +412,16 @@ def surface_nodes(nodes: int, ctx: GroupContext):
     t, w = np.polynomial.legendre.leggauss(n_chi)
     chi = 0.25 * math.pi * (t + 1.0)
     w_chi = 0.25 * math.pi * w
-    elem = 0.5 * np.cos(chi) ** (ctx.N - 1) * np.sqrt(np.sin(chi) ** 2 + 4.0 * np.cos(chi) ** 3)
-
+    cos = np.cos(chi)
+    elem = 0.5 * cos ** (ctx.N - 1) * np.sqrt(np.sin(chi) ** 2 + 4.0 * cos**3)
     om_pts, om_wts = sphere_rule(2 * ctx.N, n_om)
-    r = np.sqrt(np.cos(chi))
 
-    # tensor product (chi x omega x sign), flattened
-    rr = np.repeat(r, om_pts.shape[0])
-    ww = np.repeat(w_chi * elem, om_pts.shape[0]) * np.tile(om_wts, n_chi)
-    om = np.tile(om_pts, (n_chi, 1))
-    z = rr[:, None] * om
-    phi_half = np.repeat(np.sin(chi), om_pts.shape[0])
-
-    x = np.concatenate([z[:, : ctx.N], z[:, : ctx.N]])
-    y = np.concatenate([z[:, ctx.N :], z[:, ctx.N :]])
-    phi = np.concatenate([phi_half, -phi_half])
-    wgt = np.concatenate([ww, ww])
-    return x, y, phi, wgt
+    # tensor product (sign x chi x omega), flattened
+    r = np.broadcast_to(np.sqrt(cos)[:, None], (2, n_chi, om_wts.size))
+    chart = sphere_chart(r, om_pts, np.array([1.0, -1.0])[:, None, None])
+    pts = HPoint(chart.x.reshape(-1, ctx.N), chart.y.reshape(-1, ctx.N), chart.phi.ravel())
+    w, w_flux = (np.tile(np.outer(w_chi * g, om_wts).ravel(), 2) for g in (elem, cos**ctx.N))
+    return pts, w, w_flux
 
 
 def surface_integral(g, nodes: int, ctx: GroupContext) -> QuadResult:
@@ -431,12 +429,12 @@ def surface_integral(g, nodes: int, ctx: GroupContext) -> QuadResult:
 
     The error estimate compares against a half-resolution rule.
     """
-    x, y, phi, w = surface_nodes(nodes, ctx)
-    vals = np.asarray(g(x, y, phi), dtype=float)
+    pts, w, _ = surface_nodes(nodes, ctx)
+    vals = np.asarray(g(*pts.coords()), dtype=float)
     if not np.isfinite(vals).all():
         raise RuntimeError("surface integrand returned non-finite values")
     value = float(np.dot(w, vals))
 
-    xh, yh, phih, wh = surface_nodes(max(8, nodes // 2), ctx)
-    coarse = float(np.dot(wh, np.asarray(g(xh, yh, phih), dtype=float)))
+    coarse_pts, wh, _ = surface_nodes(max(8, nodes // 2), ctx)
+    coarse = float(np.dot(wh, np.asarray(g(*coarse_pts.coords()), dtype=float)))
     return QuadResult(value, abs(value - coarse), w.size + wh.size, "surface")

@@ -18,11 +18,12 @@ from .evolve import (BLOWUP_SUP, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
                      NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RATE_CAP,
                      RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
 
+_END_RULE = (f"blow-up at sup>{BLOWUP_SUP:g} or at dt<{ULP_FLOOR} ulp(t) after "
+             f"{STALL_GROWTH:g}x growth")
 NEWMARK_POLICY = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={NEWMARK_RTOL:g} "
-                  f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1))")
+                  f"of sup and cap {NEWMARK_RATE_CAP:g}/sqrt(p rho^a |u|^(p-1)); {_END_RULE}")
 RODAS_POLICY = (f"rodas3 rtol={RODAS_RTOL:g} atol={RODAS_ATOL:g} banded; dt cap "
-                f"{RODAS_RATE_CAP:g}/max diag J; blow-up at sup>{BLOWUP_SUP:g} or at "
-                f"dt<{ULP_FLOOR} ulp(t) after {STALL_GROWTH:g}x growth")
+                f"{RODAS_RATE_CAP:g}/max diag J; {_END_RULE}")
 GAMMA = 0.5  # the diagonal of RODAS3's Rosenbrock matrix
 
 
@@ -144,25 +145,28 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
 def _attempt(step, live, state, batch):
     """One attempt of every run by step, `_newmark` or `_rodas3`: the new
     states, each run's error estimate, sup|u| and rate; or the row of a
-    singular system.  A zero coupling between blocks carries 0 * NaN from one
-    run into its neighbours, so a run whose error or sup|u| is not finite
-    takes its attempt again on its own; if it is still not finite, its error
-    is inf and the attempt is rejected."""
+    singular system.  A run whose error or sup|u| is not finite gets error
+    inf, so its attempt is rejected."""
     out = step(live, state, batch)
     if isinstance(out, int):
         return out
     new, errs, sups, rates = out
-    for r in [r for r, (err, sup) in enumerate(zip(errs, sups)) if not math.isfinite(err + sup)]:
-        if len(live) > 1:
-            alone = step(live[r:r + 1], [x[r:r + 1] for x in state], batch.take([r]))
-            if isinstance(alone, int):
-                return r
-            for x, y in zip(new, alone[0]):
-                x[r] = y[0]
-            errs[r], sups[r], rates[r] = (z[0] for z in alone[1:])
-        if not math.isfinite(errs[r] + sups[r]):
-            errs[r] = math.inf
+    errs = [err if math.isfinite(err + sup) else math.inf for err, sup in zip(errs, sups)]
     return new, errs, sups, rates
+
+
+def _clear(rhs, lost):
+    """rhs with the rows of the runs that have a non-finite entry set to 0,
+    those runs marked in lost.  A zero coupling between blocks would carry
+    0 * NaN from such a run into its neighbours in the block solve; cleared,
+    its block solves to 0 and the healthy runs' rows stay bitwise as alone.
+    The step sets a marked run's error to inf: a cleared stage is no
+    evidence of a good step."""
+    bad = ~np.isfinite(rhs).all(axis=1)
+    if bad.any():
+        lost |= bad
+        rhs = np.where(bad[:, None], 0.0, rhs)
+    return rhs
 
 
 @dataclass(eq=False)
@@ -259,8 +263,9 @@ def _newmark(live, state, batch):
     g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
     system = -q * batch.bands
     system[1] += 1.0
+    lost = np.zeros(len(live), dtype=bool)
     *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
-                        system[0].ravel()[1:], (u_star + q * g).ravel())
+                        system[0].ravel()[1:], _clear(u_star + q * g, lost).ravel())
     if info != 0:
         return (info - 1) // u.shape[1]
     u_new = x.reshape(u.shape)
@@ -268,8 +273,9 @@ def _newmark(live, state, batch):
     v_new = v + 0.5 * dt * (a + a_new)
     change = np.abs(a_new - a).max(axis=1).tolist()
     sups = np.abs(u_new).max(axis=1).tolist()
-    errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
-            for run, d, sup in zip(live, change, sups)]
+    errs = [math.inf if bad else
+            (run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
+            for run, d, sup, bad in zip(live, change, sups, lost.tolist())]
     return [u_new, v_new, a_new], errs, sups, batch.rate(w)
 
 
@@ -299,8 +305,11 @@ def _rodas3(live, state, batch):
         if info > 0:
             return (info - 1) // u.shape[1]
 
+        lost = np.zeros(len(live), dtype=bool)
+
         def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
-            return dgttrs(dl, d, du, du2, ipiv, rhs.ravel(), overwrite_b=1)[0].reshape(u.shape)
+            return dgttrs(dl, d, du, du2, ipiv, _clear(rhs, lost).ravel(),
+                          overwrite_b=1)[0].reshape(u.shape)
 
         inv_h = 1.0 / h
         r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
@@ -318,6 +327,7 @@ def _rodas3(live, state, batch):
         u_new = y + k4
         e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), np.abs(u_new)))
         err = np.sqrt((e * e).sum(axis=1) / u.shape[1])
+        err[lost] = math.inf
     u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
     ends = _ends(t1, u_new, batch)
     return ([u_new, *ends], err.tolist(), np.abs(u_new).max(axis=1).tolist(),

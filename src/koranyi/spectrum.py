@@ -44,9 +44,7 @@ from .hgroup import (
     GroupContext,
     HPoint,
     a_apply,
-    knorm_grad_of,
     psi,
-    psi_of,
     random_directions,
     sphere_chart,
 )
@@ -339,16 +337,18 @@ def critical_exponent(ctx: GroupContext, lam: float, a: float) -> ThresholdInfo:
 def l1plus_test(f_boundary, nodes: int, ctx: GroupContext) -> tuple[float, bool]:
     """Weighted boundary functional int f * psi/|grad rho| dH and its sign.
 
+    The weight is closed-form in the chart of `surface_nodes`: on the unit
+    sphere psi = |z|^2 = cos chi and |grad rho|^2 = |z|^6 + phi^2/4 =
+    cos^3 chi + sin^2 chi / 4, so against dH = (1/2) cos^{N-1} chi
+    sqrt(sin^2 chi + 4 cos^3 chi) dchi dsigma the measure psi/|grad rho| dH
+    is cos^N chi dchi dsigma(omega), and only f is evaluated at the nodes.
     Membership in the positive class requires a strictly positive value; the
     decision threshold is 1e-10 times the absolute mass of the integrand on
     the same surface rule, so odd integrands land on the 'not a member' side.
-    The rule is built and the integrand evaluated once; no error estimate is
-    formed.
+    The rule is built and f evaluated once; no error estimate is formed.
     """
-    x, y, phi, w = surface_nodes(nodes, ctx)
-    gx, gy, gphi = knorm_grad_of(x, y, phi)
-    gnorm = np.sqrt((gx * gx).sum(axis=-1) + (gy * gy).sum(axis=-1) + gphi * gphi)
-    vals = np.asarray(f_boundary(x, y, phi), dtype=float) * psi_of(x, y, phi) / gnorm
+    pts, _, w = surface_nodes(nodes, ctx)
+    vals = np.asarray(f_boundary(*pts.coords()), dtype=float)
     if not np.isfinite(vals).all():
         raise RuntimeError("surface integrand returned non-finite values")
     value = float(np.dot(w, vals))

@@ -196,6 +196,9 @@ class TestIntegrate:
         ic2 = np.zeros((2, 33))
         r2 = integrate(params(0.0, k=2), ic2, g, t_end=0.01)
         assert r2.dt_policy.startswith("newmark beta=1/4 gamma=1/2")
+        # both orders end runs by the same rule, and say so in the same words
+        end_rule = "; blow-up at sup>1e+08 or at dt<16 ulp(t) after 100x growth"
+        assert r1.dt_policy.endswith(end_rule) and r2.dt_policy.endswith(end_rule)
 
     def test_counters_and_end_reason(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
@@ -585,11 +588,13 @@ class TestPhaseSweep:
             by_cell = {(r["lambda"], r["a"], r["p"]): r for r in again}
             assert [by_cell[cell] for cell in cells] == rows
 
-    def test_non_finite_run_does_not_spread(self):
+    def test_non_finite_run_does_not_spread(self, monkeypatch):
         # zero data against a weight past double range gives inf * 0 = NaN in
         # one run's forcing; a zero coupling between blocks would carry it into
         # every other run of the block solve.  At either order every attempt
-        # of that run is rejected until dt reaches its floor.
+        # of that run is rejected until dt reaches its floor, and every
+        # attempt is one step call for the whole batch: no run steps again
+        # on its own.
         g = RadialGrid(rho_min=1e-3, n_cells=32)
         rho = g.nodes()
         ic0 = canonical_bump(rho)
@@ -599,9 +604,20 @@ class TestPhaseSweep:
                 (0.0, 2.0, ic0), (-150.0, 2.5, np.zeros_like(ic0)), (2.0, 3.0, ic0))]
             cells = [(pr, *evolve._prepare(pr, np.stack([x, np.zeros_like(x)])[:k], g, 0.3, 0.1))
                      for pr, x in runs]
+            name = "_newmark" if k == 2 else "_rodas3"
+            step, calls = getattr(newmark, name), []
+
+            def counted(live, state, batch, step=step, calls=calls):
+                calls.append(len(live))
+                return step(live, state, batch)
+
             with np.errstate(all="ignore"):
-                together = newmark.advance(cells, rho, 0.3, True)
+                with monkeypatch.context() as m:
+                    m.setattr(newmark, name, counted)
+                    together = newmark.advance(cells, rho, 0.3, True)
                 alone = [newmark.advance([cell], rho, 0.3, True)[0] for cell in cells]
+            # each call is one attempt of every live run; the longest run took part in all
+            assert len(calls) == max(x.lu for x in together)
             assert together[1].end_reason == stop
             assert "non-finite right-hand side" in together[1].note
             # the floor counts from the first dt at t = 0, not from ulp(0)

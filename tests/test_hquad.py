@@ -5,7 +5,7 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
-from koranyi.hgroup import GroupContext, knorm_of, psi_of
+from koranyi.hgroup import GroupContext, knorm, knorm_of, psi_of, sphere_chart
 from koranyi.hquad import (
     GK_LIMIT,
     Annulus,
@@ -265,10 +265,28 @@ def test_surface_odd_function_cancels(ctx1):
 
 @mark.parametrize("nodes,N", [(200, 1), (24, 2), (100, 1), (8, 3)])
 def test_surface_rule_size_is_the_closed_form(nodes, N):
-    x, y, phi, w = surface_nodes(nodes, GroupContext(N))
+    pts, w, w_flux = surface_nodes(nodes, GroupContext(N))
     n_chi = max(8, nodes)
     assert w.size == 4 * n_chi * max(8, n_chi // 2) ** (2 * N - 1) <= SURFACE_NODE_BUDGET
-    assert x.shape == y.shape == (w.size, N) and phi.shape == w.shape
+    assert pts.x.shape == pts.y.shape == (w.size, N) and pts.phi.shape == w.shape
+    assert w_flux.shape == w.shape
+
+
+@mark.parametrize("nodes,N", [(200, 1), (24, 2)])
+def test_surface_rule_is_the_sphere_chart(nodes, N):
+    # every point sits on the unit gauge sphere and is the one `sphere_chart`
+    # places at the rule's parameters: r = sqrt(cos chi) at the Gauss-Legendre
+    # chi nodes on [0, pi/2], omega from `sphere_rule`, the + sign first
+    ctx = GroupContext(N)
+    pts, w, _ = surface_nodes(nodes, ctx)
+    assert np.abs(knorm(pts) - 1.0).max() <= 1e-14
+    t, _ = np.polynomial.legendre.leggauss(nodes)
+    chi = 0.25 * math.pi * (t + 1.0)
+    omega, _ = sphere_rule(2 * N, nodes // 2)
+    sign = np.repeat([1.0, -1.0], chi.size * len(omega))
+    chart = sphere_chart(np.tile(np.repeat(np.sqrt(np.cos(chi)), len(omega)), 2),
+                         np.tile(omega, (2 * chi.size, 1)), sign)
+    assert np.array_equal(pts.flat(), chart.flat())
 
 
 def test_oversized_surface_rule_is_refused_before_allocating(ctx2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
 from koranyi import spectrum
-from koranyi.hgroup import GroupContext, HPoint, sphere_chart
-from koranyi.hcalc import Jet, value_of
+from koranyi.hgroup import GroupContext, HPoint, psi, sphere_chart
+from koranyi.hcalc import Jet, egrad, radial_lift, value_of
 from koranyi.hquad import c_n, surface_nodes
 from koranyi.spectrum import (
     Classification,
@@ -268,6 +269,38 @@ class TestBoundaryFunctional:
         with raises(RuntimeError, match="non-finite"):
             l1plus_test(lambda x, y, phi: np.full(len(phi), np.inf), 24, ctx)
         assert calls == [24, 24, 24]
+
+
+    @mark.parametrize("nodes,N", [(200, 1), (24, 2)])
+    def test_closed_form_weight_matches_ad(self, nodes, N):
+        # psi/|grad rho| from the AD gradient of the gauge at 500 nodes of the
+        # rule: the functional's weight over the dH weight, node by node
+        pts, w, w_flux = surface_nodes(nodes, GroupContext(N))
+        rows = np.random.default_rng(N).choice(w.size, 500, replace=False)
+        sub = HPoint(pts.x[rows], pts.y[rows], pts.phi[rows])
+        grad = egrad(radial_lift(lambda r: r), sub)
+        ratio = psi(sub) / np.linalg.norm(grad, axis=-1)
+        assert np.abs(ratio / (w_flux[rows] / w[rows]) - 1.0).max() <= 1e-12
+
+    @mark.parametrize("nodes,N", [(200, 1), (24, 2)])
+    @mark.parametrize("c", [2.5, -0.75])
+    def test_constant_datum_is_c_times_polar_constant(self, nodes, N, c):
+        ctx = GroupContext(N)
+        value, member = l1plus_test(lambda x, y, phi: np.full(len(phi), c), nodes, ctx)
+        assert value == approx(c * c_n(ctx), rel=1e-12)
+        assert member == (c > 0.0)
+
+    def test_n2_functional_memory(self):
+        # the weight is formed per chi node, so only the rule's points and f's
+        # values are held at once
+        ctx = GroupContext(2)
+        tracemalloc.start()
+        try:
+            l1plus_test(lambda x, y, phi: phi, 24, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestLiminfProbe:
