@@ -145,28 +145,31 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
 def _attempt(step, live, state, batch):
     """One attempt of every run by step, `_newmark` or `_rodas3`: the new
     states, each run's error estimate, sup|u| and rate; or the row of a
-    singular system.  A run whose error or sup|u| is not finite gets error
-    inf, so its attempt is rejected."""
-    out = step(live, state, batch)
+    singular system.  A run that `_clear` cleared, or whose error or sup|u|
+    is not finite, gets error inf, so its attempt is rejected: a cleared
+    stage is no evidence of a good step."""
+    lost = set()
+    out = step(live, state, batch, lost)
     if isinstance(out, int):
         return out
     new, errs, sups, rates = out
+    for r in lost:
+        errs[r] = math.inf
     errs = [err if math.isfinite(err + sup) else math.inf for err, sup in zip(errs, sups)]
     return new, errs, sups, rates
 
 
 def _clear(rhs, lost):
     """rhs with the rows of the runs that have a non-finite entry set to 0,
-    those runs marked in lost.  A zero coupling between blocks would carry
-    0 * NaN from such a run into its neighbours in the block solve; cleared,
-    its block solves to 0 and the healthy runs' rows stay bitwise as alone.
-    The step sets a marked run's error to inf: a cleared stage is no
-    evidence of a good step."""
+    those rows added to the set lost.  A zero coupling between blocks would
+    carry 0 * NaN from such a run into its neighbours in the block solve;
+    cleared, its block solves to 0 and the other runs' rows stay bitwise as
+    alone."""
+    if math.isfinite(rhs.sum()):  # every entry finite, in one reduction
+        return rhs
     bad = ~np.isfinite(rhs).all(axis=1)
-    if bad.any():
-        lost |= bad
-        rhs = np.where(bad[:, None], 0.0, rhs)
-    return rhs
+    lost.update(np.flatnonzero(bad).tolist())
+    return np.where(bad[:, None], 0.0, rhs)
 
 
 @dataclass(eq=False)
@@ -247,9 +250,10 @@ def _limit(run, k, t_end, dt0) -> None:
     run.history.append((run.t, run.sup))
 
 
-def _newmark(live, state, batch):
+def _newmark(live, state, batch, lost):
     """One Newmark attempt of every run: the new (u, v, a), each run's error
-    estimate, sup|u| and nonlinear rate; or the row of a singular system."""
+    estimate, sup|u| and nonlinear rate; or the row of a singular system.
+    The rows `_clear` cleared go into lost."""
     # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
     # for one band on each side.  Called directly, it skips solve_banded's
     # per-call argument checks, which cost several times a 65-node solve.
@@ -263,7 +267,6 @@ def _newmark(live, state, batch):
     g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
     system = -q * batch.bands
     system[1] += 1.0
-    lost = np.zeros(len(live), dtype=bool)
     *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
                         system[0].ravel()[1:], _clear(u_star + q * g, lost).ravel())
     if info != 0:
@@ -273,13 +276,12 @@ def _newmark(live, state, batch):
     v_new = v + 0.5 * dt * (a + a_new)
     change = np.abs(a_new - a).max(axis=1).tolist()
     sups = np.abs(u_new).max(axis=1).tolist()
-    errs = [math.inf if bad else
-            (run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
-            for run, d, sup, bad in zip(live, change, sups, lost.tolist())]
+    errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
+            for run, d, sup in zip(live, change, sups)]
     return [u_new, v_new, a_new], errs, sups, batch.rate(w)
 
 
-def _rodas3(live, state, batch):
+def _rodas3(live, state, batch, lost):
     """One RODAS3 attempt of every run (Sandu et al. 1997, with the
     coefficients of KPP's Rodas3) from the states (u, rates, diagonal of J):
     the new states, the RMS of each run's embedded error K4, sup|u| and
@@ -287,7 +289,8 @@ def _rodas3(live, state, batch):
     solves (I/(GAMMA h) - J) K_i = f(t_i, Y_i) + sum_j C_ij K_j / h +
     gamma_i h df/dt, J = L + diag(p rho^a |u|^(p-1) sign u); df/dt is a
     forward difference of extra in t, as in KPP's ros_FunTimeDerivative,
-    over a probe no longer than the step.
+    over a probe no longer than the step.  The rows `_clear` cleared go
+    into lost.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -304,8 +307,6 @@ def _rodas3(live, state, batch):
             overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
             return (info - 1) // u.shape[1]
-
-        lost = np.zeros(len(live), dtype=bool)
 
         def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
             return dgttrs(dl, d, du, du2, ipiv, _clear(rhs, lost).ravel(),
@@ -327,7 +328,6 @@ def _rodas3(live, state, batch):
         u_new = y + k4
         e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), np.abs(u_new)))
         err = np.sqrt((e * e).sum(axis=1) / u.shape[1])
-        err[lost] = math.inf
     u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
     ends = _ends(t1, u_new, batch)
     return ([u_new, *ends], err.tolist(), np.abs(u_new).max(axis=1).tolist(),

@@ -607,9 +607,9 @@ class TestPhaseSweep:
             name = "_newmark" if k == 2 else "_rodas3"
             step, calls = getattr(newmark, name), []
 
-            def counted(live, state, batch, step=step, calls=calls):
+            def counted(live, *args, step=step, calls=calls):
                 calls.append(len(live))
-                return step(live, state, batch)
+                return step(live, *args)
 
             with np.errstate(all="ignore"):
                 with monkeypatch.context() as m:
