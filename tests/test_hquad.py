@@ -277,8 +277,7 @@ def test_surface_rule_is_the_sphere_chart(nodes, N):
     # every point sits on the unit gauge sphere and is the one `sphere_chart`
     # places at the rule's parameters: r = sqrt(cos chi) at the Gauss-Legendre
     # chi nodes on [0, pi/2], omega from `sphere_rule`, the + sign first
-    ctx = GroupContext(N)
-    pts, w, _ = surface_nodes(nodes, ctx)
+    pts, *_ = surface_nodes(nodes, GroupContext(N))
     assert np.abs(knorm(pts) - 1.0).max() <= 1e-14
     t, _ = np.polynomial.legendre.leggauss(nodes)
     chi = 0.25 * math.pi * (t + 1.0)

@@ -270,7 +270,6 @@ class TestBoundaryFunctional:
             l1plus_test(lambda x, y, phi: np.full(len(phi), np.inf), 24, ctx)
         assert calls == [24, 24, 24]
 
-
     @mark.parametrize("nodes,N", [(200, 1), (24, 2)])
     def test_closed_form_weight_matches_ad(self, nodes, N):
         # psi/|grad rho| from the AD gradient of the gauge at 500 nodes of the
