@@ -145,27 +145,29 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
 def _attempt(step, live, state, batch):
     """One attempt of every run by step, `_newmark` or `_rodas3`: the new
     states, each run's error estimate, sup|u| and rate; or the row of a
-    singular system.  A run that `_clear` cleared, or whose error or sup|u|
-    is not finite, gets error inf, so its attempt is rejected: a cleared
-    stage is no evidence of a good step."""
-    lost = set()
-    out = step(live, state, batch, lost)
-    if isinstance(out, int):
+    singular system.  A zero coupling between blocks carries 0 * NaN from one
+    run into its neighbours in the block solve, so when some error or sup|u|
+    is not finite the batch takes the attempt once more, with the
+    right-hand-side rows of the non-finite runs cleared before each solve.
+    A cleared run, or one still not finite, gets error inf, so its attempt is
+    rejected: a cleared stage is no evidence of a good step."""
+    out = step(live, state, batch, None)
+    if isinstance(out, int) or math.isfinite(sum(out[1]) + sum(out[2])):
         return out
     new, errs, sups, rates = out
-    for r in lost:
-        errs[r] = math.inf
-    errs = [err if math.isfinite(err + sup) else math.inf for err, sup in zip(errs, sups)]
+    lost = set()
+    if len(live) > 1:  # the same systems as above, so none is singular
+        new, errs, sups, rates = step(live, state, batch, lost)
+    errs = [err if r not in lost and math.isfinite(err + sup) else math.inf
+            for r, (err, sup) in enumerate(zip(errs, sups))]
     return new, errs, sups, rates
 
 
 def _clear(rhs, lost):
-    """rhs with the rows of the runs that have a non-finite entry set to 0,
-    those rows added to the set lost.  A zero coupling between blocks would
-    carry 0 * NaN from such a run into its neighbours in the block solve;
-    cleared, its block solves to 0 and the other runs' rows stay bitwise as
-    alone."""
-    if math.isfinite(rhs.sum()):  # every entry finite, in one reduction
+    """rhs, or with lost a set: rhs with the rows of the runs that have a
+    non-finite entry set to 0, those rows added to lost.  Cleared, such a
+    run's block solves to 0 and the other runs' rows stay bitwise as alone."""
+    if lost is None:
         return rhs
     bad = ~np.isfinite(rhs).all(axis=1)
     lost.update(np.flatnonzero(bad).tolist())
@@ -253,7 +255,7 @@ def _limit(run, k, t_end, dt0) -> None:
 def _newmark(live, state, batch, lost):
     """One Newmark attempt of every run: the new (u, v, a), each run's error
     estimate, sup|u| and nonlinear rate; or the row of a singular system.
-    The rows `_clear` cleared go into lost."""
+    lost is None, or the set `_clear` puts the cleared rows in."""
     # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
     # for one band on each side.  Called directly, it skips solve_banded's
     # per-call argument checks, which cost several times a 65-node solve.
@@ -289,8 +291,8 @@ def _rodas3(live, state, batch, lost):
     solves (I/(GAMMA h) - J) K_i = f(t_i, Y_i) + sum_j C_ij K_j / h +
     gamma_i h df/dt, J = L + diag(p rho^a |u|^(p-1) sign u); df/dt is a
     forward difference of extra in t, as in KPP's ros_FunTimeDerivative,
-    over a probe no longer than the step.  The rows `_clear` cleared go
-    into lost.
+    over a probe no longer than the step.  lost is None, or the set
+    `_clear` puts the cleared rows in.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
