@@ -5,6 +5,7 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
+from koranyi import hquad
 from koranyi.hgroup import GroupContext, knorm, knorm_of, psi_of, sphere_chart
 from koranyi.hquad import (
     GK_LIMIT,
@@ -222,6 +223,67 @@ def test_mc_is_reproducible(ctx1):
 def test_mc_rejects_tiny_sample_counts(ctx1):
     with raises(ValueError):
         mc_annulus(lambda x, y, phi: 1.0, Annulus(0.0, 1.0), samples=10, seed=0, ctx=ctx1)
+
+
+@mark.parametrize("samples, seed", [
+    (2e5, 0), (math.nan, 0), (True, 0), ("20000", 0), (20_000, 1.5), (20_000, True), (20_000, None),
+])
+def test_mc_rejects_ill_typed_samples_and_seed(ctx1, samples, seed):
+    with raises(ValueError, match="must be an integer"):
+        mc_annulus(lambda x, y, phi: 1.0, Annulus(0.0, 1.0), samples=samples, seed=seed, ctx=ctx1)
+
+
+def test_mc_takes_numpy_integers(ctx1):
+    f = lambda x, y, phi: psi_of(x, y, phi)
+    a = mc_annulus(f, Annulus(0.25, 1.0), samples=np.int64(20_000), seed=np.uint32(3), ctx=ctx1)
+    b = mc_annulus(f, Annulus(0.25, 1.0), samples=20_000, seed=3, ctx=ctx1)
+    assert a == b
+
+
+@mark.parametrize("ann", [Annulus(0.25, 1.0), Annulus(0.0, 1.0)])
+def test_mc_block_size_sets_only_the_summation_order(ctx2, monkeypatch, ann):
+    # the per-shell Philox stream is the same whatever the block size, so a
+    # smaller block moves the result only by rounding
+    f = lambda x, y, phi: psi_of(x, y, phi) * knorm_of(x, y, phi) ** 2
+    ref = mc_annulus(f, ann, samples=50_000, seed=11, ctx=ctx2)
+    monkeypatch.setattr(hquad, "MC_CHUNK", 1000)
+    small = mc_annulus(f, ann, samples=50_000, seed=11, ctx=ctx2)
+    assert small.evaluations == ref.evaluations
+    assert small.value == approx(ref.value, rel=1e-13)
+    assert small.error_estimate == approx(ref.error_estimate, rel=1e-13)
+
+
+def test_mc_peak_memory_stays_small():
+    # draws stream through one cache-sized buffer; 2^17-row batches made
+    # this call peak at about 20 MiB
+    ctx4 = GroupContext(4)
+    f = lambda x, y, phi: psi_of(x, y, phi) * knorm_of(x, y, phi) ** 2
+    mc_annulus(f, Annulus(0.25, 1.0), samples=1000, seed=0, ctx=ctx4)
+    tracemalloc.start()
+    try:
+        mc_annulus(f, Annulus(0.25, 1.0), samples=200_000, seed=301, ctx=ctx4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_mc_matches_quadrature_at_n4():
+    # the verify-identities family member, at the largest N it runs
+    ctx4 = GroupContext(4)
+    ann = Annulus(0.25, 1.0)
+    qr = radial_integral(lambda r: r**2, ann, ctx4)
+    mc = mc_annulus(
+        lambda x, y, phi: psi_of(x, y, phi) * knorm_of(x, y, phi) ** 2,
+        ann, samples=200_000, seed=301, ctx=ctx4,
+    )
+    assert abs(mc.value - qr.value) <= 3.0 * (mc.error_estimate + qr.error_estimate)
+
+
+def test_mc_refuses_a_non_finite_integrand_at_n4():
+    f = lambda x, y, phi: np.where(knorm_of(x, y, phi) > 0.5, np.inf, 1.0)
+    with raises(RuntimeError, match="non-finite"):
+        mc_annulus(f, Annulus(0.25, 1.0), samples=20_000, seed=0, ctx=GroupContext(4))
 
 
 # ---------------------------------------------------------------------------
