@@ -240,6 +240,24 @@ def test_mc_takes_numpy_integers(ctx1):
     assert a == b
 
 
+def test_mc_draws_are_the_uniform_box_stream(ctx2):
+    # Annulus (1, 2) at 20 000 samples is one shell of 10 000 rows, more than
+    # one block: the integrand sees exactly the accepted rows of
+    # uniform(-1, 1) * hi, phi scaled by hi^2, from the shell's substream
+    seen = []
+
+    def f(x, y, phi):
+        seen.append(np.column_stack([x, y, phi]))
+        return np.ones(len(phi))
+
+    mc_annulus(f, Annulus(1.0, 2.0), samples=20_000, seed=5, ctx=ctx2)
+    rng = np.random.Generator(np.random.Philox(key=5).jumped(0))
+    u = rng.uniform(-1.0, 1.0, size=(10_000, 5)) * 2.0
+    u[:, 4] *= 2.0
+    nrm4 = ((u[:, :4] ** 2).sum(axis=1)) ** 2 + u[:, 4] ** 2
+    assert np.array_equal(np.concatenate(seen), u[(nrm4 > 1.0) & (nrm4 <= 16.0)])
+
+
 @mark.parametrize("ann", [Annulus(0.25, 1.0), Annulus(0.0, 1.0)])
 def test_mc_block_size_sets_only_the_summation_order(ctx2, monkeypatch, ann):
     # the per-shell Philox stream is the same whatever the block size, so a
@@ -254,8 +272,8 @@ def test_mc_block_size_sets_only_the_summation_order(ctx2, monkeypatch, ann):
 
 
 def test_mc_peak_memory_stays_small():
-    # draws stream through one cache-sized buffer; 2^17-row batches made
-    # this call peak at about 20 MiB
+    # draws stream through one cache-sized buffer of MC_CHUNK rows; holding
+    # a shell's 100 000 rows of draws and their copies would take about 20 MiB
     ctx4 = GroupContext(4)
     f = lambda x, y, phi: psi_of(x, y, phi) * knorm_of(x, y, phi) ** 2
     mc_annulus(f, Annulus(0.25, 1.0), samples=1000, seed=0, ctx=ctx4)
