@@ -159,12 +159,6 @@ def spatial_profiles(cutoff: str, Rs: Sequence[float], params: ProblemParams,
     return profile
 
 
-def spatial_profile(cutoff: str, R: float, params: ProblemParams, iota: int) -> Callable:
-    """The profile of `spatial_profiles` at the one scale R, a function of s."""
-    profile = spatial_profiles(cutoff, [R], params, iota)
-    return lambda s: profile(s, 0)
-
-
 def _check_scales(Rs: Sequence[float]) -> None:
     for R in Rs:
         if not R > 1.0:
@@ -229,11 +223,6 @@ def j1_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
         return s ** -mexp * value_of(profile(s, which))
 
     return radial_integrals(F, [Annulus(CUTOFFS[cutoff].zone(R)[0], 1.0) for R in Rs], params.ctx)
-
-
-def j1(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
-    """The full time-derivative functional: time factor x space factor."""
-    return _product(j1_time_factor(T, params, iota), j1_space_factor(cutoff, R, params, iota))
 
 
 # ---------------------------------------------------------------------------

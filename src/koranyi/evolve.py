@@ -23,8 +23,7 @@ the solver that fits it:
   RODAS_ATOL by 0.9 err^{-1/3}, clipped to [0.2, 5] and not above 1 right
   after a rejection, and is capped at RODAS_RATE_CAP / max diag J, short
   of the pole of the step's rational function at h = 2/J, past which a
-  step can jump over a local blow-up.  sup|u| is recorded at equally spaced
-  times, from a cubic Hermite interpolant within each step.
+  step can jump over a local blow-up.
 - k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
   gamma = 1/2).  It is unconditionally stable and does not damp the linear
   part, which goes through a banded solve; the nonlinearity is explicit,
@@ -32,6 +31,9 @@ the solver that fits it:
   Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
   the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
   |u|^{p-1}), so it shrinks as a blow-up develops.
+
+Both orders record sup|u| at MAX_HISTORY + 1 equally spaced times, from the
+cubic Hermite interpolant of u and du/dt within each step.
 
 `newmark.advance` steps runs of one time order in lockstep, with dt, the
 counters and the end of each run its own: `phase_sweep` sends all its cells
@@ -83,7 +85,7 @@ NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
 NEWMARK_ATOL = 1e-12
 NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
 NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
-MAX_HISTORY = 400  # sup-norm samples per run, at equal spacing in t (k = 2: steps past them)
+MAX_HISTORY = 400  # sup-norm samples per run past t = 0, at equal spacing in t
 
 
 @dataclass(frozen=True)
@@ -250,9 +252,11 @@ def integrate(
 
     ic is (k, n_nodes), or (n_nodes,) for k = 1.  source(t, rho) adds to the
     top layer's rate (manufactured-solution forcing); neumann_slope(t) sets
-    the inner slope (default homogeneous).  The sup-norm history holds about
-    MAX_HISTORY samples.  Raises ValueError for bad input and for a grid
-    whose linear part has spectrum in the right half-plane.
+    the inner slope (default homogeneous).  The sup-norm history holds
+    sup|u| at t = 0 and at the MAX_HISTORY equally spaced times after it
+    that the run reaches, then the end of a blow-up or stall.  Raises
+    ValueError for bad input and for a grid whose linear part has spectrum
+    in the right half-plane.
     """
     layers, op = _prepare(params, ic, grid, t_end, boundary_value)
     rho = grid.nodes()
@@ -329,7 +333,7 @@ def phase_sweep(
     grid: RadialGrid,
     t_end: float,
     boundary_value: float = 0.1,
-    threads: Optional[int] = None,  # ignored; the benchmark passes it (ROADMAP item 5)
+    threads: Optional[int] = None,  # ignored; the benchmark passes it (ROADMAP item 6)
 ) -> list[dict]:
     """Run the canonical setup over the parameter box; one row per tuple.
 

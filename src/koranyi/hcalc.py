@@ -21,7 +21,7 @@ directional derivatives, one order-2 jet evaluation each (see `hlap`).
 
 Scalar fields are callables f(x, y, phi) written against the N-axis-last
 convention of `hgroup`.  A jet lane is a Python float or an ndarray, and
-`exp`, `log`, `sqrt`, `sin` and `cos` take floats, arrays and jets, so the
+`exp` and `log` take floats, arrays and jets, as do `**` and `abs`, so the
 same field body runs on float batches, on scalar jets and on array jets
 (the capacity integrands, one round of quadrature nodes at a time).
 
@@ -34,7 +34,6 @@ direction rather than once per point.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -140,9 +139,6 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, c):
-        if isinstance(c, Jet):
-            # a^u = exp(u ln a); rarely needed, supported for completeness
-            return exp(c * log(self))
         c, a, order = float(c), self.c[0], len(self.c) - 1
         if c == 0.0:
             return Jet(1.0, *[0.0] * order)
@@ -197,27 +193,6 @@ def log(u):
     return u._compose(f)
 
 
-def sqrt(u):
-    return u ** 0.5 if isinstance(u, Jet) else np.sqrt(u)
-
-
-def _sine(u, shift: int):
-    """sin(u + shift pi/2): sin for shift 0, cos for shift 1."""
-    if not isinstance(u, Jet):
-        return np.cos(u) if shift else np.sin(u)
-    s, c = np.sin(u.c[0]), np.cos(u.c[0])
-    cycle = (s, c, -s, -c)
-    return u._compose([cycle[(j + shift) % 4] / math.factorial(j) for j in range(len(u.c))])
-
-
-def sin(u):
-    return _sine(u, 0)
-
-
-def cos(u):
-    return _sine(u, 1)
-
-
 def value_of(u):
     """Plain value of a float, float array or Jet (a float for scalars)."""
     if isinstance(u, Jet):
@@ -255,8 +230,6 @@ def _eval_seeded(f: ScalarField, xi: HPoint, direction, order: int) -> list:
 
 def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
     n = xi.N
-    if not 1 <= i <= n:
-        raise IndexError(f"field index must be in 1..{n}, got {i}")
     v = np.zeros(xi.shape + (2 * n + 1,))
     if which == "x":
         v[..., i - 1] = 1.0
@@ -265,22 +238,6 @@ def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
         v[..., n + i - 1] = 1.0
         v[..., 2 * n] = -2.0 * xi.x[..., i - 1]
     return v
-
-
-def x_field(i: int, f: ScalarField, xi: HPoint):
-    """(X_i f)(xi) = (d/dx_i + 2 y_i d/dphi) f, exact via an order-1 seed."""
-    return _eval_seeded(f, xi, _horizontal_direction(xi, i, "x"), 1)[1]
-
-
-def y_field(i: int, f: ScalarField, xi: HPoint):
-    """(Y_i f)(xi) = (d/dy_i - 2 x_i d/dphi) f, exact via an order-1 seed."""
-    return _eval_seeded(f, xi, _horizontal_direction(xi, i, "y"), 1)[1]
-
-
-def hgrad(f: ScalarField, xi: HPoint) -> np.ndarray:
-    """Horizontal gradient (X_1 f, .., X_N f, Y_1 f, .., Y_N f)(xi), last axis 2N."""
-    indices = range(1, xi.N + 1)
-    return np.stack([field(i, f, xi) for field in (x_field, y_field) for i in indices], axis=-1)
 
 
 def hlap(f: ScalarField, xi: HPoint):

@@ -1,4 +1,4 @@
-"""Heisenberg group core: points, group law, Koranyi gauge, dilations.
+"""Heisenberg group core: points, group law, Koranyi gauge.
 
 The Heisenberg group H^N is R^{2N+1} with coordinates xi = (x, y, phi),
 x, y in R^N, phi in R, under the (non-commutative) group law
@@ -23,9 +23,9 @@ over Taylor jets with float or array lanes.  `sphere_chart` is the one chart
 that places points on a gauge sphere.
 
 An `HPoint` is one point or a batch of points, again with the N-axis last.
-`compose`, `inverse`, `knorm`, `psi`, `dilate` and `a_matrix` accept either
-and return a float (or a single point) for a point and an array (or a batch)
-for a batch.
+`compose`, `inverse`, `knorm`, `psi` and `a_apply` accept either and return
+a float (or a single point, or a vector) for a point and an array (or a
+batch) for a batch.
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ class HPoint:
         return self.x, self.y, self.phi
 
 
-def origin(ctx: GroupContext) -> HPoint:
-    return HPoint.of(np.zeros(ctx.N), np.zeros(ctx.N), 0.0)
-
-
 def _check_same_n(xi: HPoint, eta: HPoint) -> None:
     if xi.N != eta.N:
         raise ValueError(f"dimension mismatch: N={xi.N} vs N={eta.N}")
@@ -162,12 +158,6 @@ def knorm(xi: HPoint):
     return _scalar_or_batch(knorm_of(xi.x, xi.y, xi.phi))
 
 
-def kdist(xi: HPoint, eta: HPoint):
-    """Left-invariant gauge distance d(xi, eta) = |eta^{-1} o xi|."""
-    _check_same_n(xi, eta)
-    return knorm(compose(inverse(eta), xi))
-
-
 def psi(xi: HPoint):
     """psi(xi) = (|x|^2 + |y|^2)/|xi|^2, in [0, 1]. Undefined at the origin."""
     rho = knorm(xi)
@@ -176,42 +166,19 @@ def psi(xi: HPoint):
     return _scalar_or_batch(psi_of(xi.x, xi.y, xi.phi))
 
 
-def dilate(r: float, xi: HPoint) -> HPoint:
-    """Anisotropic dilation (x, y, phi) -> (r x, r y, r^2 phi), r > 0."""
-    if not r > 0.0:
-        raise ValueError(f"dilation factor must be positive, got {r}")
-    return HPoint(r * xi.x, r * xi.y, r * r * xi.phi)
-
-
-def a_matrix(xi: HPoint) -> NDArray[np.float64]:
-    """The (2N+1) x (2N+1) coefficient matrix A(z) of the sub-Laplacian,
-    of shape (*batch, 2N+1, 2N+1) for a batch.
-
-    A(z) = [[ I_N,  0,    2y ],
-            [ 0,    I_N, -2x ],
-            [ 2y^T, -2x^T, 4|z|^2 ]]
-
-    It is the Gram matrix of the horizontal field coefficients, so it is
-    symmetric positive semidefinite with null vector (-2y, 2x, 1).
-    """
-    n = xi.N
-    a = np.zeros(xi.shape + (2 * n + 1, 2 * n + 1))
-    diag = np.arange(2 * n)
-    a[..., diag, diag] = 1.0
-    a[..., :n, -1] = 2.0 * xi.y
-    a[..., n : 2 * n, -1] = -2.0 * xi.x
-    a[..., -1, :n] = 2.0 * xi.y
-    a[..., -1, n : 2 * n] = -2.0 * xi.x
-    a[..., -1, -1] = 4.0 * ((xi.x * xi.x).sum(axis=-1) + (xi.y * xi.y).sum(axis=-1))
-    return a
-
-
 def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
     """A(z) v at each point; v has shape (*batch, 2N+1).
 
-    The product in closed form, without building `a_matrix`:
+    The product in closed form, without building the matrix
+
+        A(z) = [[ I_N,  0,    2y ],
+                [ 0,    I_N, -2x ],
+                [ 2y^T, -2x^T, 4|z|^2 ]],
 
         A v = (v_x + 2y v_phi, v_y - 2x v_phi, 2y.v_x - 2x.v_y + 4|z|^2 v_phi).
+
+    A is the Gram matrix of the horizontal field coefficients, so it is
+    symmetric positive semidefinite with null vector (-2y, 2x, 1).
     """
     n = xi.N
     vx, vy, vphi = v[..., :n], v[..., n : 2 * n], v[..., 2 * n :]

@@ -33,14 +33,13 @@ class _Run:
 
     index: int  # position in the caller's list of runs
     dt: float
-    next_record: float  # k = 2 records the first step at or past this time
     grow_cap: float  # largest factor of the next dt; 1 after a rejection
     t: float = 0.0
     sup: float = 0.0
     rate: float = 0.0  # caps dt: k = 2's nonlinear rate, k = 1's largest diagonal of J
-    history: list = field(default_factory=list)  # (0, sup0), then the steps or the end
-    samples: list = field(default_factory=list)  # k = 1's sup|u| at the record times past 0
-    recorded: int = 1  # how many record times k = 1 has queued
+    history: list = field(default_factory=list)  # (0, sup0), then a blow-up or stall
+    samples: list = field(default_factory=list)  # sup|u| at the record times past 0
+    recorded: int = 1  # how many record times have been queued
     steps: int = 0
     rejected: int = 0
     nonfinite: bool = False  # the last rejected attempt was not finite
@@ -56,8 +55,9 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     one LAPACK call.  The blocks decouple exactly, since the boundary row of L
     is zero.  dt and the counters are kept per run on Python floats, so every
     run steps as it would alone.  extra (B = 1 only) adds a source and an
-    inner slope to the forcing; history=False keeps only each sup-norm
-    history's first and last entries.  Returns a SimResult per cell, or a
+    inner slope to the forcing.  sup|u| is recorded at MAX_HISTORY + 1
+    equally spaced times, or with history=False at 0 and t_end only, and
+    where a run blows up or stalls.  Returns a SimResult per cell, or a
     RuntimeError for a run whose system was singular.
     """
     if not cells:
@@ -66,11 +66,10 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     name, attempt, grow, dt0, policy = (
         ("Newmark", _newmark, 2.0, NEWMARK_DT0, NEWMARK_POLICY) if k == 2
         else ("RODAS3", _rodas3, 5.0, RODAS_DT0, RODAS_POLICY))
-    record_dt = t_end / MAX_HISTORY if history else math.inf
     # runs of equal p sit next to each other, so |u|^(p-1) is raised with one
     # scalar exponent per slice (an array of exponents rounds differently)
     order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
-    live = [_Run(i, dt0 * t_end, record_dt, grow) for i in order]
+    live = [_Run(i, dt0 * t_end, grow) for i in order]
     state = [np.stack([cells[i][1][j] for i in order]) for j in range(k)]
     batch = _Batch(np.stack([cells[i][2].bands for i in order], axis=1),
                    np.stack([rho[:-1] ** cells[i][0].a for i in order]),
@@ -78,7 +77,8 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     results = [None] * len(cells)
 
     if k == 2:  # the acceleration at t = 0
-        a, w = batch.rates(0.0, state[0])
+        with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
+            a, w = batch.rates(0.0, state[0])
         state.append(a)
         rates = batch.rate(w)
     else:  # the rates and the diagonal of J at t = 0
@@ -86,8 +86,8 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
         rates = state[2].max(axis=1).tolist()
     for run, sup, rate in zip(live, np.abs(state[0]).max(axis=1).tolist(), rates):
         run.sup, run.rate, run.history = sup, rate, [(0.0, sup)]
-    times = np.linspace(0.0, t_end, MAX_HISTORY + 1).tolist()  # k = 1's record times
-    pending = []  # k = 1's accepted attempts that cover record times, sampled in batches
+    times = np.linspace(0.0, t_end, MAX_HISTORY + 1).tolist() if history else [0.0, t_end]
+    pending = []  # accepted attempts that cover record times, sampled in batches
 
     while live:
         for run in live:
@@ -105,16 +105,9 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
                 accepted = [_control(run, err, sup, rate, t_end, grow)
                             for run, err, sup, rate in zip(live, errs, sups, rates)]
                 took = [r for r, ok in enumerate(accepted) if ok]
-                if k == 1 and history:
-                    _queue(live, took, starts, times, state, new, pending)
-                    if len(pending) == 32:
-                        _sample(pending, times)
-                else:
-                    for run in (live[r] for r in took):
-                        # the first step at or past each multiple of record_dt, and the last
-                        if run.end is not None or run.t >= run.next_record:
-                            run.history.append((run.t, run.sup))
-                            run.next_record += record_dt
+                _queue(live, took, starts, times, state, new, pending)
+                if len(pending) == 32:
+                    _sample(pending, times)
                 if all(accepted):
                     state = new
                 else:
@@ -264,23 +257,25 @@ def _newmark(live, state, batch, lost):
     u, v, a = state
     dt = np.array([[run.dt] for run in live])
     q = 0.25 * dt * dt
-    u_star = u + dt * v + q * a
-    # Taylor predictor u + dt v + dt^2/2 a
-    g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
-    system = -q * batch.bands
-    system[1] += 1.0
-    *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
-                        system[0].ravel()[1:], _clear(u_star + q * g, lost).ravel())
-    if info != 0:
-        return (info - 1) // u.shape[1]
-    u_new = x.reshape(u.shape)
-    a_new = _band_product(batch.bands, u_new) + g
-    v_new = v + 0.5 * dt * (a + a_new)
-    change = np.abs(a_new - a).max(axis=1).tolist()
-    sups = np.abs(u_new).max(axis=1).tolist()
+    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
+        u_star = u + dt * v + q * a
+        # Taylor predictor u + dt v + dt^2/2 a
+        g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
+        system = -q * batch.bands
+        system[1] += 1.0
+        *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
+                            system[0].ravel()[1:], _clear(u_star + q * g, lost).ravel())
+        if info != 0:
+            return (info - 1) // u.shape[1]
+        u_new = x.reshape(u.shape)
+        a_new = _band_product(batch.bands, u_new) + g
+        v_new = v + 0.5 * dt * (a + a_new)
+        change = np.abs(a_new - a).max(axis=1).tolist()
+        sups = np.abs(u_new).max(axis=1).tolist()
+        rates = batch.rate(w)
     errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
             for run, d, sup in zip(live, change, sups)]
-    return [u_new, v_new, a_new], errs, sups, batch.rate(w)
+    return [u_new, v_new, a_new], errs, sups, rates
 
 
 def _rodas3(live, state, batch, lost):
@@ -370,9 +365,10 @@ def _control(run, err, sup, rate, t_end, grow) -> bool:
 
 
 def _queue(live, took, starts, times, old, new, pending) -> None:
-    """Queue the record times that the accepted k = 1 steps of live[r], r in
-    took, cover from (starts[r], old) to (run.t, new), and record the step
-    that ends a blow-up."""
+    """Queue the record times that the accepted steps of live[r], r in took,
+    cover from (starts[r], old) to (run.t, new), and record the step that
+    ends a blow-up.  Both orders keep du/dt as their second state, the rates
+    for k = 1 and v for k = 2."""
     spans = []  # (run, row, step start, step, first and end index of its record times)
     for r in took:
         run = live[r]
@@ -392,7 +388,7 @@ def _queue(live, took, starts, times, old, new, pending) -> None:
 
 def _sample(pending, times) -> None:
     """sup|u| at the queued record times, from the cubic Hermite interpolant
-    of u and its rates over each step, in one pass over all of them."""
+    of u and du/dt over each step, in one pass over all of them."""
     if not pending:
         return
     picks, offset = [], 0  # (run, record time, fraction of the step, step, row)

@@ -154,16 +154,6 @@ def _h_exponents(beta: float, params: ProblemParams) -> tuple[float, float]:
     return A, B
 
 
-def h_beta(s: float, beta: float, params: ProblemParams) -> float:
-    """s^{(p-1)(Q-2)/2-(a+2)} (1-ln s)^{-beta(p-1)-2} on (0, 1]."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"h_beta needs s in (0, 1], got {s}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"log power must lie in (0, 1), got {beta}")
-    A, B = _h_exponents(beta, params)
-    return s**A * (1.0 - math.log(s)) ** B
-
-
 def s0_minimize(beta: float, params: ProblemParams) -> tuple[float, float]:
     """The minimum point and value (s0, h_min) of h_beta over (0, 1].
 

@@ -6,6 +6,7 @@ import pytest
 
 from koranyi import hgroup
 from koranyi.evolve import RadialGrid
+from koranyi.hcalc import egrad
 from koranyi.hgroup import GroupContext, HPoint
 from koranyi.spectrum import ProblemParams
 
@@ -25,6 +26,17 @@ def random_points(ctx, n, seed, rho_floor=1e-2):
     list of single points drawn by `hgroup.random_points` from `seed`."""
     batch = hgroup.random_points(ctx, np.random.default_rng(seed), n, rho_floor)
     return [HPoint(x, y, float(phi)) for x, y, phi in zip(batch.x, batch.y, batch.phi)]
+
+
+def hgrad(f, xi) -> np.ndarray:
+    """Horizontal gradient (X_1 f, .., X_N f, Y_1 f, .., Y_N f), last axis 2N,
+    from the Euclidean gradient: X_i f = d_{x_i} f + 2 y_i d_phi f and
+    Y_i f = d_{y_i} f - 2 x_i d_phi f."""
+    n = xi.N
+    g = egrad(f, xi)
+    dphi = g[..., 2 * n : 2 * n + 1]
+    return np.concatenate([g[..., :n] + 2.0 * xi.y * dphi,
+                           g[..., n : 2 * n] - 2.0 * xi.x * dphi], axis=-1)
 
 
 def mms_reference(t: float, rho: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
-from koranyi.hcalc import Jet, exp, log, sin, value_of
+from koranyi.hcalc import Jet, exp, log, value_of
 from koranyi.hgroup import GroupContext
 from koranyi.hquad import c_n
 from koranyi.capacity import (
@@ -16,7 +16,6 @@ from koranyi.capacity import (
     default_family,
     eta,
     etas,
-    j1,
     j1_space_factor,
     j1_space_factors,
     j1_time_factor,
@@ -29,7 +28,7 @@ from koranyi.capacity import (
     ramp_zeta,
     scaling_fit,
     smooth_step,
-    spatial_profile,
+    spatial_profiles,
 )
 from koranyi.spectrum import ProblemParams, existence_margin, k_profile, liminf_probe
 
@@ -104,11 +103,10 @@ class TestTimeBump:
     def test_counts_quad_evaluations(self):
         iota = default_family(params(0.0))
         assert beta_time_integral(100.0, iota).evaluations > 0
-        tf = j1_time_factor(100.0, params(0.0), iota)
-        sf = j1_space_factor("gamma", 10.0, params(0.0), iota)
-        assert tf.evaluations > 0
-        assert j1("gamma", 100.0, 10.0, params(0.0), iota).evaluations == (
-            tf.evaluations + sf.evaluations
+        assert j1_time_factor(100.0, params(0.0), iota).evaluations > 0
+        sf = j2_space_factor("gamma", 10.0, params(0.0), iota)
+        assert j2("gamma", 100.0, 10.0, params(0.0), iota).evaluations == (
+            beta_time_integral(100.0, iota).evaluations + sf.evaluations
         )
 
     def test_mass_scales_linearly(self):
@@ -138,9 +136,9 @@ class TestTimeFactor:
         (lambda t: exp(2.0 * t), lambda j, t: 2.0**j * np.exp(2.0 * t) / math.factorial(j)),
         (lambda t: 1.0 / t, lambda j, t: (-1.0) ** j * t ** (-j - 1.0)),
         (log, lambda j, t: np.log(t) if j == 0 else (-1.0) ** (j + 1) / (j * t**j)),
-        (lambda t: sin(3.0 * t), lambda j, t: 3.0**j * np.sin(3.0 * t + j * math.pi / 2.0)
-         / math.factorial(j)),
-    ], ids=["power5", "power2.5", "exp2t", "reciprocal", "log", "sin3t"])
+        (lambda t: exp(-1.5 * log(t)), lambda j, t: math.prod(-1.5 - i for i in range(j))
+         / math.factorial(j) * t ** (-1.5 - j)),
+    ], ids=["power5", "power2.5", "exp2t", "reciprocal", "log", "exp_log"])
     def test_jet_matches_closed_forms_to_order_8(self, g, coefficient):
         t = np.array([0.3, 0.7, 1.9])
         got = g(Jet.variable(t, 8)).c
@@ -157,21 +155,21 @@ class TestSpatialCutoffs:
         # cutoff power drops below the evaluation floor and reads 0
         pr = params(3.0)
         R = 100.0
-        prof = spatial_profile(cutoff, R, pr, default_family(pr))
+        prof = spatial_profiles(cutoff, [R], pr, default_family(pr))
         K = k_profile(pr)
         lo, hi = CUTOFFS[cutoff].zone(R)
         assert 0.0 < lo < hi < 1.0
         for s in np.geomspace(1e-3 * lo, 0.999 * lo, 7):
-            assert prof(float(s)) == 0.0
+            assert prof(float(s), 0) == 0.0
         for s in np.geomspace(1.001 * hi, 1.0, 7):
-            assert value_of(prof(float(s))) == value_of(K(float(s)))
+            assert value_of(prof(float(s), 0)) == value_of(K(float(s)))
         for s in np.geomspace(lo**0.75 * hi**0.25, lo**0.25 * hi**0.75, 7):
-            assert 0.0 < value_of(prof(float(s))) < value_of(K(float(s)))
+            assert 0.0 < value_of(prof(float(s), 0)) < value_of(K(float(s)))
 
     def test_rejects_small_scale(self):
         pr = params(0.0)
         with raises(ValueError, match="must exceed 1"):
-            spatial_profile("gamma", 1.0, pr, default_family(pr))
+            spatial_profiles("gamma", [1.0], pr, default_family(pr))
 
     def test_rejects_unknown_cutoff_name(self):
         pr = params(0.0)
@@ -217,11 +215,11 @@ class TestEta:
         # The reference splits the rho-integral at the transition's ends.
         pr = ProblemParams(GroupContext(N), 0.0, 0.0, 2.0, 1)
         iota = default_family(pr)
-        profile = spatial_profile("gamma", R, pr, iota)
+        profile = spatial_profiles("gamma", [R], pr, iota)
         lo, hi = CUTOFFS["gamma"].zone(R)
 
         def f(s):
-            return s ** (2 * N + 1) * float(value_of(profile(s)))
+            return s ** (2 * N + 1) * float(value_of(profile(s, 0)))
 
         ref = c_n(pr.ctx) * sum(
             quad(f, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -283,11 +281,11 @@ def quad_radial(f, lo, hi, ctx):
 def j2_reference(cutoff, R, pr, iota):
     """The J2 space factor by quad, its integrand D^{-1/(p-1)} |E|^{p/(p-1)}
     V^{-1/(p-1)} summed in logarithms at one float rho (0 where D or E is)."""
-    profile = spatial_profile(cutoff, R, pr, iota)
+    profile = spatial_profiles(cutoff, [R], pr, iota)
     p = pr.p
 
     def f(s):
-        d = profile(Jet.variable(s, 2)).c
+        d = profile(Jet.variable(s, 2), 0).c
         e = -2.0 * d[2] - (pr.Q - 1.0) * d[1] / s + pr.lam * d[0] / (s * s)
         if d[0] == 0.0 or e == 0.0:
             return 0.0
@@ -331,10 +329,10 @@ class TestAgainstQuad:
         iota = default_family(pr)
         K = k_profile(pr)
         for R in DOMINATION_SCALES:
-            profile = spatial_profile("gamma", R, pr, iota)
+            profile = spatial_profiles("gamma", [R], pr, iota)
             lo, _ = CUTOFFS["gamma"].zone(R)
             assert_agrees(j1_space_factor("gamma", R, pr, iota),
-                          quad_radial(lambda s: value_of(profile(s)), lo, 1.0, pr.ctx))
+                          quad_radial(lambda s: value_of(profile(s, 0)), lo, 1.0, pr.ctx))
             got = eta(R, pr)
             value, err = quad_radial(lambda s: value_of(K(s)), 0.5 / R, 1.0, pr.ctx)
             assert abs(got - value) <= 1e-10 * abs(value) + err
@@ -374,12 +372,8 @@ class TestFullFunctionals:
         pr = params(0.0)
         iota = default_family(pr)
         T, R = 50.0, 20.0
-        full = j1("gamma", T, R, pr, iota)
+        full = j2("mu", T, R, pr, iota)
         assert full.value == approx(
-            j1_time_factor(T, pr, iota).value * j1_space_factor("gamma", R, pr, iota).value
-        )
-        full2 = j2("mu", T, R, pr, iota)
-        assert full2.value == approx(
             beta_time_integral(T, iota).value * j2_space_factor("mu", R, pr, iota).value
         )
         assert full.method == "product"

@@ -2,6 +2,7 @@ import gc
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 from pytest import approx, mark, raises
@@ -175,19 +176,22 @@ class TestIntegrate:
         assert r1.sup_norm_history == r2.sup_norm_history
         assert np.array_equal(r1.final_layers, r2.final_layers)
 
-    def test_first_order_history_is_equally_spaced(self):
-        # k = 1 records sup|u| at MAX_HISTORY + 1 equally spaced times, from
-        # an interpolant within each step; a run that stops at one of those
-        # times ends with the same sup|u|
+    @mark.parametrize("k", [1, 2])
+    def test_history_is_equally_spaced(self, k):
+        # both orders record sup|u| at MAX_HISTORY + 1 equally spaced times,
+        # from an interpolant within each step; a run that stops at one of
+        # those times ends with the same sup|u|, to within the local error
+        # tolerance of its own steps (Newmark's is relative to the sup norm)
         g = RadialGrid(rho_min=0.05, n_cells=32)
-        ic = canonical_bump(g.nodes())
-        res = integrate(params(0.0, a=2.0), ic, g, t_end=0.25, nonlinear=False)
+        ic = layers(canonical_bump(g.nodes()), k)
+        res = integrate(params(0.0, a=2.0, k=k), ic, g, t_end=0.25, nonlinear=False)
         times, sups = zip(*res.sup_norm_history)
         assert times == tuple(np.linspace(0.0, 0.25, evolve.MAX_HISTORY + 1))
         assert res.steps < evolve.MAX_HISTORY  # so some steps cover several times
         for i in (7, 40, 160, 333):
-            part = integrate(params(0.0, a=2.0), ic, g, t_end=times[i], nonlinear=False)
-            assert sups[i] == approx(np.abs(part.final_layers).max(), rel=1e-5)
+            part = integrate(params(0.0, a=2.0, k=k), ic, g, t_end=times[i], nonlinear=False)
+            assert sups[i] == approx(np.abs(part.final_layers[0]).max(),
+                                     rel=1e-5 if k == 1 else evolve.NEWMARK_RTOL)
 
     def test_policy_string_tracks_time_order(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
@@ -277,6 +281,19 @@ class TestIntegrate:
             assert res.t_final == approx(0.005, rel=1e-9) and res.t_final <= 0.005
             assert "dt underflow" in res.note
             assert res.sup_norm_history[-1] == (res.t_final, approx(0.1))
+
+    @mark.parametrize("k", [1, 2])
+    def test_overflow_is_rejected_without_a_warning(self, k):
+        # a boundary value near the top of double range overflows the first
+        # attempts; each is rejected as non-finite, inside np.errstate, and the
+        # run stalls at the dt floor rather than leaking a RuntimeWarning
+        g = RadialGrid(rho_min=0.05, n_cells=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = integrate(params(0.0, a=2.0, k=k), layers(canonical_bump(g.nodes()), k), g,
+                            t_end=0.02, boundary_value=1e200)
+        assert res.status == res.end_reason == "solver_stall"
+        assert res.steps == 0 and res.rejected > 0
 
     def test_newmark_conserves_discrete_energy(self):
         # linear k = 2 at lambda = 0 with zero boundary value: average

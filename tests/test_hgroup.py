@@ -7,13 +7,9 @@ from koranyi.hgroup import (
     GroupContext,
     HPoint,
     a_apply,
-    a_matrix,
     compose,
-    dilate,
     inverse,
-    kdist,
     knorm,
-    origin,
     psi,
     random_directions,
     sphere_chart,
@@ -23,6 +19,29 @@ from koranyi.hgroup import random_points as batch_points
 from conftest import random_points
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def kdist(xi, eta):
+    """Left-invariant gauge distance d(xi, eta) = |eta^{-1} o xi|."""
+    return knorm(compose(inverse(eta), xi))
+
+
+def dilate(r, xi):
+    """Anisotropic dilation (x, y, phi) -> (r x, r y, r^2 phi)."""
+    return HPoint(r * xi.x, r * xi.y, r * r * xi.phi)
+
+
+def a_matrix(xi):
+    """The coefficient matrix A(z) of the sub-Laplacian, entry by entry, of
+    shape (*batch, 2N+1, 2N+1): the oracle for `a_apply`."""
+    n = xi.N
+    a = np.zeros(xi.shape + (2 * n + 1, 2 * n + 1))
+    diag = np.arange(2 * n)
+    a[..., diag, diag] = 1.0
+    a[..., :n, -1] = a[..., -1, :n] = 2.0 * xi.y
+    a[..., n : 2 * n, -1] = a[..., -1, n : 2 * n] = -2.0 * xi.x
+    a[..., -1, -1] = 4.0 * ((xi.x * xi.x).sum(axis=-1) + (xi.y * xi.y).sum(axis=-1))
+    return a
 
 
 def triple(draw_x, draw_y, draw_phi):
@@ -96,7 +115,7 @@ def test_inverse_cancels(g):
 
 def test_origin_is_neutral(ctx1):
     g = HPoint(np.array([0.3]), np.array([-0.7]), 0.2)
-    e = origin(ctx1)
+    e = HPoint.of(np.zeros(1), np.zeros(1), 0.0)
     for h in (compose(g, e), compose(e, g)):
         assert np.allclose(h.x, g.x)
         assert np.allclose(h.y, g.y)
@@ -191,9 +210,8 @@ def test_a_apply_matches_the_matrix_product(n):
 def test_a_matrix_null_direction(ctx1):
     # the vertical-looking direction (-2y, 2x, 1) is horizontal-orthogonal
     for pt in random_points(ctx1, 20, seed=11):
-        A = a_matrix(pt)
         v = np.concatenate([-2.0 * pt.y, 2.0 * pt.x, [1.0]])
-        assert np.allclose(A @ v, 0.0, atol=1e-12)
+        assert np.allclose(a_apply(pt, v), 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +260,6 @@ def test_batched_group_operations_match_per_point(n):
     assert knorm(a) == approx(np.array([knorm(p) for p, _ in pairs]), rel=1e-15)
     assert psi(a) == approx(np.array([psi(p) for p, _ in pairs]), rel=1e-15)
     assert kdist(a, b) == approx(np.array([kdist(p, q) for p, q in pairs]), rel=1e-15)
-    A = a_matrix(a)
-    assert A.shape == (50, 2 * n + 1, 2 * n + 1)
-    assert np.array_equal(A, np.array([a_matrix(p) for p, _ in pairs]))
 
 
 def test_psi_rejects_a_batch_holding_the_identity(ctx1):
