@@ -521,7 +521,7 @@ def cmd_scaling(cfg: dict) -> int:
                 "the log-decay law applies at critical coupling with zero margin; "
                 f"got margin {margin:.3e}"
             )
-    scales = cfg["scales"] or law.scales
+    scales = law.scales if cfg["scales"] is None else cfg["scales"]
     least = FIT_MIN_POINTS if law.fitted else 2  # one scale leaves nothing to compare
     if len(scales) < least:
         why = f"the {name} law fits a power law, so " if law.fitted else ""
@@ -605,9 +605,7 @@ def cmd_phase_sweep(cfg: dict) -> int:
     )
     header = ("lambda", "a", "p", "k", "status", "blow_up_time", "classifier_verdict",
               "grid", "dt_policy", "end_reason", "steps", "rejected", "lu")
-    csv_rows = [
-        tuple("" if row[key] is None else row[key] for key in header) for row in rows
-    ]
+    csv_rows = [tuple(row[key] for key in header) for row in rows]
     out = _out_dir(cfg)
     _write_csv(out, "phase-sweep.csv", header, csv_rows,
                comment=json.dumps(_echo(cfg)))

@@ -195,10 +195,6 @@ class LinearPart:
     slope_coef: float
     max_real_eig: float
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """L u by the three bands."""
-        return _band_product(self.bands, u)
-
 
 def _band_product(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """L u for bands ab (3, ..., n) in `LinearPart` storage and states u

@@ -26,10 +26,9 @@ same field body runs on float batches, on scalar jets and on array jets
 (the capacity integrands, one round of quadrature nodes at a time).
 
 Every operator below goes through one seeded evaluator, `_eval_seeded`, and
-accepts a single `HPoint` or a batch: x and y of shape (*batch, N), phi of
-shape batch.  A single point gives a float (or a (2N+1,) vector for
-`egrad`); a batch gives an array over the batch, evaluated once per seed
-direction rather than once per point.
+takes an `HPoint` batch: x and y of shape (*batch, N), phi of shape batch.
+It gives an array over the batch (with a last axis 2N+1 for `egrad`),
+evaluated once per seed direction rather than once per point.
 """
 
 from __future__ import annotations
@@ -214,8 +213,7 @@ def _eval_seeded(f: ScalarField, xi: HPoint, direction, order: int) -> list:
     along direction: c[j] = D^j f[v, .., v] / j!.
 
     The direction has shape (*batch, 2N+1), ordered (x_1..x_N, y_1..y_N,
-    phi).  Each lane is a float for a single point and an array of the batch
-    shape otherwise.
+    phi).  Each lane is an array of the batch shape.
     """
     n = xi.N
     rest = [np.zeros(xi.x.shape)] * (order - 1)
@@ -223,8 +221,6 @@ def _eval_seeded(f: ScalarField, xi: HPoint, direction, order: int) -> list:
     y = Jet(xi.y, direction[..., n : 2 * n], *rest)
     phi = Jet(xi.phi, direction[..., 2 * n], *[r[..., 0] for r in rest])
     lanes = _lanes(f(x, y, phi), order)
-    if not xi.shape:
-        return [float(p) for p in lanes]
     return [p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in lanes]
 
 
@@ -279,8 +275,7 @@ def hlap_divform(f: ScalarField, xi: HPoint):
     shifts = np.concatenate([steps, -steps]).reshape((2 * m,) + (1,) * len(xi.shape) + (m,))
     shifted = HPoint.from_flat(xi.flat() + shifts)
     flux = a_apply(shifted, egrad(f, shifted))
-    div = sum((flux[j, ..., j] - flux[m + j, ..., j]) / (2.0 * h) for j in range(m))
-    return div if xi.shape else float(div)
+    return sum((flux[j, ..., j] - flux[m + j, ..., j]) / (2.0 * h) for j in range(m))
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,19 @@ N-axis last, so the same expressions run vectorized over sample batches and
 over Taylor jets with float or array lanes.  `sphere_chart` is the one chart
 that places points on a gauge sphere.
 
-An `HPoint` is one point or a batch of points, again with the N-axis last.
-`compose`, `inverse`, `knorm`, `psi` and `a_apply` accept either and return
-a float (or a single point, or a vector) for a point and an array (or a
-batch) for a batch.
+An `HPoint` is a batch of points, again with the N-axis last.  `compose`,
+`inverse`, `knorm`, `psi` and `a_apply` act pointwise and return an array
+(or a batch) over the batch shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
+
+RHO_FLOOR = 1e-2  # smallest gauge `random_points` keeps
 
 
 @dataclass(frozen=True)
@@ -63,27 +63,12 @@ class GroupContext:
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point xi = (x, y, phi) of H^N, or a batch of points.
-
-    A single point has x and y of shape (N,) and a float phi.  A batch has x
-    and y of shape (*batch, N) and phi of shape batch, so N = x.shape[-1]
-    either way.
-    """
+    """A batch of points xi = (x, y, phi) of H^N: x and y of shape
+    (*batch, N) and phi an array of shape batch, so N = x.shape[-1]."""
 
     x: NDArray[np.float64]
     y: NDArray[np.float64]
-    phi: Union[float, NDArray[np.float64]]
-
-    @staticmethod
-    def of(x, y, phi) -> "HPoint":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError(f"x and y must be equal-length vectors, got {x.shape} and {y.shape}")
-        pt = HPoint(x, y, float(phi))
-        if not pt.finite():
-            raise ValueError("HPoint components must be finite")
-        return pt
+    phi: NDArray[np.float64]
 
     @staticmethod
     def from_flat(rows: NDArray[np.float64]) -> "HPoint":
@@ -97,18 +82,14 @@ class HPoint:
 
     @property
     def shape(self) -> tuple:
-        """Batch shape; () for a single point."""
-        return getattr(self.phi, "shape", ())
+        """Batch shape."""
+        return self.phi.shape
 
     def flat(self) -> NDArray[np.float64]:
         """Coordinate rows (x_1..x_N, y_1..y_N, phi), last axis 2N+1."""
-        return np.concatenate([self.x, self.y, np.asarray(self.phi)[..., None]], axis=-1)
+        return np.concatenate([self.x, self.y, self.phi[..., None]], axis=-1)
 
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.x).all() and np.isfinite(self.y).all()
-                    and np.isfinite(self.phi).all())
-
-    def coords(self) -> tuple[NDArray[np.float64], NDArray[np.float64], float]:
+    def coords(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
         return self.x, self.y, self.phi
 
 
@@ -149,21 +130,16 @@ def psi_of(x, y, phi):
     return zsq / (zsq * zsq + phi * phi) ** 0.5
 
 
-def _scalar_or_batch(values):
-    return values if type(values) is np.ndarray and values.ndim else float(values)
-
-
-def knorm(xi: HPoint):
+def knorm(xi: HPoint) -> NDArray[np.float64]:
     """Koranyi gauge |xi| = ((|x|^2+|y|^2)^2 + phi^2)^{1/4}."""
-    return _scalar_or_batch(knorm_of(xi.x, xi.y, xi.phi))
+    return knorm_of(xi.x, xi.y, xi.phi)
 
 
-def psi(xi: HPoint):
+def psi(xi: HPoint) -> NDArray[np.float64]:
     """psi(xi) = (|x|^2 + |y|^2)/|xi|^2, in [0, 1]. Undefined at the origin."""
-    rho = knorm(xi)
-    if (rho == 0.0) if type(rho) is float else (rho == 0.0).any():
+    if (knorm(xi) == 0.0).any():
         raise ValueError("psi is undefined at the group identity")
-    return _scalar_or_batch(psi_of(xi.x, xi.y, xi.phi))
+    return psi_of(xi.x, xi.y, xi.phi)
 
 
 def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -185,7 +161,7 @@ def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
     z2 = (xi.x * xi.x).sum(axis=-1) + (xi.y * xi.y).sum(axis=-1)
     last = 2.0 * ((xi.y * vx).sum(axis=-1) - (xi.x * vy).sum(axis=-1)) + 4.0 * z2 * vphi[..., 0]
     return np.concatenate(
-        [vx + 2.0 * xi.y * vphi, vy - 2.0 * xi.x * vphi, np.asarray(last)[..., None]], axis=-1
+        [vx + 2.0 * xi.y * vphi, vy - 2.0 * xi.x * vphi, last[..., None]], axis=-1
     )
 
 
@@ -193,19 +169,17 @@ def a_apply(xi: HPoint, v: NDArray[np.float64]) -> NDArray[np.float64]:
 # random sample points
 # ---------------------------------------------------------------------------
 
-def random_points(
-    ctx: GroupContext, rng: np.random.Generator, n: int, rho_floor: float = 1e-2
-) -> HPoint:
+def random_points(ctx: GroupContext, rng: np.random.Generator, n: int) -> HPoint:
     """A batch of n box-uniform points with the gauge bounded away from the origin.
 
     Draws blocks of n rows from rng.uniform(-1, 1) and keeps, in draw order,
-    the rows whose gauge is at least rho_floor, until n are kept.
+    the rows whose gauge is at least RHO_FLOOR, until n are kept.
     """
     kept = [np.empty((0, ctx.dim))]
     have = 0
     while have < n:
         draw = rng.uniform(-1.0, 1.0, size=(n, ctx.dim))
-        far = knorm_of(*HPoint.from_flat(draw).coords()) >= rho_floor
+        far = knorm_of(*HPoint.from_flat(draw).coords()) >= RHO_FLOOR
         kept.append(draw[far][: n - have])
         have += len(kept[-1])
     return HPoint.from_flat(np.concatenate(kept))
@@ -229,8 +203,7 @@ def sphere_chart(r, omega, sign, rho=1.0) -> HPoint:
 
     On the unit sphere z = r*omega and phi = sign*sqrt(1 - r^4); the point is
     then dilated by rho.  r, sign and rho broadcast over the batch shape and
-    omega has shape (*batch, 2N); scalar r, sign, rho with omega of shape
-    (2N,) give a single point.  No validation.
+    omega has shape (*batch, 2N).  No validation.
     """
     omega = np.asarray(omega, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -238,4 +211,4 @@ def sphere_chart(r, omega, sign, rho=1.0) -> HPoint:
     n = omega.shape[-1] // 2
     z = rho[..., None] * (r[..., None] * omega)
     phi = rho * rho * (sign * np.sqrt(np.maximum(1.0 - r**4, 0.0)))
-    return HPoint(z[..., :n], z[..., n:], phi if phi.ndim else float(phi))
+    return HPoint(z[..., :n], z[..., n:], phi)

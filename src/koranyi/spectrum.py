@@ -230,18 +230,15 @@ def flux_pair(params: ProblemParams, xi: HPoint):
     """(measured, predicted) boundary flux density of K at unit-sphere points.
 
     measured:  A(z) grad K . n with grad K and n = grad rho/|grad rho| from AD;
-    predicted: sigma'(1) * psi / |grad rho|.
-    Floats for a single point, arrays over the batch otherwise.
+    predicted: sigma'(1) * psi / |grad rho|;
+    both are arrays over the batch.
     """
     field = radial_lift(k_profile(params))
     grad_k = egrad(field, xi)
     grad_rho = egrad(radial_lift(lambda s: s), xi)
     nrm = np.linalg.norm(grad_rho, axis=-1)
     measured = (a_apply(xi, grad_k) * grad_rho).sum(axis=-1) / nrm
-    predicted = sigma_prime_one(params) * psi(xi) / nrm
-    if xi.shape:
-        return measured, predicted
-    return float(measured), float(predicted)
+    return measured, sigma_prime_one(params) * psi(xi) / nrm
 
 
 def check_k_boundary(

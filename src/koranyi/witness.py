@@ -37,7 +37,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .hcalc import hlap, log, radial_lift, value_of
-from .hgroup import HPoint, knorm, psi, random_directions, sphere_chart
+from .hgroup import psi, random_directions, sphere_chart
 from .spectrum import ProblemParams, alphas, existence_margin
 
 RHO_MIN = 1e-4  # smallest radius `verify_witness` samples
@@ -66,9 +66,6 @@ class Witness:
         beta = self.beta
         ex = (2.0 - self.params.Q) / 2.0
         return lambda s: self.eps * s**ex * (1.0 - log(s)) ** beta
-
-    def __call__(self, xi: HPoint) -> float:
-        return float(value_of(self.profile()(knorm(xi))))
 
 
 @dataclass(frozen=True)
@@ -238,14 +235,17 @@ def verify_witness(
     An integer grid spaces that many radii logarithmically over [RHO_MIN, 1];
     radii below RHO_MIN are excluded to stay inside floating-point range, and
     the inequality only strengthens as rho -> 0 inside the admissible window.
-    Raises ValueError for an explicit radius outside [RHO_MIN, 1].
+    Raises ValueError for an integer grid below 1, and for an explicit grid
+    that is not a nonempty 1-D array of radii in [RHO_MIN, 1] (NaN included).
     """
     if isinstance(grid, (int, np.integer)):
+        if grid < 1:
+            raise ValueError(f"an integer grid needs at least 1 radius, got {grid}")
         radii = np.exp(np.linspace(math.log(RHO_MIN), 0.0, int(grid)))
     else:
         radii = np.asarray(grid, dtype=float)
-        if radii.min() < RHO_MIN or radii.max() > 1.0:
-            raise ValueError(f"radii must lie within [{RHO_MIN:g}, 1]")
+        if not (radii.ndim == 1 and radii.size and np.all((RHO_MIN <= radii) & (radii <= 1.0))):
+            raise ValueError(f"radii must be a nonempty 1-D grid within [{RHO_MIN:g}, 1]")
 
     u_dir, sign = random_directions(np.random.default_rng(seed), len(radii), w.params.ctx.N)
     r_chart = 0.8  # psi = r^2 = 0.64 at every sample point

@@ -21,11 +21,12 @@ def ctx2():
     return GroupContext(2)
 
 
-def random_points(ctx, n, seed, rho_floor=1e-2):
+def random_points(ctx, n, seed):
     """Box-uniform points with the gauge bounded away from the origin, as a
-    list of single points drawn by `hgroup.random_points` from `seed`."""
-    batch = hgroup.random_points(ctx, np.random.default_rng(seed), n, rho_floor)
-    return [HPoint(x, y, float(phi)) for x, y, phi in zip(batch.x, batch.y, batch.phi)]
+    list of one-point batches drawn by `hgroup.random_points` from `seed`."""
+    batch = hgroup.random_points(ctx, np.random.default_rng(seed), n)
+    return [HPoint(batch.x[i : i + 1], batch.y[i : i + 1], batch.phi[i : i + 1])
+            for i in range(n)]
 
 
 def hgrad(f, xi) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_1_group_and_calculus_identities():
     with criterion(1, "group-calculus-identities", 10.0):
         for ctx, n_triples, base in ((CTX1, 10_000, 100), (CTX2, 2_000, 200)):
             a, b, c = (batch_points(ctx, n_triples, seed=base + i) for i in (1, 2, 3))
-            e = HPoint.of(np.zeros(ctx.N), np.zeros(ctx.N), 0.0)
+            e = HPoint(np.zeros((1, ctx.N)), np.zeros((1, ctx.N)), np.zeros(1))
             worst = max(
                 coord_gap(compose(compose(a, b), c), compose(a, compose(b, c))),
                 coord_gap(compose(a, e), a),
@@ -167,7 +167,7 @@ def test_3_barrier_harmonicity_and_flux():
             assert flux.passed, f"lambda={lam}: {flux.max_scaled_residual:.3e}"
 
         measured, predicted = flux_pair(
-            params(0.0), HPoint(np.array([1.0]), np.array([0.0]), 0.0)
+            params(0.0), HPoint(np.array([[1.0]]), np.array([[0.0]]), np.array([0.0]))
         )
         assert measured == approx(-2.0, rel=1e-10)
         assert predicted == approx(-2.0, rel=1e-12)

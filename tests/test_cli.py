@@ -208,6 +208,16 @@ class TestScalingCommand:
         assert code == 2
         assert "scales" in err
 
+    @mark.parametrize("law", ["domination", "time"])
+    def test_an_empty_scale_list_is_refused(self, capsys, tmp_path, law):
+        # an empty list is too few scales, not a request for the law's defaults
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"law": law, "scales": [], "out": str(tmp_path / "out")}))
+        code, _, err = run(capsys, "scaling", "--config", str(cfg))
+        assert code == 2
+        assert "got 0" in err
+        assert not (tmp_path / "out").exists()
+
     # the certify benchmark's scale grids: quarter decades from 10, and 10^(2 + 1.5 i)
     QUARTER_DECADES = [f"{10.0 ** (1.0 + 0.25 * i):.6g}" for i in range(13)]
     LOG_DECAY_SCALES = [f"{10.0 ** (2.0 + 1.5 * i):.6g}" for i in range(13)]

@@ -132,7 +132,7 @@ class TestHarmonicAndFlux:
         assert rep.passed, f"residual {rep.max_scaled_residual} at {rep.worst_point}"
 
     def test_equator_flux_hand_value(self):
-        equator = HPoint.of([1.0], [0.0], 0.0)
+        equator = HPoint(np.array([[1.0]]), np.array([[0.0]]), np.array([0.0]))
         measured, predicted = flux_pair(params(0.0), equator)
         # psi = 1 and |grad rho| = 1 there, so both sides are sigma'(1)
         assert predicted == approx(-2.0)
@@ -146,9 +146,9 @@ class TestHarmonicAndFlux:
         measured, predicted = flux_pair(params(0.5, N=2), pts)
         assert measured.shape == predicted.shape == (12,)
         for i in range(12):
-            single = HPoint(pts.x[i], pts.y[i], float(pts.phi[i]))
-            m, p = flux_pair(params(0.5, N=2), single)
-            assert (m, p) == (approx(measured[i], rel=1e-14), approx(predicted[i], rel=1e-14))
+            one = slice(i, i + 1)
+            m, p = flux_pair(params(0.5, N=2), HPoint(pts.x[one], pts.y[one], pts.phi[one]))
+            assert (m, p) == (approx(measured[one], rel=1e-14), approx(predicted[one], rel=1e-14))
 
     @mark.parametrize("lam", [0.0, -1.0])
     def test_boundary_identity_on_grid(self, lam):

@@ -6,7 +6,8 @@ renamed or deleted function would break that run, so each must resolve.
 The benchmark also calls three library functions directly; their
 signatures must still accept those calls.  Conversely, every top-level
 definition of the package must be reached from the package itself, the
-tracer or the benchmark, so that no library code lives for tests alone.
+tracer or the benchmark, so that no library code lives for tests alone;
+the same holds for the methods and properties of its classes.
 """
 
 import ast
@@ -124,3 +125,24 @@ def test_every_library_definition_has_a_caller():
             wanted |= unreached.pop(key)
     names = sorted(".".join(key) for key in unreached)
     assert not names, f"defined in src/koranyi but reached only by tests: {names}"
+
+
+def test_every_library_method_has_a_caller():
+    """Each non-dunder method or property of a `src/koranyi` class is read as
+    an attribute, `obj.name`, somewhere in `src/koranyi` or `perfbench/*.py`;
+    one that only tests read belongs in the tests.  The match is by name, so
+    it catches a member whose name nothing reads at all."""
+    read = set()
+    members = []  # (class name, member name)
+    for path in sorted(SRC.glob("*.py")) + sorted(TRACE.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.parent != SRC:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members += [(cls.name, node.name) for node in cls.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    names = sorted(f"{cls}.{name}" for cls, name in members if name not in read)
+    assert not names, f"class members in src/koranyi read only by tests: {names}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from pytest import approx, mark, raises
 
-from koranyi.hgroup import GroupContext, HPoint
+from koranyi.hgroup import GroupContext, HPoint, knorm
 from koranyi.spectrum import ProblemParams
 from koranyi.witness import (
     Witness,
@@ -87,8 +87,8 @@ class TestSubcriticalBuild:
     def test_boundary_value_is_eps(self):
         w = build_subcritical(params(3.0), tau=1.0, eps=0.25)
         assert w.boundary_value == 0.25
-        edge = HPoint.of([1.0], [0.0], 0.0)
-        assert w(edge) == approx(0.25)
+        edge = HPoint(np.array([[1.0]]), np.array([[0.0]]), np.array([0.0]))
+        assert w.profile()(knorm(edge)) == approx(0.25)
 
 
 def h_beta(s: float, beta: float, params: ProblemParams) -> float:
@@ -204,6 +204,17 @@ class TestVerification:
         w = build_subcritical(params(0.0))
         with raises(ValueError, match="within"):
             verify_witness(w, grid=np.array([1e-6, 0.5]))
+
+    @mark.parametrize("grid", [
+        np.array([0.5, np.nan, 0.9]), np.array([0.5, np.inf]), np.array([]), [],
+        0, -3, np.int64(0), 0.5, [[0.5, 0.9]],
+    ], ids=["nan", "inf", "empty-array", "empty-list", "zero", "negative", "numpy-zero",
+            "scalar", "2-d"])
+    def test_rejects_a_degenerate_grid(self, grid):
+        # the module's own refusal, not a NaN report or an error from inside numpy
+        w = build_subcritical(params(0.0))
+        with raises(ValueError, match="grid"):
+            verify_witness(w, grid=grid)
 
 
 class TestJsonView:
