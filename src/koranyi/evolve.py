@@ -196,17 +196,24 @@ class LinearPart:
     max_real_eig: float
 
 
-def _band_product(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """L u for bands ab (3, ..., n) in `LinearPart` storage and states u
-    (..., n), taken on the flat block matrix of all states at once, whose
-    couplings between blocks are zero.  Those couplings reach only the
-    boundary nodes and the first nodes; the boundary entry is set to 0, the
-    boundary row of L, so that a NaN in the first node of one state does not
-    reach the state before it as 0 * NaN."""
+def _diagonals(ab: np.ndarray) -> tuple:
+    """The upper, main and lower diagonals of the flat block matrix of the
+    contiguous bands ab (3, ..., n) in `LinearPart` storage, as views."""
+    return ab[0].ravel()[1:], ab[1].ravel(), ab[2].ravel()[:-1]
+
+
+def _band_product(diagonals: tuple, u: np.ndarray) -> np.ndarray:
+    """L u for the `_diagonals` of the bands of L and states u (..., n),
+    taken on the flat block matrix of all states at once, whose couplings
+    between blocks are zero.  Those couplings reach only the boundary nodes
+    and the first nodes; the boundary entry is set to 0, the boundary row of
+    L, so that a NaN in the first node of one state does not reach the state
+    before it as 0 * NaN."""
+    upper, diag, lower = diagonals
     flat = u.ravel()
-    out = ab[1].ravel() * flat
-    out[:-1] += ab[0].ravel()[1:] * flat[1:]
-    out[1:] += ab[2].ravel()[:-1] * flat[:-1]
+    out = diag * flat
+    out[:-1] += upper * flat[1:]
+    out[1:] += lower * flat[:-1]
     out = out.reshape(u.shape)
     out[..., -1] = 0.0
     return out

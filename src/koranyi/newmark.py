@@ -1,7 +1,8 @@
 """Lockstep time stepping: Newmark for k = 2 and RODAS3 for k = 1.
 
 `advance` steps any number of runs of one time order on one grid together;
-`evolve` describes the schemes and imports this module at its first run.
+`evolve` describes the schemes and imports this module at its first run, so
+LAPACK, imported here, stays off the import path of every other command.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# LAPACK's tridiagonal routines, which scipy.linalg.solve_banded dispatches to
+# for one band on each side.  Called directly, they skip solve_banded's
+# per-call argument checks, which cost several times a 65-node solve.
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .evolve import (BLOWUP_SUP, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
                      NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RATE_CAP,
-                     RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product)
+                     RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product, _diagonals)
 
 _END_RULE = (f"blow-up at sup>{BLOWUP_SUP:g} or at dt<{ULP_FLOOR} ulp(t) after "
              f"{STALL_GROWTH:g}x growth")
@@ -47,6 +52,7 @@ class _Run:
     end: Optional[object] = None
 
 
+@np.errstate(all="ignore")  # a non-finite attempt is rejected by `_attempt`
 def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     """Step the runs cells = [(params, layers, op), ...] of equal k on the grid
     of rho in lockstep, each to t_end or to its end.
@@ -72,13 +78,12 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     live = [_Run(i, dt0 * t_end, grow) for i in order]
     state = [np.stack([cells[i][1][j] for i in order]) for j in range(k)]
     batch = _Batch(np.stack([cells[i][2].bands for i in order], axis=1),
-                   np.stack([rho[:-1] ** cells[i][0].a for i in order]),
+                   np.stack([rho ** cells[i][0].a for i in order]),
                    np.array([cells[i][0].p for i in order]), nonlinear, extra)
     results = [None] * len(cells)
 
     if k == 2:  # the acceleration at t = 0
-        with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
-            a, w = batch.rates(0.0, state[0])
+        a, w = batch.rates(0.0, state[0])
         state.append(a)
         rates = batch.rate(w)
     else:  # the rates and the diagonal of J at t = 0
@@ -172,13 +177,15 @@ class _Batch:
     """The arrays of the running runs, one row per run in the order of `live`."""
 
     bands: np.ndarray  # (3, B, n), L of each run in `LinearPart` storage
-    weight: np.ndarray  # (B, n - 1), rho^a on the free nodes
+    weight: np.ndarray  # (B, n), rho^a
     p: np.ndarray  # (B,)
     nonlinear: bool
     extra: object
 
     def __post_init__(self):
-        # (p, rows) for each stretch of runs that share p
+        # the diagonals of the flat block matrix, p as a column, and (p, rows)
+        # for each stretch of runs that share p
+        self.diagonals, self.p_col = _diagonals(self.bands), self.p[:, None]
         self.slices, start = [], 0
         for p, same in itertools.groupby(self.p.tolist()):
             stop = start + len(list(same))
@@ -187,25 +194,31 @@ class _Batch:
 
     def take(self, rows):
         """The batch of the runs at the positions rows."""
-        return _Batch(self.bands[:, rows], self.weight[rows], self.p[rows], self.nonlinear,
-                      self.extra)
+        # `take` keeps the bands C-contiguous, so their diagonals stay views
+        return _Batch(self.bands.take(rows, axis=1), self.weight[rows], self.p[rows],
+                      self.nonlinear, self.extra)
 
     def power(self, x):
-        """w = rho^a |x|^(p-1) and |x| on the free nodes of the states x."""
-        mag = np.abs(x[:, :-1])
-        w = np.empty(mag.shape)
+        """w = rho^a |x|^(p-1) and |x| on the free nodes of the states x, and
+        0 at the boundary nodes, whatever their value."""
+        mag = np.abs(x)
+        mag[:, -1] = 0.0
+        if len(self.slices) == 1:
+            return self.weight * mag ** (self.slices[0][0] - 1.0), mag
+        raised = np.empty(mag.shape)
         for p, rows in self.slices:
-            w[rows] = self.weight[rows] * mag[rows] ** (p - 1.0)
-        return w, mag
+            raised[rows] = mag[rows] ** (p - 1.0)
+        return self.weight * raised, mag
 
     def forcing(self, t, x):
         """Everything but L u in the rates at the states x, and w (None when
         the nonlinearity is off)."""
-        g = np.zeros(x.shape)
         w = None
         if self.nonlinear:
             w, mag = self.power(x)
-            g[:, :-1] = w * mag
+            g = w * mag
+        else:
+            g = np.zeros(x.shape)
         if self.extra is not None:
             self.extra(t, g[0])  # extra sees only run 0's time
         return g, w
@@ -213,7 +226,7 @@ class _Batch:
     def rates(self, t, x):
         """The whole rates L x + forcing at the states x, and w."""
         g, w = self.forcing(t, x)
-        return _band_product(self.bands, x) + g, w
+        return _band_product(self.diagonals, x) + g, w
 
     def rate(self, w) -> list:
         """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
@@ -249,33 +262,27 @@ def _newmark(live, state, batch, lost):
     """One Newmark attempt of every run: the new (u, v, a), each run's error
     estimate, sup|u| and nonlinear rate; or the row of a singular system.
     lost is None, or the set `_clear` puts the cleared rows in."""
-    # LAPACK's tridiagonal solver, which scipy.linalg.solve_banded dispatches to
-    # for one band on each side.  Called directly, it skips solve_banded's
-    # per-call argument checks, which cost several times a 65-node solve.
-    from scipy.linalg.lapack import dgtsv
-
     u, v, a = state
-    dt = np.array([[run.dt] for run in live])
+    dt = np.array([run.dt for run in live])[:, None]
     q = 0.25 * dt * dt
-    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
-        u_star = u + dt * v + q * a
-        # Taylor predictor u + dt v + dt^2/2 a
-        g, w = batch.forcing(live[0].t + live[0].dt, u_star + q * a)
-        system = -q * batch.bands
-        system[1] += 1.0
-        *_, x, info = dgtsv(system[2].ravel()[:-1], system[1].ravel(),
-                            system[0].ravel()[1:], _clear(u_star + q * g, lost).ravel())
-        if info != 0:
-            return (info - 1) // u.shape[1]
-        u_new = x.reshape(u.shape)
-        a_new = _band_product(batch.bands, u_new) + g
-        v_new = v + 0.5 * dt * (a + a_new)
-        change = np.abs(a_new - a).max(axis=1).tolist()
-        sups = np.abs(u_new).max(axis=1).tolist()
-        rates = batch.rate(w)
+    qa = q * a
+    u_star = u + dt * v + qa
+    # Taylor predictor u + dt v + dt^2/2 a
+    g, w = batch.forcing(live[0].t + live[0].dt, u_star + qa)
+    upper, diag, lower = _diagonals(-q * batch.bands)
+    diag += 1.0
+    *_, x, info = dgtsv(lower, diag, upper, _clear(u_star + q * g, lost).ravel(),
+                        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        return (info - 1) // u.shape[1]
+    u_new = x.reshape(u.shape)
+    a_new = _band_product(batch.diagonals, u_new) + g
+    v_new = v + 0.5 * dt * (a + a_new)
+    change = np.abs(a_new - a).max(axis=1).tolist()
+    sups = np.abs(u_new).max(axis=1).tolist()
     errs = [(run.dt * run.dt / 12.0) * d / (NEWMARK_RTOL * sup + NEWMARK_ATOL)
             for run, d, sup in zip(live, change, sups)]
-    return [u_new, v_new, a_new], errs, sups, rates
+    return [u_new, v_new, a_new], errs, sups, batch.rate(w)
 
 
 def _rodas3(live, state, batch, lost):
@@ -289,62 +296,62 @@ def _rodas3(live, state, batch, lost):
     over a probe no longer than the step.  lost is None, or the set
     `_clear` puts the cleared rows in.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
     u, f0, jd = state
-    h = np.array([[run.dt] for run in live])
+    h = np.array([run.dt for run in live])[:, None]
     t, t1 = live[0].t, live[0].t + live[0].dt
-    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
-        d = 1.0 / (GAMMA * h) - jd
-        # a non-finite pivot comes with a non-finite forcing, so its attempt is
-        # rejected anyway; a finite one keeps LAPACK's row swaps inside each block
-        d[~np.isfinite(d)] = 1.0
-        dl, d, du, du2, ipiv, info = dgttrf(
-            -batch.bands[2].ravel()[:-1], d.ravel(), -batch.bands[0].ravel()[1:],
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            return (info - 1) // u.shape[1]
+    d = 1.0 / (GAMMA * h) - jd
+    # a non-finite pivot comes with a non-finite forcing, so its attempt is
+    # rejected anyway; a finite one keeps LAPACK's row swaps inside each block
+    d[~np.isfinite(d)] = 1.0
+    upper, _, lower = batch.diagonals
+    dl, d, du, du2, ipiv, info = dgttrf(-lower, d.ravel(), -upper,
+                                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        return (info - 1) // u.shape[1]
 
-        def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
-            return dgttrs(dl, d, du, du2, ipiv, _clear(rhs, lost).ravel(),
-                          overwrite_b=1)[0].reshape(u.shape)
+    def solve(rhs):  # rhs is a temporary: LAPACK writes the solution into it
+        return dgttrs(dl, d, du, du2, ipiv, _clear(rhs, lost).ravel(),
+                      overwrite_b=1)[0].reshape(u.shape)
 
-        inv_h = 1.0 / h
-        r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
-        if batch.extra is not None:
-            delta = min(math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t)), t1 - t)
-            dfdt = (batch.forcing(t + delta, u)[0] - batch.forcing(t, u)[0]) / delta
-            r1, r2 = f0 + (GAMMA * h) * dfdt, f0 + (1.5 * h) * dfdt
-        k1 = solve(r1)
-        k2 = solve(r2 + (4.0 * inv_h) * k1)
-        y = u + 2.0 * k1
-        back = (k1 - k2) * inv_h
-        k3 = solve(batch.rates(t1, y)[0] + back)
-        y += k3
-        k4 = solve(batch.rates(t1, y)[0] + back - (8.0 / 3.0) * inv_h * k3)
-        u_new = y + k4
-        e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), np.abs(u_new)))
-        err = np.sqrt((e * e).sum(axis=1) / u.shape[1])
-    u_new[:, -1] = u[:, -1]  # each K_i is 0 there, or NaN in a non-finite attempt
+    inv_h = 1.0 / h
+    r1, r2 = f0.copy(), f0  # each solve overwrites its right-hand side
+    if batch.extra is not None:
+        delta = min(math.sqrt(np.finfo(float).eps) * max(1e-6, abs(t)), t1 - t)
+        dfdt = (batch.forcing(t + delta, u)[0] - batch.forcing(t, u)[0]) / delta
+        r1, r2 = f0 + (GAMMA * h) * dfdt, f0 + (1.5 * h) * dfdt
+    k1 = solve(r1)
+    k2 = solve(r2 + (4.0 * inv_h) * k1)
+    y = u + 2.0 * k1
+    back = (k1 - k2) * inv_h
+    k3 = solve(batch.rates(t1, y)[0] + back)
+    y += k3
+    k4 = solve(batch.rates(t1, y)[0] + back - (8.0 / 3.0) * inv_h * k3)
+    u_new = y + k4
+    # each K_i is 0 at the boundary node, or NaN in a non-finite attempt, so
+    # there |u_new| is |u|, or NaN along with the error
+    mag = np.abs(u_new)
+    e = k4 / (RODAS_ATOL + RODAS_RTOL * np.maximum(np.abs(u), mag))
+    err = np.sqrt((e * e).sum(axis=1) / u.shape[1])
+    u_new[:, -1] = u[:, -1]
     ends = _ends(t1, u_new, batch)
-    return ([u_new, *ends], err.tolist(), np.abs(u_new).max(axis=1).tolist(),
-            ends[1].max(axis=1).tolist())
+    return [u_new, *ends], err.tolist(), mag.max(axis=1).tolist(), ends[1].max(axis=1).tolist()
 
 
 def _ends(t, u, batch):
-    """The rates f(t, u) and the diagonal of J at the states u."""
-    with np.errstate(all="ignore"):  # a non-finite attempt is rejected by `_attempt`
-        f, w = batch.rates(t, u)
-        jd = np.array(batch.bands[1])
-        if w is not None:
-            jd[:, :-1] += batch.p[:, None] * w * np.sign(u[:, :-1])
+    """The rates f(t, u) and the diagonal of J at the states u, whose pinned
+    boundary nodes are finite, so that w sign u is 0 there."""
+    f, w = batch.rates(t, u)
+    jd = batch.bands[1] if w is None else batch.bands[1] + batch.p_col * w * np.sign(u)
     return [f, jd]
 
 
 def _control(run, err, sup, rate, t_end, grow) -> bool:
     """Judge one run's attempt by its error estimate and set its next dt; on
     acceptance advance its clock, counters and rate and mark its end.
-    Returns whether the attempt was accepted."""
+    Returns whether the attempt was accepted.  The controller stays on Python
+    floats, run by run: numpy's vectorized power is not libm's pow, and with
+    numpy 2.4 on an AVX-512 host x ** (-1/3) differs for 9 673 of 200 000
+    uniform x in (0, 1), which would move dt sequences."""
     if err > 1.0:
         run.rejected += 1
         run.nonfinite = err == math.inf
@@ -403,8 +410,7 @@ def _sample(pending, times) -> None:
     runs, at, s, h, rows = zip(*picks)
     s, h, rows = np.array(s)[:, None], np.array(h)[:, None], list(rows)
     u0, f0, u1, f1 = u0[rows], f0[rows], u1[rows], f1[rows]
-    with np.errstate(all="ignore"):
-        u = u0 + s * (h * f0 + s * (3.0 * (u1 - u0) - h * (2.0 * f0 + f1)
-                                    + s * (2.0 * (u0 - u1) + h * (f0 + f1))))
+    u = u0 + s * (h * f0 + s * (3.0 * (u1 - u0) - h * (2.0 * f0 + f1)
+                                + s * (2.0 * (u0 - u1) + h * (f0 + f1))))
     for run, tau, sup in zip(runs, at, np.abs(u).max(axis=1).tolist()):
         run.samples.append((tau, sup))

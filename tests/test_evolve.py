@@ -116,7 +116,7 @@ class TestLinearPart:
         op = linear_part(g, N, lam)
         nonlin = np.zeros_like(u)
         nonlin[:-1] = rho[:-1] ** a * np.abs(u[:-1]) ** p
-        ours = evolve._band_product(op.bands, u) + nonlin
+        ours = evolve._band_product(evolve._diagonals(op.bands), u) + nonlin
         ours[0] += op.slope_coef * slope
         ref = radial_rhs(u, g, pr, u[-1], nonlinear=True, neumann_slope=slope)
         size = np.abs(op.bands).max(axis=0) * np.abs(u).max() + np.abs(nonlin) + 1.0
@@ -646,3 +646,97 @@ class TestPhaseSweep:
                     (y.status, y.end_reason, y.steps, y.rejected, y.lu, y.t_final)
                 assert np.array_equal(x.final_layers, y.final_layers, equal_nan=True)
             assert [x.end_reason for x in together] == ["completed", stop, "completed"]
+
+    def lockstep_cells(self, k):
+        """The admissible LOCKSTEP_BOX cells of order k, prepared for
+        `newmark.advance`, and the grid's nodes."""
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        rho = g.nodes()
+        cells = []
+        for lam in self.LOCKSTEP_BOX[0]:
+            for a in self.LOCKSTEP_BOX[1]:
+                for p in self.LOCKSTEP_BOX[2]:
+                    pr = params(lam, a, p, k)
+                    try:
+                        cells.append((pr, *evolve._prepare(
+                            pr, layers(canonical_bump(rho), k), g, 0.3, 0.1)))
+                    except ValueError:  # lambda = -0.5 is refused on the uniform grid
+                        pass
+        return cells, rho
+
+    def test_lockstep_results_equal_lone_runs_to_the_bit(self):
+        # one batch of mixed p raises |u| slice by slice, a lone run in one
+        # slice; every field of every result, and the final layers to the
+        # bit, must agree
+        for k in (1, 2):
+            cells, rho = self.lockstep_cells(k)
+            assert len(cells) == 24
+            together = newmark.advance(cells, rho, 0.3, True)
+            reasons = set()
+            for cell, x in zip(cells, together):
+                (y,) = newmark.advance([cell], rho, 0.3, True)
+                assert (x.status, x.t_final, x.sup_norm_history, x.blow_up_time, x.end_reason,
+                        x.note, x.steps, x.rejected, x.lu) == \
+                    (y.status, y.t_final, y.sup_norm_history, y.blow_up_time, y.end_reason,
+                     y.note, y.steps, y.rejected, y.lu), (k, cell[0])
+                assert x.final_layers.shape == (k, rho.size)
+                assert np.array_equal(x.final_layers, y.final_layers), (k, cell[0])
+                reasons.add(x.end_reason)
+            assert reasons == {"sup_threshold", "dt_floor", "completed"}
+
+    def test_take_rebuilds_every_cache(self):
+        # a compacted batch must cache what a batch built from its rows does:
+        # the flat diagonals of its own bands, p as a column and the p slices
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        rho = g.nodes()
+        lams, avals, ps = (0.0, 0.75, 0.0, 3.0, 0.75), (-3.0, -2.0, 0.0, 2.0, -2.0), \
+            np.array([1.5, 1.5, 2.0, 3.0, 3.0])
+        bands = np.stack([linear_part(g, 1, lam).bands for lam in lams], axis=1)
+        weight = np.stack([rho ** a for a in avals])
+        batch = newmark._Batch(bands, weight, ps, True, None)
+        for rows in ([0, 2, 3], [1, 4], [3], [0, 1, 2, 3, 4]):
+            taken = batch.take(rows)
+            fresh = newmark._Batch(bands[:, rows], weight[rows], ps[rows], True, None)
+            for mine, theirs in zip(taken.diagonals, fresh.diagonals):
+                assert np.array_equal(mine, theirs)
+                assert np.shares_memory(mine, taken.bands)
+            assert taken.p_col.shape == (len(rows), 1)
+            assert np.array_equal(taken.p_col, fresh.p_col)
+            assert taken.slices == fresh.slices
+        assert batch.take([0, 2, 3]).slices == [(1.5, slice(0, 1)), (2.0, slice(1, 2)),
+                                                (3.0, slice(2, 3))]
+
+    def test_numpy_error_state_is_restored(self, monkeypatch):
+        # advance ignores floating-point errors while it steps and gives the
+        # caller's error state back on a normal return, a singular system
+        # and an extra callback that raises
+        inside = []
+
+        def extra(t, g):
+            inside.append(np.geterr())
+            if t > 0.0:
+                raise ZeroDivisionError("source")
+
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            for k, solver in ((1, "dgttrf"), (2, "dgtsv")):
+                cells, rho = self.lockstep_cells(k)
+                results = newmark.advance(cells[:3], rho, 0.3, True)
+                assert [r.status for r in results] == ["blown_up"] * 3
+                assert np.geterr() == caller
+
+                lapack = getattr(newmark, solver)
+
+                def singular(*args, lapack=lapack, **kwargs):
+                    return (*lapack(*args, **kwargs)[:-1], 1)
+
+                with monkeypatch.context() as m:
+                    m.setattr(newmark, solver, singular)
+                    (res,) = newmark.advance(cells[:1], rho, 0.3, True)
+                assert isinstance(res, RuntimeError) and "singular" in str(res)
+                assert np.geterr() == caller
+
+                with raises(ZeroDivisionError):
+                    newmark.advance(cells[:1], rho, 0.3, True, extra)
+                assert np.geterr() == caller
+        assert inside and all(state == dict.fromkeys(caller, "ignore") for state in inside)
