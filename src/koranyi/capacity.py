@@ -127,7 +127,6 @@ class ScalingFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +228,6 @@ def j1_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
 # J2: the elliptic functional
 # ---------------------------------------------------------------------------
 
-def j2_space_factor(cutoff: str, R: float, params: ProblemParams, iota: int) -> QuadResult:
-    """`j2_space_factors` at the one scale R."""
-    return j2_space_factors(cutoff, [R], params, iota)[0]
-
-
 def j2_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
                      iota: int) -> list[QuadResult]:
     """radial_integral of D^{-1/(p-1)} |E|^{p/(p-1)} V^{-1/(p-1)} over the
@@ -266,7 +260,7 @@ def j2_space_factors(cutoff: str, Rs: Sequence[float], params: ProblemParams,
 
 def j2(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> QuadResult:
     """The full elliptic functional: int beta_T dt x space factor."""
-    return _product(beta_time_integral(T, iota), j2_space_factor(cutoff, R, params, iota))
+    return _product(beta_time_integral(T, iota), j2_space_factors(cutoff, [R], params, iota)[0])
 
 
 def _product(a: QuadResult, b: QuadResult) -> QuadResult:
@@ -324,4 +318,4 @@ def scaling_fit(values: Sequence[tuple[float, float]]) -> ScalingFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return ScalingFit(float(slope), float(intercept), r2, tuple(zip(x.tolist(), y.tolist())))
+    return ScalingFit(float(slope), float(intercept), r2)

@@ -373,6 +373,11 @@ def cmd_classify(cfg: dict) -> int:
 def cmd_witness(cfg: dict) -> int:
     params = _params_from(cfg)
     tol = cfg["tol"]
+    # each construction has its own shape key; refuse the other's, not ignore it
+    shape, other = ("beta", "tau") if params.is_critical else ("tau", "beta")
+    if cfg[other] is not None:
+        raise UsageError(f"{other} does not shape the witness at lambda = {params.lam:g}; "
+                         f"use {shape}")
     if params.is_critical:
         w = build_critical(params, beta=cfg["beta"], eps=cfg["eps"])
     else:

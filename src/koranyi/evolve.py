@@ -75,6 +75,10 @@ from .spectrum import ProblemParams, classify
 
 BLOWUP_SUP = 1e8
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
+# most cells a RadialGrid accepts: `linear_part` solves a dense n x n
+# eigenproblem, which takes about 2 s and 100 MB at 2048 cells and grows as
+# n^3 in time and n^2 in memory
+MAX_CELLS = 2048
 STALL_GROWTH = 100.0  # sup growth that makes a stopped run a blow-up
 ULP_FLOOR = 16  # a run stops once dt < ULP_FLOOR ulps of max(t, first dt)
 RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
@@ -101,6 +105,8 @@ class RadialGrid:
             raise ValueError(f"rho_min must lie in (0, 1), got {self.rho_min}")
         if self.n_cells < MIN_CELLS:
             raise ValueError(f"need at least {MIN_CELLS} cells, got {self.n_cells}")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"need at most {MAX_CELLS} cells, got {self.n_cells}")
         if self.spacing not in ("uniform", "log"):
             raise ValueError(f"spacing must be 'uniform' or 'log', got {self.spacing!r}")
 
@@ -150,15 +156,14 @@ def radial_rhs(
     u: np.ndarray,
     grid: RadialGrid,
     params: ProblemParams,
-    boundary_value: float,
     nonlinear: bool = True,
     neumann_slope: float = 0.0,
 ) -> np.ndarray:
-    """Spatial operator on one field layer; assumes u[-1] == boundary_value.
+    """Spatial operator on one field layer.
 
     Interior nodes use 3-point stencils; the inner node applies a mirror
-    ghost carrying the prescribed slope; the boundary node is pinned (its
-    time derivative is 0, matching the constant Dirichlet value).
+    ghost carrying the prescribed slope; the boundary node u[-1] is pinned
+    to its constant Dirichlet value, so its time derivative is 0.
     """
     rho, (d1_lo, d1_mid, d1_hi, d2_lo, d2_mid, d2_hi), h = _grid_data(grid)
     out = np.zeros_like(u)

@@ -42,7 +42,7 @@ class _Run:
     t: float = 0.0
     sup: float = 0.0
     rate: float = 0.0  # caps dt: k = 2's nonlinear rate, k = 1's largest diagonal of J
-    history: list = field(default_factory=list)  # (0, sup0), then a blow-up or stall
+    sup0: float = 0.0  # sup|u| at t = 0
     samples: list = field(default_factory=list)  # sup|u| at the record times past 0
     recorded: int = 1  # how many record times have been queued
     steps: int = 0
@@ -77,9 +77,11 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
     live = [_Run(i, dt0 * t_end, grow) for i in order]
     state = [np.stack([cells[i][1][j] for i in order]) for j in range(k)]
+    # a linear run is a run of weight 0 and p = 1: its forcing 0 |u| is 0, and
+    # no rho^a or |u|^(p-1) can overflow into 0 * inf
     batch = _Batch(np.stack([cells[i][2].bands for i in order], axis=1),
-                   np.stack([rho ** cells[i][0].a for i in order]),
-                   np.array([cells[i][0].p for i in order]), nonlinear, extra)
+                   np.stack([rho ** cells[i][0].a if nonlinear else 0.0 * rho for i in order]),
+                   np.array([cells[i][0].p if nonlinear else 1.0 for i in order]), extra)
     results = [None] * len(cells)
 
     if k == 2:  # the acceleration at t = 0
@@ -90,7 +92,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
         state += _ends(0.0, state[0], batch)
         rates = state[2].max(axis=1).tolist()
     for run, sup, rate in zip(live, np.abs(state[0]).max(axis=1).tolist(), rates):
-        run.sup, run.rate, run.history = sup, rate, [(0.0, sup)]
+        run.sup, run.rate, run.sup0 = sup, rate, sup
     times = np.linspace(0.0, t_end, MAX_HISTORY + 1).tolist() if history else [0.0, t_end]
     pending = []  # accepted attempts that cover record times, sampled in batches
 
@@ -129,7 +131,9 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
                     results[run.index] = run.end
                 else:
                     status, reason, blow_time, note = run.end
-                    history = run.history[:1] + run.samples + run.history[1:]
+                    history = [(0.0, run.sup0), *run.samples]
+                    if status != "completed":  # the end of a blow-up or stall
+                        history.append((run.t, run.sup))
                     results[run.index] = SimResult(
                         status, run.t, tuple(history), blow_time,
                         np.stack([x[r] for x in state[:k]]), policy, note, reason,
@@ -177,9 +181,8 @@ class _Batch:
     """The arrays of the running runs, one row per run in the order of `live`."""
 
     bands: np.ndarray  # (3, B, n), L of each run in `LinearPart` storage
-    weight: np.ndarray  # (B, n), rho^a
+    weight: np.ndarray  # (B, n), rho^a, or 0 for a linear run
     p: np.ndarray  # (B,)
-    nonlinear: bool
     extra: object
 
     def __post_init__(self):
@@ -195,8 +198,7 @@ class _Batch:
     def take(self, rows):
         """The batch of the runs at the positions rows."""
         # `take` keeps the bands C-contiguous, so their diagonals stay views
-        return _Batch(self.bands.take(rows, axis=1), self.weight[rows], self.p[rows],
-                      self.nonlinear, self.extra)
+        return _Batch(self.bands.take(rows, axis=1), self.weight[rows], self.p[rows], self.extra)
 
     def power(self, x):
         """w = rho^a |x|^(p-1) and |x| on the free nodes of the states x, and
@@ -211,14 +213,9 @@ class _Batch:
         return self.weight * raised, mag
 
     def forcing(self, t, x):
-        """Everything but L u in the rates at the states x, and w (None when
-        the nonlinearity is off)."""
-        w = None
-        if self.nonlinear:
-            w, mag = self.power(x)
-            g = w * mag
-        else:
-            g = np.zeros(x.shape)
+        """Everything but L u in the rates at the states x, and w."""
+        w, mag = self.power(x)
+        g = w * mag
         if self.extra is not None:
             self.extra(t, g[0])  # extra sees only run 0's time
         return g, w
@@ -230,7 +227,7 @@ class _Batch:
 
     def rate(self, w) -> list:
         """Each run's nonlinear rate max p rho^a |u|^(p-1)."""
-        return [0.0] * len(self.p) if w is None else (self.p * w.max(axis=1)).tolist()
+        return (self.p * w.max(axis=1)).tolist()
 
 
 def _limit(run, k, t_end, dt0) -> None:
@@ -247,15 +244,13 @@ def _limit(run, k, t_end, dt0) -> None:
         run.dt = min(run.dt, t_end - run.t)
         return
     note = f"dt underflow ({run.dt:.3e}) at t = {run.t:.6g}"
-    sup0 = run.history[0][1]
-    if run.sup > 0.0 and run.sup >= STALL_GROWTH * sup0:
+    if run.sup > 0.0 and run.sup >= STALL_GROWTH * run.sup0:
         run.end = ("blown_up", "dt_floor", run.t, note)
     else:
         cause = "non-finite right-hand side; " if run.nonfinite else ""
         run.end = ("solver_stall", "solver_stall", None,
                    f"{cause}{note}; last finite state sup {run.sup:.3e} "
-                   f"({run.sup / sup0 if sup0 > 0 else math.inf:.3g}x the initial sup)")
-    run.history.append((run.t, run.sup))
+                   f"({run.sup / run.sup0 if run.sup0 > 0 else math.inf:.3g}x the initial sup)")
 
 
 def _newmark(live, state, batch, lost):
@@ -341,8 +336,7 @@ def _ends(t, u, batch):
     """The rates f(t, u) and the diagonal of J at the states u, whose pinned
     boundary nodes are finite, so that w sign u is 0 there."""
     f, w = batch.rates(t, u)
-    jd = batch.bands[1] if w is None else batch.bands[1] + batch.p_col * w * np.sign(u)
-    return [f, jd]
+    return [f, batch.bands[1] + batch.p_col * w * np.sign(u)]
 
 
 def _control(run, err, sup, rate, t_end, grow) -> bool:
@@ -373,16 +367,13 @@ def _control(run, err, sup, rate, t_end, grow) -> bool:
 
 def _queue(live, took, starts, times, old, new, pending) -> None:
     """Queue the record times that the accepted steps of live[r], r in took,
-    cover from (starts[r], old) to (run.t, new), and record the step that
-    ends a blow-up.  Both orders keep du/dt as their second state, the rates
-    for k = 1 and v for k = 2."""
+    cover from (starts[r], old) to (run.t, new).  Both orders keep du/dt as
+    their second state, the rates for k = 1 and v for k = 2."""
     spans = []  # (run, row, step start, step, first and end index of its record times)
     for r in took:
         run = live[r]
         if run.end:
             stop = len(times) if run.end[0] == "completed" else bisect.bisect_right(times, run.t)
-            if run.end[0] == "blown_up":
-                run.history.append((run.t, run.sup))
         elif run.t < times[run.recorded]:
             continue
         else:

@@ -33,7 +33,7 @@ second, and third kind) is rearrangement of the same margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -136,10 +136,8 @@ class PointwiseReport:
 
     passed: bool
     max_scaled_residual: float
-    tol: float
     n_points: int
     worst_point: tuple = ()
-    note: str = ""
 
 
 def alphas(params: ProblemParams) -> AlphaPair:
@@ -223,7 +221,7 @@ def check_k_harmonic(
     kval = sigma_lambda(rho, params)
     resid = np.abs(-hlap(field, pts) / psi(pts) + params.lam * kval / rho**2)
     worst, worst_pt = _worst(resid / (1.0 + np.abs(kval) / rho**2), pts)
-    return PointwiseReport(worst <= tol, worst, tol, n_points, worst_pt)
+    return PointwiseReport(worst <= tol, worst, n_points, worst_pt)
 
 
 def flux_pair(params: ProblemParams, xi: HPoint):
@@ -264,7 +262,7 @@ def check_k_boundary(
     measured, predicted = flux_pair(params, pts)
     rel = np.abs(measured - predicted) / np.maximum(np.abs(predicted), 1e-300)
     worst, worst_pt = _worst(rel, pts)
-    return PointwiseReport(worst <= tol, worst, tol, len(rel), worst_pt)
+    return PointwiseReport(worst <= tol, worst, len(rel), worst_pt)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ class Witness:
     tau: Optional[float] = None
     beta: Optional[float] = None
 
-    @property
-    def boundary_value(self) -> float:
-        return self.eps
-
     def profile(self) -> Callable:
         """The radial factor u(rho), accepting a float, an array or a `Jet`."""
         if self.kind == "subcritical":
@@ -74,7 +70,6 @@ class WitnessReport:
     max_identity_rel_err: float
     min_slack: float
     n_points: int
-    worst_identity_rho: float
     min_slack_rho: float
     note: str = ""
 
@@ -193,9 +188,7 @@ def build_critical(
         )
     if beta is None:
         beta = 0.5
-    elif not 0.0 < beta < 1.0:
-        raise ValueError(f"log power must lie in (0, 1), got {beta}")
-    bound = eps_bound_critical(beta, params)
+    bound = eps_bound_critical(beta, params)  # refuses beta outside (0, 1)
     if eps is None:
         eps = 0.5 * bound
     elif not 0.0 < eps < bound:
@@ -270,9 +263,7 @@ def verify_witness(
             f"identity worst rel err {max_rel:.3e} at rho = {worst_rho:.6g}; "
             f"minimum slack {min_slack:.3e} at rho = {slack_rho:.6g}"
         )
-    return WitnessReport(
-        passed, max_rel, min_slack, len(radii), worst_rho, slack_rho, note
-    )
+    return WitnessReport(passed, max_rel, min_slack, len(radii), slack_rho, note)
 
 
 def witness_json(w: Witness, report: Optional[WitnessReport] = None) -> dict:
@@ -281,7 +272,7 @@ def witness_json(w: Witness, report: Optional[WitnessReport] = None) -> dict:
     out: dict = {
         "kind": w.kind,
         "eps": w.eps,
-        "boundary_value": w.boundary_value,
+        "boundary_value": w.eps,
         "params": {"N": p.ctx.N, "Q": p.Q, "lambda": p.lam, "a": p.a, "p": p.p, "k": p.k},
     }
     if w.kind == "subcritical":

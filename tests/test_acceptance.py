@@ -40,7 +40,7 @@ from koranyi.capacity import (
     DEFAULT_SCALES,
     default_family,
     j1_time_factor,
-    j2_space_factor,
+    j2_space_factors,
     scaling_fit,
 )
 from koranyi.witness import (
@@ -259,18 +259,17 @@ def test_6_capacity_scaling_laws():
         for lam, expected in ((0.0, 2.0), (3.0, 3.0), (-0.75, 1.5)):
             pp = params(lam)
             iota = default_family(pp)
-            pts = [(R, j2_space_factor("gamma", R, pp, iota).value) for R in DEFAULT_SCALES]
-            fit = scaling_fit(pts)
+            factors = j2_space_factors("gamma", DEFAULT_SCALES, pp, iota)
+            fit = scaling_fit([(R, q.value) for R, q in zip(DEFAULT_SCALES, factors)])
             assert fit.slope == approx(expected, abs=0.1), lam
             assert fit.r_squared > 0.99
 
         pp = params(-1.0, a=0.0, p=3.0)
         assert existence_margin(pp) == approx(0.0, abs=1e-12)
         iota = default_family(pp)
-        pts = [
-            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pp, iota).value)
-            for e in (2, 4, 8, 12, 16, 20)
-        ]
+        scales = [10.0**e for e in (2, 4, 8, 12, 16, 20)]
+        factors = j2_space_factors("mu", scales, pp, iota)
+        pts = [(math.log(R), q.value) for R, q in zip(scales, factors)]
         fit = scaling_fit(pts)
         assert fit.r_squared >= 0.95
         assert fit.slope == approx(-2.0 / (pp.p - 1.0), abs=0.1)
@@ -312,7 +311,7 @@ def test_8_evolution_convergence():
                 rho = g.nodes()
                 u = mms_reference(0.3, rho)
                 spatial = radial_rhs(
-                    u, g, pp, u[-1], nonlinear=True,
+                    u, g, pp, nonlinear=True,
                     neumann_slope=mms_neumann(g.rho_min)(0.3),
                 )
                 dk = (-1.0 if k == 1 else 1.0) * mms_reference(0.3, rho)

@@ -21,7 +21,6 @@ from koranyi.capacity import (
     j1_time_factor,
     j1_time_factors,
     j2,
-    j2_space_factor,
     j2_space_factors,
     min_iota,
     ramp_ell,
@@ -104,7 +103,7 @@ class TestTimeBump:
         iota = default_family(params(0.0))
         assert beta_time_integral(100.0, iota).evaluations > 0
         assert j1_time_factor(100.0, params(0.0), iota).evaluations > 0
-        sf = j2_space_factor("gamma", 10.0, params(0.0), iota)
+        (sf,) = j2_space_factors("gamma", [10.0], params(0.0), iota)
         assert j2("gamma", 100.0, 10.0, params(0.0), iota).evaluations == (
             beta_time_integral(100.0, iota).evaluations + sf.evaluations
         )
@@ -239,8 +238,8 @@ class TestAnnulusLaw:
         # gamma transition: J2 space factor grows like R^{(a+2p)/(p-1) - Q - alpha-}
         pr = params(lam)
         iota = default_family(pr)
-        pts = [(R, j2_space_factor("gamma", R, pr, iota).value) for R in DEFAULT_SCALES]
-        fit = scaling_fit(pts)
+        factors = j2_space_factors("gamma", DEFAULT_SCALES, pr, iota)
+        fit = scaling_fit([(R, q.value) for R, q in zip(DEFAULT_SCALES, factors)])
         assert fit.slope == approx(expected, abs=0.1)
         assert fit.r_squared > 0.99
 
@@ -251,10 +250,9 @@ class TestLogDecayLaw:
         pr = params(-1.0, a=0.0, p=3.0)
         assert existence_margin(pr) == approx(0.0, abs=1e-12)
         iota = default_family(pr)
-        pts = [
-            (math.log(10.0**e), j2_space_factor("mu", 10.0**e, pr, iota).value)
-            for e in (2, 4, 8, 12, 16, 20)
-        ]
+        scales = [10.0**e for e in (2, 4, 8, 12, 16, 20)]
+        factors = j2_space_factors("mu", scales, pr, iota)
+        pts = [(math.log(R), q.value) for R, q in zip(scales, factors)]
         fit = scaling_fit(pts)
         assert fit.slope == approx(-1.0, abs=0.1)
         assert fit.r_squared >= 0.95
@@ -312,16 +310,16 @@ class TestAgainstQuad:
     def test_annulus_law_grid(self, N, lam):
         pr = ProblemParams(GroupContext(N), lam, 0.0, 2.0, 1)
         iota = default_family(pr)
-        for R in QUARTER_DECADES:
-            assert_agrees(j2_space_factor("gamma", R, pr, iota), j2_reference("gamma", R, pr, iota))
+        for R, q in zip(QUARTER_DECADES, j2_space_factors("gamma", QUARTER_DECADES, pr, iota)):
+            assert_agrees(q, j2_reference("gamma", R, pr, iota))
 
     @mark.parametrize("N", [1, 2])
     def test_logdecay_law_grid(self, N):
         pr = critical(N)
         assert existence_margin(pr) == approx(0.0, abs=1e-12)
         iota = default_family(pr)
-        for R in LOG_DECAY_SCALES:
-            assert_agrees(j2_space_factor("mu", R, pr, iota), j2_reference("mu", R, pr, iota))
+        for R, q in zip(LOG_DECAY_SCALES, j2_space_factors("mu", LOG_DECAY_SCALES, pr, iota)):
+            assert_agrees(q, j2_reference("mu", R, pr, iota))
 
     @mark.parametrize("N", [1, 2])
     def test_domination_law_grid(self, N):
@@ -345,8 +343,9 @@ class TestAgainstQuad:
         # grows toward the edge of the support, where the cutoff is masked
         pr = ProblemParams(GroupContext(1), lam, 0.0, p, 1)
         iota = default_family(pr)
-        for R in (10.0, 10.0**1.5, 1e3):
-            assert_agrees(j2_space_factor(cutoff, R, pr, iota), j2_reference(cutoff, R, pr, iota))
+        scales = (10.0, 10.0**1.5, 1e3)
+        for R, q in zip(scales, j2_space_factors(cutoff, scales, pr, iota)):
+            assert_agrees(q, j2_reference(cutoff, R, pr, iota))
 
 
     @mark.parametrize("cutoff", sorted(CUTOFFS))
@@ -355,7 +354,8 @@ class TestAgainstQuad:
         # underflows near its inner end, while the integrand peaks near 1e133
         pr = ProblemParams(GroupContext(1), 0.0, 0.0, 1.05, 1)
         iota = default_family(pr)
-        assert_agrees(j2_space_factor(cutoff, 10.0, pr, iota), j2_reference(cutoff, 10.0, pr, iota))
+        (q,) = j2_space_factors(cutoff, [10.0], pr, iota)
+        assert_agrees(q, j2_reference(cutoff, 10.0, pr, iota))
 
 
 class TestOutOfDoubleRange:
@@ -364,7 +364,7 @@ class TestOutOfDoubleRange:
         # at p = 1.01 the integrand reaches about 1e790 inside the transition
         pr = ProblemParams(GroupContext(1), 0.0, 0.0, 1.01)
         with raises(RuntimeError, match="nonfinite capacity integrand"):
-            j2_space_factor("gamma", R, pr, min_iota(1, 1.01))
+            j2_space_factors("gamma", [R], pr, min_iota(1, 1.01))
 
 
 class TestFullFunctionals:
@@ -374,7 +374,7 @@ class TestFullFunctionals:
         T, R = 50.0, 20.0
         full = j2("mu", T, R, pr, iota)
         assert full.value == approx(
-            beta_time_integral(T, iota).value * j2_space_factor("mu", R, pr, iota).value
+            beta_time_integral(T, iota).value * j2_space_factors("mu", [R], pr, iota)[0].value
         )
         assert full.method == "product"
 
@@ -410,7 +410,7 @@ class TestBatchedScales:
         iota = default_family(pr)
         scales = (1e2, 10.0 ** 6.5, 1e11, 1e20) if cutoff == "mu" else self.SCALES
         assert j2_space_factors(cutoff, scales, pr, iota) == [
-            j2_space_factor(cutoff, R, pr, iota) for R in scales]
+            j2_space_factors(cutoff, [R], pr, iota)[0] for R in scales]
 
     @mark.parametrize("N", [1, 2])
     def test_etas(self, N):

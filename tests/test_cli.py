@@ -116,6 +116,19 @@ class TestWitnessCommand:
         assert code == 2
         assert "no admissible decay exponent" in err
 
+    @mark.parametrize("argv, key", [
+        (["--lambda-critical", "--a", "1", "--p", "2", "--tau", "0.3"], "tau"),
+        (["--lambda", "0", "--a", "1", "--p", "2", "--beta", "0.3"], "beta"),
+    ], ids=["tau-at-critical", "beta-above-critical"])
+    def test_other_constructions_shape_key_is_refused(self, capsys, tmp_path, argv, key):
+        # tau shapes only the power witness and beta only the critical one;
+        # the other construction's key would otherwise be echoed but ignored
+        code, out, err = run(capsys, "witness", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{key} does not shape" in err
+        assert not (tmp_path / "witness.json").exists()
+
 
 class TestScalingCommand:
     def test_time_law(self, capsys, tmp_path):
@@ -610,6 +623,13 @@ class TestNonFiniteAndIllTypedInput:
         code, err = self.quiet([*argv, "--config", str(path)])
         assert code == 2, err
         assert err.startswith(f"error: {key} must be >=")
+
+    @mark.parametrize("command", ["simulate", "phase-sweep"])
+    def test_grid_over_the_budget_exits_2(self, command):
+        # the dense eigensolve of a 10 000-cell grid would take gigabytes
+        code, err = self.quiet([command, "--n-cells", "10000", "--t-end", "0.01"])
+        assert code == 2, err
+        assert err.startswith("error: need at most") and "got 10000" in err
 
     def test_non_integer_n_flag_is_refused_by_the_parser(self):
         with raises(SystemExit) as exc:

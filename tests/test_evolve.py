@@ -12,6 +12,7 @@ from koranyi.hgroup import GroupContext
 from koranyi.spectrum import ProblemParams
 from koranyi.evolve import (
     BLOWUP_SUP,
+    MAX_CELLS,
     STALL_GROWTH,
     RadialGrid,
     canonical_bump,
@@ -58,13 +59,27 @@ class TestRadialGrid:
         with raises(ValueError, match="spacing"):
             RadialGrid(spacing="chebyshev")
 
+    def test_grid_over_the_budget_is_refused_before_allocating(self):
+        # `linear_part` takes 8 n^2 bytes for each copy of its dense block, so
+        # 10 000 cells would ask for gigabytes; the grid is refused first
+        assert RadialGrid(n_cells=MAX_CELLS).n_cells >= 1600  # the finest rho_min ladder grid
+        tracemalloc.start()
+        try:
+            for n in (MAX_CELLS + 1, 10_000, 10**9):
+                with raises(ValueError, match=f"at most {MAX_CELLS} cells, got {n}"):
+                    RadialGrid(n_cells=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSpatialOperator:
     def test_exact_on_linear_profile(self):
         # u = rho with lambda = 3: u'' + 3u'/rho - 3u/rho^2 = 0 node by node
         g = RadialGrid(rho_min=0.1, n_cells=64)
         rho = g.nodes()
-        out = radial_rhs(rho.copy(), g, params(3.0), 1.0, nonlinear=False, neumann_slope=1.0)
+        out = radial_rhs(rho.copy(), g, params(3.0), nonlinear=False, neumann_slope=1.0)
         assert np.max(np.abs(out[:-1])) < 1e-10
         assert out[-1] == 0.0
 
@@ -73,15 +88,15 @@ class TestSpatialOperator:
         g = RadialGrid(rho_min=0.1, n_cells=64)
         rho = g.nodes()
         out = radial_rhs(
-            rho**2, g, params(0.0), 1.0, nonlinear=False, neumann_slope=2.0 * rho[0]
+            rho**2, g, params(0.0), nonlinear=False, neumann_slope=2.0 * rho[0]
         )
         assert out[:-1] == approx(np.full(len(rho) - 1, 8.0), abs=1e-8)
 
     def test_nonlinear_term_added(self):
         g = RadialGrid(rho_min=0.1, n_cells=64)
         rho = g.nodes()
-        base = radial_rhs(rho.copy(), g, params(3.0), 1.0, nonlinear=False, neumann_slope=1.0)
-        with_np = radial_rhs(rho.copy(), g, params(3.0), 1.0, nonlinear=True, neumann_slope=1.0)
+        base = radial_rhs(rho.copy(), g, params(3.0), nonlinear=False, neumann_slope=1.0)
+        with_np = radial_rhs(rho.copy(), g, params(3.0), nonlinear=True, neumann_slope=1.0)
         assert with_np[:-1] - base[:-1] == approx(rho[:-1] ** 0.0 * rho[:-1] ** 2, rel=1e-12)
 
     def test_harmonic_profile_converges_in_interior(self):
@@ -92,7 +107,7 @@ class TestSpatialOperator:
             g = RadialGrid(rho_min=0.1, n_cells=n)
             rho = g.nodes()
             out = radial_rhs(
-                rho**-2.0, g, params(0.0), 1.0,
+                rho**-2.0, g, params(0.0),
                 nonlinear=False, neumann_slope=-2.0 * rho[0] ** -3.0,
             )
             window = (rho >= 0.3) & (rho < 1.0)
@@ -118,7 +133,7 @@ class TestLinearPart:
         nonlin[:-1] = rho[:-1] ** a * np.abs(u[:-1]) ** p
         ours = evolve._band_product(evolve._diagonals(op.bands), u) + nonlin
         ours[0] += op.slope_coef * slope
-        ref = radial_rhs(u, g, pr, u[-1], nonlinear=True, neumann_slope=slope)
+        ref = radial_rhs(u, g, pr, nonlinear=True, neumann_slope=slope)
         size = np.abs(op.bands).max(axis=0) * np.abs(u).max() + np.abs(nonlin) + 1.0
         assert np.max(np.abs(ours - ref) / size) <= 1e-12
         assert ours[-1] == ref[-1] == 0.0
@@ -303,7 +318,7 @@ class TestIntegrate:
         pr = params(0.0, k=2)
         n = g.n_cells + 1
         L = np.column_stack([
-            radial_rhs(col, g, pr, 0.0, nonlinear=False) for col in np.eye(n)
+            radial_rhs(col, g, pr, nonlinear=False) for col in np.eye(n)
         ])[:-1, :-1]
         W = np.ones(n - 1)
         for i in range(n - 2):
@@ -348,7 +363,7 @@ class TestManufactured:
             rho = g.nodes()
             u = mms_reference(0.3, rho)
             spatial = radial_rhs(
-                u, g, pr, u[-1], nonlinear=True,
+                u, g, pr, nonlinear=True,
                 neumann_slope=mms_neumann(g.rho_min)(0.3),
             )
             dk = (-1.0 if k == 1 else 1.0) * mms_reference(0.3, rho)
@@ -456,7 +471,7 @@ def tight_reference(pr, grid, t_end, boundary_value):
     u0 = canonical_bump(rho)
     u0[-1] = boundary_value
     n = rho.size
-    L = np.column_stack([radial_rhs(col, grid, pr, 0.0, nonlinear=False) for col in np.eye(n)])
+    L = np.column_stack([radial_rhs(col, grid, pr, nonlinear=False) for col in np.eye(n)])
 
     def jac_u(u):
         d = np.zeros(n)
@@ -467,7 +482,7 @@ def tight_reference(pr, grid, t_end, boundary_value):
         y0 = u0
 
         def fun(t, u):
-            return radial_rhs(u, grid, pr, boundary_value)
+            return radial_rhs(u, grid, pr)
 
         def jac(t, u):
             return jac_u(u)
@@ -476,7 +491,7 @@ def tight_reference(pr, grid, t_end, boundary_value):
         zero, eye = np.zeros((n, n)), np.eye(n)
 
         def fun(t, y):
-            return np.concatenate([y[n:], radial_rhs(y[:n], grid, pr, boundary_value)])
+            return np.concatenate([y[n:], radial_rhs(y[:n], grid, pr)])
 
         def jac(t, y):
             return np.block([[zero, eye], [jac_u(y[:n]), zero]])
@@ -667,22 +682,49 @@ class TestPhaseSweep:
     def test_lockstep_results_equal_lone_runs_to_the_bit(self):
         # one batch of mixed p raises |u| slice by slice, a lone run in one
         # slice; every field of every result, and the final layers to the
-        # bit, must agree
-        for k in (1, 2):
+        # bit, must agree, for nonlinear runs and for linear (zero-weight) ones
+        for k, nonlinear in ((1, True), (2, True), (1, False), (2, False)):
             cells, rho = self.lockstep_cells(k)
             assert len(cells) == 24
-            together = newmark.advance(cells, rho, 0.3, True)
+            together = newmark.advance(cells, rho, 0.3, nonlinear)
             reasons = set()
             for cell, x in zip(cells, together):
-                (y,) = newmark.advance([cell], rho, 0.3, True)
+                (y,) = newmark.advance([cell], rho, 0.3, nonlinear)
                 assert (x.status, x.t_final, x.sup_norm_history, x.blow_up_time, x.end_reason,
                         x.note, x.steps, x.rejected, x.lu) == \
                     (y.status, y.t_final, y.sup_norm_history, y.blow_up_time, y.end_reason,
-                     y.note, y.steps, y.rejected, y.lu), (k, cell[0])
+                     y.note, y.steps, y.rejected, y.lu), (k, nonlinear, cell[0])
                 assert x.final_layers.shape == (k, rho.size)
-                assert np.array_equal(x.final_layers, y.final_layers), (k, cell[0])
+                assert np.array_equal(x.final_layers, y.final_layers), (k, nonlinear, cell[0])
                 reasons.add(x.end_reason)
-            assert reasons == {"sup_threshold", "dt_floor", "completed"}
+            assert reasons == ({"sup_threshold", "dt_floor", "completed"} if nonlinear
+                               else {"completed"})
+
+    def test_linear_run_is_a_zero_weight_run(self):
+        # a linear run has weight 0 and p = 1, so its forcing is 0 to the bit,
+        # sign included, wherever rho^a or |u|^(p-1) would overflow
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        rho = g.nodes()
+        n = rho.size
+        bands = np.stack([linear_part(g, 1, 0.0).bands] * 2, axis=1)
+        batch = newmark._Batch(bands, np.zeros((2, n)), np.ones(2), None)
+        x = np.stack([np.linspace(-1e300, 1e300, n), -canonical_bump(rho)])
+        g_lin, w = batch.forcing(0.0, x)
+        assert np.array_equal(g_lin, np.zeros((2, n))) and not np.signbit(g_lin).any()
+        assert np.array_equal(w, np.zeros((2, n))) and batch.rate(w) == [0.0, 0.0]
+        # so a and p, here overflowing, change no bit of a linear run
+        for k in (1, 2):
+            runs = []
+            for a, p in ((0.0, 2.0), (-400.0, 200.0)):
+                pr = params(0.0, a, p, k)
+                cell = (pr, *evolve._prepare(pr, layers(canonical_bump(rho), k), g, 0.3, 100.0))
+                (res,) = newmark.advance([cell], rho, 0.3, False)
+                runs.append(res)
+            x, y = runs
+            assert x.status == "completed"
+            assert (x.status, x.t_final, x.sup_norm_history, x.note, x.steps, x.rejected) == \
+                (y.status, y.t_final, y.sup_norm_history, y.note, y.steps, y.rejected)
+            assert np.array_equal(x.final_layers, y.final_layers)
 
     def test_take_rebuilds_every_cache(self):
         # a compacted batch must cache what a batch built from its rows does:
@@ -693,10 +735,10 @@ class TestPhaseSweep:
             np.array([1.5, 1.5, 2.0, 3.0, 3.0])
         bands = np.stack([linear_part(g, 1, lam).bands for lam in lams], axis=1)
         weight = np.stack([rho ** a for a in avals])
-        batch = newmark._Batch(bands, weight, ps, True, None)
+        batch = newmark._Batch(bands, weight, ps, None)
         for rows in ([0, 2, 3], [1, 4], [3], [0, 1, 2, 3, 4]):
             taken = batch.take(rows)
-            fresh = newmark._Batch(bands[:, rows], weight[rows], ps[rows], True, None)
+            fresh = newmark._Batch(bands[:, rows], weight[rows], ps[rows], None)
             for mine, theirs in zip(taken.diagonals, fresh.diagonals):
                 assert np.array_equal(mine, theirs)
                 assert np.shares_memory(mine, taken.bands)

@@ -146,3 +146,27 @@ def test_every_library_method_has_a_caller():
                             and not (node.name.startswith("__") and node.name.endswith("__"))]
     names = sorted(f"{cls}.{name}" for cls, name in members if name not in read)
     assert not names, f"class members in src/koranyi read only by tests: {names}"
+
+
+def test_every_library_field_is_read():
+    """Each annotated field of a `src/koranyi` class is read as an attribute,
+    `obj.name`, somewhere in `src/koranyi`, `perfbench/*.py` or `tests/`; a
+    field nothing reads is dead weight in every constructor call.  The match
+    is by name, so a field that shares its name with a field that is read
+    passes unseen."""
+    tests = Path(__file__).resolve().parent
+    read = set()
+    fields = []  # (class name, field name)
+    for path in sorted(SRC.glob("*.py")) + sorted(TRACE.parent.glob("*.py")) \
+            + sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        if path.parent != SRC:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields += [(cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    names = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not names, f"class fields in src/koranyi that nothing reads: {names}"

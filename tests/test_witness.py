@@ -86,7 +86,7 @@ class TestSubcriticalBuild:
 
     def test_boundary_value_is_eps(self):
         w = build_subcritical(params(3.0), tau=1.0, eps=0.25)
-        assert w.boundary_value == 0.25
+        assert witness_json(w)["boundary_value"] == 0.25
         edge = HPoint(np.array([[1.0]]), np.array([[0.0]]), np.array([0.0]))
         assert w.profile()(knorm(edge)) == approx(0.25)
 
