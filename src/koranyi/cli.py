@@ -9,9 +9,11 @@ Each subcommand has one table of `Key` rows (see `COMMANDS`): name, default,
 kind, range, choices, flag and help.  The tables build the argument parser
 once per process, and one resolver starts from a table's defaults, overlays
 an optional JSON config file, then overlays explicit flags, and checks every
-value against its row.  The resolved configuration is embedded in whatever a
-command emits, so each artifact records how it was produced.  Reports are
-JSON, and sweeps and fits also land as CSV.
+value against its row.  `_emit` is the one writer of artifacts: it heads
+every JSON report with the suite name and the resolved configuration, and
+every CSV table with that configuration as a `# ` comment line, so each
+artifact records how it was produced.  Reports are JSON, and sweeps, fits
+and sup-norm histories also land as CSV.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage
 or configuration (including inadmissible parameters).
@@ -126,8 +128,7 @@ def _checked(key: Key, value):
 
 def _load_json(path: str, what: str = "config") -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -156,36 +157,29 @@ def resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _echo(cfg: dict) -> dict:
-    """The configuration as artifacts record it (the output directory left out)."""
-    return {k: v for k, v in cfg.items() if k != "out"}
-
-
-def _out_dir(cfg: dict) -> Optional[Path]:
+def _emit(suite: str, cfg: dict, body: Optional[dict] = None, tables=()) -> dict:
+    """The artifact payload {"suite": suite, "config": cfg without "out",
+    **body}.  With an output directory set, write the payload as
+    <suite>.json unless body is None, and each (name, header, rows) table as
+    CSV under the line `# <config JSON>`.  No other function of this module
+    writes a file."""
+    config = {k: v for k, v in cfg.items() if k != "out"}
+    payload = {"suite": suite, "config": config, **(body or {})}
     if not cfg.get("out"):
-        return None
+        return payload
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(out: Optional[Path], name: str, payload: dict) -> None:
-    if out is None:
-        return
-    with open(out / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def _write_csv(out, name, header, rows, comment=None):
-    if out is None:
-        return
-    with open(out / name, "w", newline="", encoding="utf-8") as fh:
-        if comment is not None:
-            fh.write("# " + comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    if body is not None:
+        with open(out / f"{suite}.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    for name, header, rows in tables:
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# {json.dumps(config)}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +205,11 @@ def _finish(suite: str, cfg: dict, checks: list[dict], extra: Optional[dict] = N
             f"expected={c['expected']} tol={c['tolerance']:.3g}"
         )
     failed = sum(1 for c in checks if c["status"] != "pass")
-    payload = {
-        "suite": suite,
-        "config": _echo(cfg),
+    _emit(suite, cfg, {
         "checks": checks,
         "summary": {"total": len(checks), "passed": len(checks) - failed, "failed": failed},
-    }
-    if extra:
-        payload.update(extra)
-    _write_json(_out_dir(cfg), f"{suite}.json", payload)
+        **(extra or {}),
+    })
     print(f"{suite}: {len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -345,9 +335,7 @@ def _params_from(cfg: dict) -> ProblemParams:
 def cmd_classify(cfg: dict) -> int:
     params = _params_from(cfg)
     result = classify(params)
-    payload = {
-        "suite": "classify",
-        "config": _echo(cfg),
+    payload = _emit("classify", cfg, {
         "params": {
             "N": params.ctx.N,
             "Q": params.Q,
@@ -364,9 +352,8 @@ def cmd_classify(cfg: dict) -> int:
             "kind": result.threshold_kind,
             "value": result.threshold,
         },
-    }
+    })
     print(json.dumps(payload, indent=2))
-    _write_json(_out_dir(cfg), "classify.json", payload)
     return 0
 
 
@@ -397,7 +384,7 @@ def cmd_witness(cfg: dict) -> int:
     ]
     payload = witness_json(w, report)
     code = _finish("witness", cfg, checks, extra={"witness": payload})
-    if _out_dir(cfg) is None:
+    if not cfg["out"]:
         print(json.dumps(payload, indent=2))
     return code
 
@@ -532,8 +519,7 @@ def cmd_scaling(cfg: dict) -> int:
         why = f"the {name} law fits a power law, so " if law.fitted else ""
         raise UsageError(f"{why}scales needs at least {least} values, got {len(scales)}")
     rows = law.rows(scales, params, iota)
-    _write_csv(_out_dir(cfg), f"scaling-{name}.csv", law.columns, rows,
-               comment=json.dumps(_echo(cfg)))
+    _emit("scaling", cfg, tables=[(f"scaling-{name}.csv", law.columns, rows)])
     fit, extra = None, {}
     if law.fitted:
         fit = scaling_fit(rows)
@@ -573,28 +559,20 @@ def cmd_simulate(cfg: dict) -> int:
     ic = u0 if params.k == 1 else np.stack([u0, np.zeros_like(u0)])
     result = integrate(params, ic, grid, t_end=cfg["t_end"],
                        boundary_value=cfg["boundary_value"], nonlinear=cfg["nonlinear"])
-    payload = {
-        "suite": "simulate",
-        "config": _echo(cfg),
+    sup_final = result.sup_norm_history[-1][1]
+    _emit("simulate", cfg, {
         "status": result.status,
         "blow_up_time": result.blow_up_time,
         "t_final": result.t_final,
         "dt_policy": result.dt_policy,
         "grid": grid.describe(),
-        "sup_final": result.sup_norm_history[-1][1],
+        "sup_final": sup_final,
         "note": result.note,
         "end_reason": result.end_reason,
         "steps": result.steps,
         "rejected": result.rejected,
-        "lu": result.lu,
-    }
-    print(f"simulate: {result.status} (t_final={result.t_final:.6g}, "
-          f"sup={payload['sup_final']:.6g})")
-    out = _out_dir(cfg)
-    _write_json(out, "simulate.json", payload)
-    _write_csv(out, "simulate-history.csv", ("t", "sup_norm"),
-               result.sup_norm_history,
-               comment=json.dumps(payload["config"]))
+    }, tables=[("simulate-history.csv", ("t", "sup_norm"), result.sup_norm_history)])
+    print(f"simulate: {result.status} (t_final={result.t_final:.6g}, sup={sup_final:.6g})")
     return 0
 
 
@@ -609,15 +587,13 @@ def cmd_phase_sweep(cfg: dict) -> int:
         t_end=cfg["t_end"], boundary_value=cfg["boundary_value"],
     )
     header = ("lambda", "a", "p", "k", "status", "blow_up_time", "classifier_verdict",
-              "grid", "dt_policy", "end_reason", "steps", "rejected", "lu")
+              "grid", "dt_policy", "end_reason", "steps", "rejected")
     csv_rows = [tuple(row[key] for key in header) for row in rows]
-    out = _out_dir(cfg)
-    _write_csv(out, "phase-sweep.csv", header, csv_rows,
-               comment=json.dumps(_echo(cfg)))
+    _emit("phase-sweep", cfg, tables=[("phase-sweep.csv", header, csv_rows)])
     for row in rows:
         print(f"lambda={row['lambda']:g} a={row['a']:g} p={row['p']:g}: "
               f"{row['status']} (verdict {row['classifier_verdict']})")
-    if out is None:
+    if not cfg["out"]:
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(csv_rows)
@@ -643,16 +619,13 @@ def cmd_report(cfg: dict) -> int:
                        "failed": n - ok})
         total += n
         passed += ok
-    payload = {
-        "suite": "report",
-        "config": _echo(cfg),
-        "suites": suites,
-        "summary": {"total": total, "passed": passed, "failed": total - passed},
-    }
     for s in suites:
         print(f"{s['suite']}: {s['passed']} passed, {s['failed']} failed")
     print(f"report: {passed}/{total} checks passed overall")
-    _write_json(_out_dir(cfg), "report.json", payload)
+    _emit("report", cfg, {
+        "suites": suites,
+        "summary": {"total": total, "passed": passed, "failed": total - passed},
+    })
     return 0 if passed == total else 1
 
 

@@ -10,46 +10,11 @@ in output metadata), and u is pinned to a constant boundary value at rho = 1.
 
 `radial_rhs` is the definition of the discrete operator.  Its linear part is
 one tridiagonal matrix L per grid and lambda, built from the same stencil
-weights, plus an affine term carrying the inner slope.  Each time order gets
-the solver that fits it:
-
-- k = 1 (parabolic and stiff near rho_min): RODAS3 (Sandu et al. 1997;
-  Hairer & Wanner, Solving ODEs II, IV.7), an L-stable, stiffly accurate
-  Rosenbrock method of order 3.  Each attempt factorizes I/(h/2) - J once,
-  J = L + diag(p rho^a |u|^{p-1} sign u), for four banded solves and three
-  forcing evaluations; a source or an inner slope enters through `_extra`,
-  and its time derivative as a forward difference over a probe inside the
-  step.  dt follows the RMS of the embedded error at RODAS_RTOL and
-  RODAS_ATOL by 0.9 err^{-1/3}, clipped to [0.2, 5] and not above 1 right
-  after a rejection, and is capped at RODAS_RATE_CAP / max diag J, short
-  of the pole of the step's rational function at h = 2/J, past which a
-  step can jump over a local blow-up.
-- k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
-  gamma = 1/2).  It is unconditionally stable and does not damp the linear
-  part, which goes through a banded solve; the nonlinearity is explicit,
-  evaluated once per step at the Taylor predictor.  dt follows the
-  Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
-  the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
-  |u|^{p-1}), so it shrinks as a blow-up develops.
-
-Both orders record sup|u| at MAX_HISTORY + 1 equally spaced times, from the
-cubic Hermite interpolant of u and du/dt within each step.
-
-`newmark.advance` steps runs of one time order in lockstep, with dt, the
-counters and the end of each run its own: `phase_sweep` sends all its cells
-in one call, `integrate` one run.  It and LAPACK are imported at the first
-run, so importing this module loads no scipy.
-
-A run of either order ends in one of four ways, `SimResult.end_reason`:
-
-- completed: t_end was reached;
-- sup_threshold: sup|u| crossed BLOWUP_SUP at the end of an accepted step,
-  which is T* (blown_up);
-- dt_floor: dt fell below ULP_FLOOR ulps of t, or of the first dt while t
-  is smaller, once sup|u| grew STALL_GROWTH-fold, which is T* (blown_up);
-- solver_stall: a run at that floor without that growth, for example one
-  whose forcing turned non-finite, since a non-finite attempt is rejected
-  like any other; the cause is in the note.
+weights, plus an affine term carrying the inner slope.  `newmark.advance`
+steps runs of one time order in lockstep, RODAS3 for k = 1 and Newmark for
+k = 2, and owns the step and end policy (see its docstring): `phase_sweep`
+sends all its cells in one call, `integrate` one run.  It and LAPACK are
+imported at the first run, so importing this module loads no scipy.
 
 Before a run, the spectrum of L on the free nodes is checked.  Where it has
 an eigenvalue with positive real part (the uniform grid for every lambda < 0,
@@ -73,23 +38,11 @@ import numpy as np
 from .hgroup import GroupContext
 from .spectrum import ProblemParams, classify
 
-BLOWUP_SUP = 1e8
 MIN_CELLS = 32  # fewest cells a RadialGrid accepts
 # most cells a RadialGrid accepts: `linear_part` solves a dense n x n
 # eigenproblem, which takes about 2 s and 100 MB at 2048 cells and grows as
 # n^3 in time and n^2 in memory
 MAX_CELLS = 2048
-STALL_GROWTH = 100.0  # sup growth that makes a stopped run a blow-up
-ULP_FLOOR = 16  # a run stops once dt < ULP_FLOOR ulps of max(t, first dt)
-RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
-RODAS_ATOL = 1e-10
-RODAS_DT0 = 1e-5  # first k = 1 dt, as a fraction of t_end
-RODAS_RATE_CAP = 0.3  # dt <= cap / largest diagonal entry of J, where positive
-NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
-NEWMARK_ATOL = 1e-12
-NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
-NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
-MAX_HISTORY = 400  # sup-norm samples per run past t = 0, at equal spacing in t
 
 
 @dataclass(frozen=True)
@@ -128,10 +81,9 @@ class SimResult:
     final_layers: np.ndarray  # (k, n_nodes) at t_final: u, du/dt, ...
     dt_policy: str
     note: str = ""
-    end_reason: str = "completed"  # see the module docstring
+    end_reason: str = "completed"  # see the `newmark` module docstring
     steps: int = 0  # accepted steps
     rejected: int = 0  # step attempts that were not accepted
-    lu: int = 0  # block factorizations the run took part in, one per attempt
 
 
 @lru_cache(maxsize=64)
@@ -201,29 +153,6 @@ class LinearPart:
     max_real_eig: float
 
 
-def _diagonals(ab: np.ndarray) -> tuple:
-    """The upper, main and lower diagonals of the flat block matrix of the
-    contiguous bands ab (3, ..., n) in `LinearPart` storage, as views."""
-    return ab[0].ravel()[1:], ab[1].ravel(), ab[2].ravel()[:-1]
-
-
-def _band_product(diagonals: tuple, u: np.ndarray) -> np.ndarray:
-    """L u for the `_diagonals` of the bands of L and states u (..., n),
-    taken on the flat block matrix of all states at once, whose couplings
-    between blocks are zero.  Those couplings reach only the boundary nodes
-    and the first nodes; the boundary entry is set to 0, the boundary row of
-    L, so that a NaN in the first node of one state does not reach the state
-    before it as 0 * NaN."""
-    upper, diag, lower = diagonals
-    flat = u.ravel()
-    out = diag * flat
-    out[:-1] += upper * flat[1:]
-    out[1:] += lower * flat[:-1]
-    out = out.reshape(u.shape)
-    out[..., -1] = 0.0
-    return out
-
-
 @lru_cache(maxsize=64)
 def linear_part(grid: RadialGrid, N: int, lam: float) -> LinearPart:
     """L for one grid, N and lambda, from the stencil weights of `_grid_data`."""
@@ -261,8 +190,8 @@ def integrate(
     ic is (k, n_nodes), or (n_nodes,) for k = 1.  source(t, rho) adds to the
     top layer's rate (manufactured-solution forcing); neumann_slope(t) sets
     the inner slope (default homogeneous).  The sup-norm history holds
-    sup|u| at t = 0 and at the MAX_HISTORY equally spaced times after it
-    that the run reaches, then the end of a blow-up or stall.  Raises
+    sup|u| at t = 0 and at the `newmark.MAX_HISTORY` equally spaced times
+    after it that the run reaches, then the end of a blow-up or stall.  Raises
     ValueError for bad input and for a grid whose linear part has spectrum
     in the right half-plane.
     """
@@ -363,7 +292,7 @@ def phase_sweep(
                     "lambda": lam, "a": a, "p": p, "k": k,
                     "status": "", "blow_up_time": "", "classifier_verdict": "",
                     "grid": grid.describe(), "dt_policy": "",
-                    "end_reason": "", "steps": "", "rejected": "", "lu": "",
+                    "end_reason": "", "steps": "", "rejected": "",
                 }
                 rows.append(row)
                 try:
@@ -387,5 +316,5 @@ def phase_sweep(
         row["status"] = res.status
         row["blow_up_time"] = "" if res.blow_up_time is None else f"{res.blow_up_time:.6g}"
         row["dt_policy"] = res.dt_policy
-        row.update(end_reason=res.end_reason, steps=res.steps, rejected=res.rejected, lu=res.lu)
+        row.update(end_reason=res.end_reason, steps=res.steps, rejected=res.rejected)
     return rows

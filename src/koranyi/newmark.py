@@ -1,8 +1,42 @@
 """Lockstep time stepping: Newmark for k = 2 and RODAS3 for k = 1.
 
-`advance` steps any number of runs of one time order on one grid together;
-`evolve` describes the schemes and imports this module at its first run, so
-LAPACK, imported here, stays off the import path of every other command.
+`advance` steps any number of runs of one time order on one grid together,
+with dt, the counters and the end of each run its own; `evolve` imports this
+module at its first run, so LAPACK, imported here, stays off the import path
+of every other command.  Each time order gets the solver that fits it:
+
+- k = 1 (parabolic and stiff near rho_min): RODAS3 (Sandu et al. 1997;
+  Hairer & Wanner, Solving ODEs II, IV.7), an L-stable, stiffly accurate
+  Rosenbrock method of order 3.  Each attempt factorizes I/(h/2) - J once,
+  J = L + diag(p rho^a |u|^{p-1} sign u), for four banded solves and three
+  forcing evaluations; a source or an inner slope enters through `extra`,
+  and its time derivative as a forward difference over a probe inside the
+  step.  dt follows the RMS of the embedded error at RODAS_RTOL and
+  RODAS_ATOL by 0.9 err^{-1/3}, clipped to [0.2, 5] and not above 1 right
+  after a rejection, and is capped at RODAS_RATE_CAP / max diag J, short
+  of the pole of the step's rational function at h = 2/J, past which a
+  step can jump over a local blow-up.
+- k = 2 (hyperbolic): the Newmark average-acceleration step (beta = 1/4,
+  gamma = 1/2).  It is unconditionally stable and does not damp the linear
+  part, which goes through a banded solve; the nonlinearity is explicit,
+  evaluated once per step at the Taylor predictor.  dt follows the
+  Zienkiewicz-Xie local error estimate dt^2/12 |a_{n+1} - a_n|, relative to
+  the sup norm, and is capped at NEWMARK_RATE_CAP / sqrt(max p rho^a
+  |u|^{p-1}), so it shrinks as a blow-up develops.
+
+Both orders record sup|u| at MAX_HISTORY + 1 equally spaced times, from the
+cubic Hermite interpolant of u and du/dt within each step.
+
+A run of either order ends in one of four ways, `SimResult.end_reason`:
+
+- completed: t_end was reached;
+- sup_threshold: sup|u| crossed BLOWUP_SUP at the end of an accepted step,
+  which is T* (blown_up);
+- dt_floor: dt fell below ULP_FLOOR ulps of t, or of the first dt while t
+  is smaller, once sup|u| grew STALL_GROWTH-fold, which is T* (blown_up);
+- solver_stall: a run at that floor without that growth, for example one
+  whose forcing turned non-finite, since a non-finite attempt is rejected
+  like any other; the cause is in the note.
 """
 
 from __future__ import annotations
@@ -19,9 +53,20 @@ import numpy as np
 # per-call argument checks, which cost several times a 65-node solve.
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-from .evolve import (BLOWUP_SUP, MAX_HISTORY, NEWMARK_ATOL, NEWMARK_DT0,
-                     NEWMARK_RATE_CAP, NEWMARK_RTOL, RODAS_ATOL, RODAS_DT0, RODAS_RATE_CAP,
-                     RODAS_RTOL, STALL_GROWTH, ULP_FLOOR, SimResult, _band_product, _diagonals)
+from .evolve import SimResult
+
+BLOWUP_SUP = 1e8
+STALL_GROWTH = 100.0  # sup growth that makes a stopped run a blow-up
+ULP_FLOOR = 16  # a run stops once dt < ULP_FLOOR ulps of max(t, first dt)
+RODAS_RTOL = 1e-6  # RMS error, node by node relative to max(|u_n|, |u_n+1|)
+RODAS_ATOL = 1e-10
+RODAS_DT0 = 1e-5  # first k = 1 dt, as a fraction of t_end
+RODAS_RATE_CAP = 0.3  # dt <= cap / largest diagonal entry of J, where positive
+NEWMARK_RTOL = 1e-4  # local error relative to the sup norm
+NEWMARK_ATOL = 1e-12
+NEWMARK_RATE_CAP = 0.25  # dt <= cap / sqrt(nonlinear rate)
+NEWMARK_DT0 = 2.5e-3  # first dt, as a fraction of t_end
+MAX_HISTORY = 400  # sup-norm samples per run past t = 0, at equal spacing in t
 
 _END_RULE = (f"blow-up at sup>{BLOWUP_SUP:g} or at dt<{ULP_FLOOR} ulp(t) after "
              f"{STALL_GROWTH:g}x growth")
@@ -30,6 +75,29 @@ NEWMARK_POLICY = (f"newmark beta=1/4 gamma=1/2 banded; dt by local error rtol={N
 RODAS_POLICY = (f"rodas3 rtol={RODAS_RTOL:g} atol={RODAS_ATOL:g} banded; dt cap "
                 f"{RODAS_RATE_CAP:g}/max diag J; {_END_RULE}")
 GAMMA = 0.5  # the diagonal of RODAS3's Rosenbrock matrix
+
+
+def _diagonals(ab: np.ndarray) -> tuple:
+    """The upper, main and lower diagonals of the flat block matrix of the
+    contiguous bands ab (3, ..., n) in `LinearPart` storage, as views."""
+    return ab[0].ravel()[1:], ab[1].ravel(), ab[2].ravel()[:-1]
+
+
+def _band_product(diagonals: tuple, u: np.ndarray) -> np.ndarray:
+    """L u for the `_diagonals` of the bands of L and states u (..., n),
+    taken on the flat block matrix of all states at once, whose couplings
+    between blocks are zero.  Those couplings reach only the boundary nodes
+    and the first nodes; the boundary entry is set to 0, the boundary row of
+    L, so that a NaN in the first node of one state does not reach the state
+    before it as 0 * NaN."""
+    upper, diag, lower = diagonals
+    flat = u.ravel()
+    out = diag * flat
+    out[:-1] += upper * flat[1:]
+    out[1:] += lower * flat[:-1]
+    out = out.reshape(u.shape)
+    out[..., -1] = 0.0
+    return out
 
 
 @dataclass(eq=False)
@@ -69,9 +137,13 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
     if not cells:
         return []
     k = cells[0][0].k
-    name, attempt, grow, dt0, policy = (
-        ("Newmark", _newmark, 2.0, NEWMARK_DT0, NEWMARK_POLICY) if k == 2
-        else ("RODAS3", _rodas3, 5.0, RODAS_DT0, RODAS_POLICY))
+    # dt <= cap(rate): the rate of the last predictor for k = 2, a second-order
+    # guess of the current state, and a growing diagonal entry of J for k = 1
+    name, attempt, grow, dt0, cap, policy = (
+        ("Newmark", _newmark, 2.0, NEWMARK_DT0,
+         lambda rate: NEWMARK_RATE_CAP / math.sqrt(rate), NEWMARK_POLICY) if k == 2
+        else ("RODAS3", _rodas3, 5.0, RODAS_DT0, lambda rate: RODAS_RATE_CAP / rate,
+              RODAS_POLICY))
     # runs of equal p sit next to each other, so |u|^(p-1) is raised with one
     # scalar exponent per slice (an array of exponents rounds differently)
     order = sorted(range(len(cells)), key=lambda i: cells[i][0].p)
@@ -98,7 +170,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
 
     while live:
         for run in live:
-            _limit(run, k, t_end, dt0 * t_end)
+            _limit(run, cap, t_end, dt0 * t_end)
 
         if all(run.end is None for run in live):
             out = _attempt(attempt, live, state, batch)
@@ -137,7 +209,7 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
                     results[run.index] = SimResult(
                         status, run.t, tuple(history), blow_time,
                         np.stack([x[r] for x in state[:k]]), policy, note, reason,
-                        steps=run.steps, rejected=run.rejected, lu=run.steps + run.rejected)
+                        steps=run.steps, rejected=run.rejected)
             live = [live[r] for r in keep]
             state = [x[keep] for x in state]
             batch = batch.take(keep)
@@ -230,16 +302,14 @@ class _Batch:
         return (self.p * w.max(axis=1)).tolist()
 
 
-def _limit(run, k, t_end, dt0) -> None:
-    """Cap a run's next dt, or end the run if dt has fallen below its floor,
-    ULP_FLOOR ulps of t, or of the first dt dt0 while t is smaller, so that a
-    run that fails from t = 0 on ends too.  At the floor the run has blown up
-    once sup|u| grew STALL_GROWTH-fold, and has stalled otherwise."""
+def _limit(run, cap, t_end, dt0) -> None:
+    """Cap a run's next dt at cap(rate) where its rate is positive, or end
+    the run if dt has fallen below its floor, ULP_FLOOR ulps of t, or of the
+    first dt dt0 while t is smaller, so that a run that fails from t = 0 on
+    ends too.  At the floor the run has blown up once sup|u| grew
+    STALL_GROWTH-fold, and has stalled otherwise."""
     if run.rate > 0.0:
-        # k = 2: the rate of the last predictor, a second-order guess of the
-        # current state; k = 1: a growing diagonal entry of J
-        run.dt = min(run.dt, NEWMARK_RATE_CAP / math.sqrt(run.rate) if k == 2
-                     else RODAS_RATE_CAP / run.rate)
+        run.dt = min(run.dt, cap(run.rate))
     if run.dt >= ULP_FLOOR * math.ulp(max(run.t, dt0)):
         run.dt = min(run.dt, t_end - run.t)
         return

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from koranyi import capacity, hquad
+from koranyi import capacity, cli, hquad
 from koranyi.capacity import FIT_MIN_POINTS
 from koranyi.hquad import gk21
 from koranyi.cli import COMMANDS, LAWS, _domination_checks, build_parser, main
@@ -311,7 +311,7 @@ class TestSimulateCommand:
         assert doc["status"] == "completed"
         assert doc["sup_final"] == 0.0
         assert doc["end_reason"] == "completed"
-        assert doc["steps"] > 0 and doc["rejected"] >= 0 and doc["lu"] >= 0
+        assert doc["steps"] > 0 and doc["rejected"] >= 0 and doc["steps"] + doc["rejected"] >= 0
         lines = (tmp_path / "simulate-history.csv").read_text().splitlines()
         assert lines[0].startswith("# ")
         assert lines[1] == "t,sup_norm"
@@ -322,7 +322,7 @@ class TestSimulateCommand:
         assert code == 0
         doc = json.loads((tmp_path / "simulate.json").read_text())
         assert doc["end_reason"] == "completed"
-        assert doc["steps"] > 0 and doc["lu"] > 0
+        assert doc["steps"] > 0 and doc["steps"] + doc["rejected"] > 0
 
     def test_blow_up_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, "simulate", "--a", "-2", "--t-end", "0.25",
@@ -394,7 +394,7 @@ class TestPhaseSweepCommand:
         assert code == 0
         lines = out.splitlines()
         assert ("lambda,a,p,k,status,blow_up_time,classifier_verdict,grid,dt_policy,"
-                "end_reason,steps,rejected,lu") in lines
+                "end_reason,steps,rejected") in lines
 
     def test_inadmissible_cell_is_a_row_not_an_abort(self, capsys):
         for k in ("1", "2"):
@@ -729,3 +729,84 @@ class TestConfigOnlyKeys:
             code = main([command, "--config", str(path)])
         assert code == 2
         assert err.getvalue().startswith("error:") and repr(key) in err.getvalue()
+
+
+class TestArtifactContract:
+    """Every JSON artifact starts with its suite and the configuration that
+    made it, the output directory left out; every CSV table starts with the
+    same configuration as a `# ` line.  `cli._emit` writes them all."""
+
+    # subcommand -> (flags, config file, files written)
+    RUNS = {
+        "verify-identities": ([], TestVerifyIdentities.SMALL, ["verify-identities.json"]),
+        "classify": ([], {}, ["classify.json"]),
+        "witness": (["--lambda", "3"], {"grid": 40}, ["witness.json"]),
+        "scaling": (["--law", "time"], {}, ["scaling-time.csv", "scaling.json"]),
+        "integrate": ([], {}, ["integrate.json"]),
+        "simulate": (["--t-end", "0.02", "--n-cells", "32", "--rho-min", "0.01"], {},
+                     ["simulate-history.csv", "simulate.json"]),
+        "phase-sweep": (list(TestPhaseSweepCommand.ARGS[1:]), {}, ["phase-sweep.csv"]),
+        "report": ([], {}, ["report.json"]),
+    }
+
+    def check_artifacts(self, out, config):
+        """Each file under out carries config in its header."""
+        for path in out.iterdir():
+            text = path.read_text()
+            if path.suffix == ".json":
+                doc = json.loads(text)
+                assert list(doc)[:2] == ["suite", "config"], path.name
+                assert doc["suite"] == path.stem and doc["config"] == config, path.name
+            else:
+                assert text.splitlines()[0] == "# " + json.dumps(config), path.name
+
+    @mark.parametrize("command", sorted(COMMANDS))  # every subcommand writes a file
+    def test_header_is_the_resolved_config(self, capsys, tmp_path, monkeypatch, command):
+        flags, file_cfg, files = self.RUNS[command]
+        if command == "report":
+            suite = tmp_path / "suite.json"
+            suite.write_text(json.dumps({"suite": "x", "summary": {"total": 1, "passed": 1}}))
+            flags = ["--inputs", str(suite)]
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        # the command's config as it ends the call, with scaling's law defaults filled
+        help_text, fn, keys = COMMANDS[command]
+        seen = []
+        monkeypatch.setitem(COMMANDS, command,
+                            (help_text, lambda cfg: seen.append(cfg) or fn(cfg), keys))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, *flags, "--config", str(cfg_path), "--out", str(out))
+        assert code == 0, err
+        (cfg,) = seen
+        config = {name: value for name, value in cfg.items() if name != "out"}
+        assert list(config) == [key.name for key in keys if key.name != "out"]
+        if command == "scaling":
+            assert (config["lambda"], config["a"], config["p"]) == (0.0, 0.0, 2.0)
+        assert sorted(path.name for path in out.iterdir()) == files
+        self.check_artifacts(out, config)
+
+    def test_refused_fit_leaves_its_table(self, capsys, tmp_path):
+        # the scaling CSV is written before the fit, which refuses scales
+        # spanning less than a factor of 10
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "scaling", "--law", "time", "--scales", "2", "3", "4", "5",
+                           "--out", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert [path.name for path in out.iterdir()] == ["scaling-time.csv"]
+        config = {key.name: key.default for key in COMMANDS["scaling"][2] if key.name != "out"}
+        config.update({"lambda": 0.0, "a": 0.0, "p": 2.0, "scales": [2.0, 3.0, 4.0, 5.0]})
+        self.check_artifacts(out, config)
+
+    def test_only_emit_opens_a_file(self):
+        # reading a config or a report goes through Path.read_text; writing a
+        # file or making a directory is left to `_emit`
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writers = {"open", "write_text", "write_bytes", "mkdir", "touch"}
+        found = set()
+        for node in tree.body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and (
+                        getattr(call.func, "id", None) in writers
+                        or getattr(call.func, "attr", None) in writers):
+                    found.add(getattr(node, "name", "<module>"))
+        assert found == {"_emit"}
