@@ -125,7 +125,6 @@ def default_family(params: ProblemParams) -> int:
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -203,7 +202,7 @@ def _time_quads(f: Callable, Ts: Sequence[float]) -> list[QuadResult]:
     cols = np.array(Ts, dtype=float)
     halves = gk21(lambda t, which: f(t, cols[which // 2]),
                   [ab for T in Ts for ab in ((0.0, 0.5 * T), (0.5 * T, T))])
-    return [QuadResult(v1 + v2, e1 + e2, n1 + n2, "gk21")
+    return [QuadResult(v1 + v2, e1 + e2, n1 + n2)
             for (v1, e1, n1), (v2, e2, n2) in zip(halves[::2], halves[1::2])]
 
 
@@ -265,7 +264,7 @@ def j2(cutoff: str, T: float, R: float, params: ProblemParams, iota: int) -> Qua
 
 def _product(a: QuadResult, b: QuadResult) -> QuadResult:
     err = abs(a.value) * b.error_estimate + abs(b.value) * a.error_estimate
-    return QuadResult(a.value * b.value, err, a.evaluations + b.evaluations, "product")
+    return QuadResult(a.value * b.value, err, a.evaluations + b.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -318,4 +317,4 @@ def scaling_fit(values: Sequence[tuple[float, float]]) -> ScalingFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return ScalingFit(float(slope), float(intercept), r2)
+    return ScalingFit(float(slope), r2)

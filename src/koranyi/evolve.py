@@ -187,13 +187,14 @@ def integrate(
 ) -> SimResult:
     """Advance the k-layer system to t_end or to blow-up.
 
-    ic is (k, n_nodes), or (n_nodes,) for k = 1.  source(t, rho) adds to the
-    top layer's rate (manufactured-solution forcing); neumann_slope(t) sets
-    the inner slope (default homogeneous).  The sup-norm history holds
-    sup|u| at t = 0 and at the `newmark.MAX_HISTORY` equally spaced times
-    after it that the run reaches, then the end of a blow-up or stall.  Raises
-    ValueError for bad input and for a grid whose linear part has spectrum
-    in the right half-plane.
+    ic is (k, n_nodes), or (n_nodes,) for u alone with every higher layer
+    starting at 0.  source(t, rho) adds to the top layer's rate
+    (manufactured-solution forcing); neumann_slope(t) sets the inner slope
+    (default homogeneous).  The sup-norm history holds sup|u| at t = 0 and
+    at the `newmark.MAX_HISTORY` equally spaced times after it that the run
+    reaches, then the end of a blow-up or stall.  Raises ValueError for bad
+    input and for a grid whose linear part has spectrum in the right
+    half-plane.
     """
     layers, op = _prepare(params, ic, grid, t_end, boundary_value)
     rho = grid.nodes()
@@ -216,11 +217,11 @@ def _prepare(params, ic, grid, t_end, boundary_value):
     if not math.isfinite(boundary_value):
         raise ValueError(f"boundary_value must be finite, got {boundary_value}")
     n = grid.n_cells + 1
-    layers = np.array(ic, dtype=float, copy=True)
-    if layers.ndim == 1:
-        layers = layers[None, :]
-    if layers.shape != (params.k, n):
-        raise ValueError(f"initial data must be ({params.k}, {n}), got {layers.shape}")
+    ic = np.asarray(ic, dtype=float)
+    if ic.shape not in ((n,), (params.k, n)):
+        raise ValueError(f"initial data must be ({n},) or ({params.k}, {n}), got {ic.shape}")
+    layers = np.zeros((params.k, n))
+    layers[: 1 if ic.ndim == 1 else None] = ic  # u alone: higher layers start at 0
     if not np.all(np.isfinite(layers)):
         raise ValueError("initial data contains non-finite values")
     op = linear_part(grid, params.ctx.N, params.lam)
@@ -281,8 +282,7 @@ def phase_sweep(
     `integrate` call gives, whatever the order of the lists.
     """
     rho = grid.nodes()
-    ic0 = canonical_bump(rho)
-    ic = ic0 if k == 1 else np.stack([ic0, np.zeros_like(ic0)])
+    ic = canonical_bump(rho)
 
     rows, jobs, cells = [], [], []
     for lam in lambda_list:

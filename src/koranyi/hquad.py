@@ -91,7 +91,6 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    method: str  # "radial" | "montecarlo" | "surface" | "gk21" | "product"
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def radial_integrals(F, annuli, ctx: GroupContext) -> list[QuadResult]:
         if not (math.isfinite(val[i]) and math.isfinite(err[i])):
             raise RuntimeError(
                 f"radial integral did not converge on {ann}: value={val[i]}, err={err[i]}")
-        out.append(QuadResult(cN * val[i], cN * err[i], neval[i], "radial"))
+        out.append(QuadResult(cN * val[i], cN * err[i], neval[i]))
     return out
 
 
@@ -365,7 +364,7 @@ def mc_annulus(f, ann: Annulus, samples: int, seed: int, ctx: GroupContext) -> Q
 
     if accepted == 0:
         raise RuntimeError(f"no samples accepted in {ann} after {neval} draws")
-    return QuadResult(value, math.sqrt(var_sum), neval, "montecarlo")
+    return QuadResult(value, math.sqrt(var_sum), neval)
 
 
 # ---------------------------------------------------------------------------
@@ -449,4 +448,4 @@ def surface_integral(g, nodes: int, ctx: GroupContext) -> QuadResult:
 
     coarse_pts, wh, _ = surface_nodes(max(8, nodes // 2), ctx)
     coarse = float(np.dot(wh, np.asarray(g(*coarse_pts.coords()), dtype=float)))
-    return QuadResult(value, abs(value - coarse), w.size + wh.size, "surface")
+    return QuadResult(value, abs(value - coarse), w.size + wh.size)

@@ -88,7 +88,7 @@ class ProblemParams:
 
     @property
     def critical_lam(self) -> float:
-        return -(((self.Q - 2) / 2.0) ** 2)
+        return critical_lambda(self.ctx)
 
     @property
     def is_critical(self) -> bool:
@@ -127,17 +127,11 @@ class ThresholdInfo:
 
     kind: Optional[str]
     value: Optional[float]
-    variable: Optional[str]  # 'p' or 'a'
 
 
-@dataclass(frozen=True)
-class PointwiseReport:
-    """Outcome of a pointwise identity check over a sample of points."""
-
-    passed: bool
-    max_scaled_residual: float
-    n_points: int
-    worst_point: tuple = ()
+def critical_lambda(ctx: GroupContext) -> float:
+    """The sharp Hardy constant -((Q-2)/2)^2, the least admissible lambda."""
+    return -(((ctx.Q - 2) / 2.0) ** 2)
 
 
 def alphas(params: ProblemParams) -> AlphaPair:
@@ -185,30 +179,15 @@ def k_profile(params: ProblemParams) -> Callable:
 # pointwise identity checks
 # ---------------------------------------------------------------------------
 
-def _worst(errors: np.ndarray, pts: HPoint) -> tuple[float, tuple]:
-    """The largest error (NaN counts as largest) and the point it occurs at."""
-    if errors.size == 0:
-        return 0.0, ()
-    i = int(np.argmax(errors))
-    worst = float(errors[i])
-    if worst == 0.0:
-        return worst, ()
-    return worst, (tuple(pts.x[i]), tuple(pts.y[i]), float(pts.phi[i]))
-
-
-def check_k_harmonic(
-    params: ProblemParams,
-    n_points: int = 2000,
-    tol: float = 1e-8,
-    seed: int = 1,
-) -> PointwiseReport:
-    """Verify -(1/psi) L K + (lambda/rho^2) K = 0 at random interior points.
+def check_k_harmonic(params: ProblemParams, n_points: int, seed: int) -> float:
+    """The worst residual of -(1/psi) L K + (lambda/rho^2) K = 0 at random
+    interior points; NaN counts as worst.
 
     The sub-Laplacian is evaluated by Taylor-jet AD on the radial lift (the
     full 2N+1-coordinate pipeline, not the 1D shortcut), over all points in
-    one batch.  The residual is scaled by 1 + |K|/rho^2 so the tolerance is
-    meaningful where the terms blow up.  Points keep psi >= PSI_MIN and rho
-    in HARMONIC_RHO.
+    one batch.  The residual is scaled by 1 + |K|/rho^2 so that one tolerance
+    is meaningful where the terms blow up.  Points keep psi >= PSI_MIN and
+    rho in HARMONIC_RHO.
     """
     rng = np.random.default_rng(seed)
     field = radial_lift(k_profile(params))
@@ -220,8 +199,7 @@ def check_k_harmonic(
 
     kval = sigma_lambda(rho, params)
     resid = np.abs(-hlap(field, pts) / psi(pts) + params.lam * kval / rho**2)
-    worst, worst_pt = _worst(resid / (1.0 + np.abs(kval) / rho**2), pts)
-    return PointwiseReport(worst <= tol, worst, n_points, worst_pt)
+    return float(np.max(resid / (1.0 + np.abs(kval) / rho**2)))
 
 
 def flux_pair(params: ProblemParams, xi: HPoint):
@@ -239,12 +217,10 @@ def flux_pair(params: ProblemParams, xi: HPoint):
     return measured, sigma_prime_one(params) * psi(xi) / nrm
 
 
-def check_k_boundary(
-    params: ProblemParams,
-    nodes: int = 1200,
-    tol: float = 1e-6,
-) -> PointwiseReport:
-    """Verify the boundary flux identity on a deterministic unit-sphere grid.
+def check_k_boundary(params: ProblemParams, nodes: int) -> float:
+    """The worst relative error of the boundary flux identity on a
+    deterministic grid of at least `nodes` unit-sphere nodes; NaN counts as
+    worst.
 
     Nodes keep psi = r^2 >= PSI_MIN; the identity degenerates to 0 = 0 at the
     poles, which carry no information.  All nodes go through `flux_pair` as
@@ -261,8 +237,7 @@ def check_k_boundary(
 
     measured, predicted = flux_pair(params, pts)
     rel = np.abs(measured - predicted) / np.maximum(np.abs(predicted), 1e-300)
-    worst, worst_pt = _worst(rel, pts)
-    return PointwiseReport(worst <= tol, worst, len(rel), worst_pt)
+    return float(np.max(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +292,12 @@ def critical_exponent(ctx: GroupContext, lam: float, a: float) -> ThresholdInfo:
     al = alphas(probe)
     L = ctx.Q - 2.0 + al.alpha_minus
     if lam == 0.0:
-        return ThresholdInfo("third", -2.0, "a")
+        return ThresholdInfo("third", -2.0)
     if L > 0.0 and a > -2.0:
-        return ThresholdInfo("second", 1.0 + (a + 2.0) / L, "p")
+        return ThresholdInfo("second", 1.0 + (a + 2.0) / L)
     if L < 0.0 and a < -2.0:
-        return ThresholdInfo("first", 1.0 + (a + 2.0) / L, "p")
-    return ThresholdInfo(None, None, None)
+        return ThresholdInfo("first", 1.0 + (a + 2.0) / L)
+    return ThresholdInfo(None, None)
 
 
 # ---------------------------------------------------------------------------

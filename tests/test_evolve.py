@@ -347,6 +347,19 @@ class TestIntegrate:
         bad = np.full(33, np.nan)
         with raises(ValueError, match="non-finite"):
             integrate(params(0.0), bad, g, t_end=0.1)
+        with raises(ValueError, match="initial data must be"):
+            integrate(params(0.0, k=2), np.zeros(10), g, t_end=0.1)
+        with raises(ValueError, match="initial data must be"):
+            integrate(params(0.0, k=2), np.zeros((1, 33)), g, t_end=0.1)
+
+    def test_u_alone_starts_the_velocity_at_zero(self):
+        g = RadialGrid(rho_min=0.05, n_cells=32)
+        ic = canonical_bump(g.nodes())
+        alone = integrate(params(0.5, a=-1.0, k=2), ic, g, t_end=0.2)
+        both = integrate(params(0.5, a=-1.0, k=2), layers(ic, 2), g, t_end=0.2)
+        assert alone.final_layers.tobytes() == both.final_layers.tobytes()
+        assert (alone.status, alone.t_final, alone.sup_norm_history, alone.steps) == \
+            (both.status, both.t_final, both.sup_norm_history, both.steps)
 
 
 class TestManufactured:

@@ -51,7 +51,6 @@ def test_angular_constant_matches_quadrature(n):
 def test_ball_weight_integral_is_pi(ctx1):
     res = radial_integral(lambda r: 1.0, Annulus(0.0, 1.0), ctx1)
     assert res.value == approx(math.pi, rel=1e-10)
-    assert res.method == "radial"
 
 
 @mark.parametrize("s", [0.0, 2.0, -1.0, -3.5])
@@ -207,7 +206,6 @@ def test_mc_matches_quadrature_within_band(ctx1):
         ann, samples=200_000, seed=42, ctx=ctx1,
     )
     assert abs(mc.value - qr.value) <= 3.0 * (mc.error_estimate + qr.error_estimate)
-    assert mc.method == "montecarlo"
 
 
 def test_mc_is_reproducible(ctx1):
@@ -329,7 +327,6 @@ def coarea_weight(x, y, phi):
 def test_surface_coarea_identity(ctx1):
     res = surface_integral(coarea_weight, nodes=200, ctx=ctx1)
     assert res.value == approx(c_n(ctx1), rel=1e-12)
-    assert res.method == "surface"
 
 
 def test_surface_coarea_identity_higher_layers(ctx2):
