@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from koranyi import capacity, cli, hquad
+from koranyi import capacity, cli, commands, evolve, hquad
 from koranyi.capacity import FIT_MIN_POINTS
 from koranyi.hquad import gk21
-from koranyi.cli import COMMANDS, LAWS, _domination_checks, build_parser, main
+from koranyi.cli import COMMANDS, build_parser, main
+from koranyi.commands import _domination_checks
 
 
 def run(capsys, *argv):
@@ -637,6 +638,35 @@ class TestNonFiniteAndIllTypedInput:
         assert exc.value.code == 2
 
 
+class TestNegativeExponentNotation:
+    """A negative number in exponent notation is a flag's value; argparse
+    before Python 3.13 read it as an unknown flag and exited 2."""
+
+    def config(self, capsys, tmp_path, *argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        return json.loads(next(tmp_path.glob("*.json")).read_text())["config"]
+
+    def test_scalar_flag(self, capsys, tmp_path):
+        assert self.config(capsys, tmp_path, "classify", "--a", "-1e-3")["a"] == -1e-3
+
+    def test_scaling_lambda(self, capsys, tmp_path):
+        cfg = self.config(capsys, tmp_path, "scaling", "--law", "annulus", "--lambda", "-5e-1")
+        assert cfg["lambda"] == -0.5
+
+    def test_list_flag(self, capsys, tmp_path):
+        code, out, err = run(capsys, "phase-sweep", "--a-list", "-2e0", "2", "--t-end", "0.02",
+                             "--n-cells", "32", "--rho-min", "0.01")
+        assert code == 0, err
+        assert "lambda=0 a=-2 p=2:" in out and "lambda=0 a=2 p=2:" in out
+
+    def test_negative_infinity_is_still_refused(self, capsys):
+        with raises(SystemExit) as exc:
+            main(["classify", "--a", "-inf"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestCliSurface:
     """Each subcommand's option strings; the key tables add and drop none."""
 
@@ -682,7 +712,15 @@ class TestCliSurface:
         subs = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
         law = next(a for a in subs.choices["scaling"]._actions if a.dest == "law")
-        assert list(law.choices) == sorted(LAWS) == ["annulus", "domination", "logdecay", "time"]
+        assert list(law.choices) == sorted(commands.LAWS) == [
+            "annulus", "domination", "logdecay", "time"]
+
+    def test_lows_are_the_library_minimums(self):
+        # the front end states them as literals, so that it loads no library layer
+        lows = {(command, key.name): key.low
+                for command, (_, _, keys) in COMMANDS.items() for key in keys}
+        assert lows["simulate", "n_cells"] == lows["phase-sweep", "n_cells"] == evolve.MIN_CELLS
+        assert lows["verify-identities", "mc_samples"] == hquad.MC_MIN_SAMPLES
 
 
 class TestConfigOnlyKeys:
@@ -799,14 +837,15 @@ class TestArtifactContract:
 
     def test_only_emit_opens_a_file(self):
         # reading a config or a report goes through Path.read_text; writing a
-        # file or making a directory is left to `_emit`
-        tree = ast.parse(Path(cli.__file__).read_text())
+        # file or making a directory is left to `cli._emit`, in the front end
+        # and in the numerical commands alike
         writers = {"open", "write_text", "write_bytes", "mkdir", "touch"}
         found = set()
-        for node in tree.body:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) and (
-                        getattr(call.func, "id", None) in writers
-                        or getattr(call.func, "attr", None) in writers):
-                    found.add(getattr(node, "name", "<module>"))
-        assert found == {"_emit"}
+        for module in (cli, commands):
+            for node in ast.parse(Path(module.__file__).read_text()).body:
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and (
+                            getattr(call.func, "id", None) in writers
+                            or getattr(call.func, "attr", None) in writers):
+                        found.add((module.__name__, getattr(node, "name", "<module>")))
+        assert found == {("koranyi.cli", "_emit")}
