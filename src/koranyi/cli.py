@@ -218,11 +218,6 @@ def _commands():
     return commands
 
 
-def _numerical(command: str) -> Callable[[dict], int]:
-    """Runs `commands.RUN[command]`, importing `commands` at the first call."""
-    return lambda cfg: _commands().RUN[command](cfg)
-
-
 # ---------------------------------------------------------------------------
 # key tables and argument parsing
 # ---------------------------------------------------------------------------
@@ -242,10 +237,10 @@ _GRID = (
 )
 _BOUNDARY = Key("boundary_value", 0.1)
 
-# subcommand -> (help, function, key table); artifacts echo the keys in table order
-COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
-    "verify-identities": ("run the group/calculus/quadrature identity suites",
-                          _numerical("verify-identities"), (
+# subcommand -> (help, function, key table); artifacts echo the keys in table order.
+# A numerical command's function is None: `main` runs `commands.RUN` for it.
+COMMANDS: dict[str, tuple[str, Optional[Callable[[dict], int]], tuple[Key, ...]]] = {
+    "verify-identities": ("run the group/calculus/quadrature identity suites", None, (
         _N,
         _LAMBDA,
         Key("seed", 0, int, 0),
@@ -256,9 +251,9 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("tol_scale", 1.0, low=0.0, help="multiply every tolerance (0 forces failures)"),
         _OUT,
     )),
-    "classify": ("verdict for a parameter tuple", _numerical("classify"),
+    "classify": ("verdict for a parameter tuple", None,
                  (_N, _LAMBDA, _CRITICAL, _A, _P, _OUT)),
-    "witness": ("build and verify an explicit supersolution", _numerical("witness"), (
+    "witness": ("build and verify an explicit supersolution", None, (
         _N, _LAMBDA, _CRITICAL, _A, _P,
         Key("tau", None, help="decay exponent override"),
         Key("eps", None, help="amplitude override"),
@@ -268,7 +263,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("seed", 11, int, 0),
         _OUT,
     )),
-    "scaling": ("fit a cutoff scaling law", _numerical("scaling"), (
+    "scaling": ("fit a cutoff scaling law", None, (
         Key("law", "time", str, choices=("annulus", "domination", "logdecay", "time"),
             help="which scaling law to fit"),  # sorted(commands.LAWS)
         _N, _K,
@@ -277,7 +272,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         _OUT,
         _CRITICAL,
     )),
-    "integrate": ("cross-check weighted quadrature", _numerical("integrate"), (
+    "integrate": ("cross-check weighted quadrature", None, (
         _N,
         Key("s", 0.0, help="gauge power to integrate"),
         Key("r_inner", 0.0, low=0.0),
@@ -285,7 +280,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         Key("tol", 1e-9, low=0.0, flag=None),
         _OUT,
     )),
-    "simulate": ("run one radial evolution", _numerical("simulate"), (
+    "simulate": ("run one radial evolution", None, (
         _N, _LAMBDA, _A._replace(default=2.0), _P, _K._replace(choices=(1, 2)),
         *_GRID,
         _BOUNDARY,
@@ -294,7 +289,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], tuple[Key, ...]]] = {
         _OUT,
         _CRITICAL,
     )),
-    "phase-sweep": ("status sweep over parameter grids", _numerical("phase-sweep"), (
+    "phase-sweep": ("status sweep over parameter grids", None, (
         _N,
         Key("lambda_list", [0.0], list[float]),
         Key("a_list", [-2.0, 2.0], list[float]),
@@ -345,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        return COMMANDS[args.command][1](resolve(args.command, args))
+        cfg = resolve(cmd, args)
+        return (COMMANDS[cmd][1] or _commands().RUN[cmd])(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

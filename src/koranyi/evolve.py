@@ -5,7 +5,7 @@ For radial u the spatial operator collapses to the 1D expression
     u'' + (2N+1) u'/rho - (lambda/rho^2) u + rho^a |u|^p
 
 on a truncated interval (rho_min, 1): the origin is singular, so the grid
-stops at rho_min with a Neumann condition there (a modeling choice recorded
+stops at rho_min with a Neumann condition there (a modeling choice stated
 in output metadata), and u is pinned to a constant boundary value at rho = 1.
 
 `radial_rhs` is the definition of the discrete operator.  Its linear part is
@@ -276,7 +276,7 @@ def phase_sweep(
     """Run the canonical setup over the parameter box; one row per tuple.
 
     Rows carry the simulator outcome next to the classifier verdict; cells
-    whose parameters are inadmissible are recorded as errors rather than
+    whose parameters are inadmissible are reported as errors rather than
     aborting the sweep.  The admissible cells advance in lockstep, all in
     one `newmark.advance` call, and every cell's row is the one a lone
     `integrate` call gives, whatever the order of the lists.

@@ -110,6 +110,15 @@ def eps_bound_subcritical(tau: float, params: ProblemParams) -> float:
     return val ** (1.0 / (params.p - 1.0))
 
 
+def _amplitude(eps: Optional[float], bound: float) -> float:
+    """eps, or half its admissible bound when None; refused outside (0, bound)."""
+    if eps is None:
+        return 0.5 * bound
+    if not 0.0 < eps < bound:
+        raise ValueError(f"eps = {eps} outside (0, {bound})")
+    return eps
+
+
 def build_subcritical(
     params: ProblemParams,
     tau: Optional[float] = None,
@@ -127,11 +136,7 @@ def build_subcritical(
     elif not window[0] < tau < window[1]:
         raise ValueError(f"tau = {tau} outside the admissible window {window}")
     bound = eps_bound_subcritical(tau, params)
-    if eps is None:
-        eps = 0.5 * bound
-    elif not 0.0 < eps < bound:
-        raise ValueError(f"eps = {eps} outside (0, {bound})")
-    return Witness("subcritical", eps, params, tau=tau)
+    return Witness("subcritical", _amplitude(eps, bound), params, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +192,7 @@ def build_critical(
     if beta is None:
         beta = 0.5
     bound = eps_bound_critical(beta, params)  # refuses beta outside (0, 1)
-    if eps is None:
-        eps = 0.5 * bound
-    elif not 0.0 < eps < bound:
-        raise ValueError(f"eps = {eps} outside (0, {bound})")
-    return Witness("critical", eps, params, beta=beta)
+    return Witness("critical", _amplitude(eps, bound), params, beta=beta)
 
 
 # ---------------------------------------------------------------------------

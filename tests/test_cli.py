@@ -16,6 +16,8 @@ from koranyi.capacity import FIT_MIN_POINTS
 from koranyi.hquad import gk21
 from koranyi.cli import COMMANDS, build_parser, main
 from koranyi.commands import _domination_checks
+from koranyi.hgroup import GroupContext
+from koranyi.spectrum import ProblemParams, alphas, critical_lambda
 
 
 def run(capsys, *argv):
@@ -267,6 +269,31 @@ class TestScalingCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in out + err
 
+    @mark.parametrize("N, a, p", [(1, 0.0, 2.0), (1, 0.0, 3.0), (1, 1.0, 1.5), (2, 2.0, 4.0),
+                                  (1, -1.0, 2.5)])
+    def test_annulus_at_critical_coupling_carries_one_log(self, capsys, tmp_path, N, a, p):
+        # at critical coupling the barrier -s^alpha ln s puts one factor ln R
+        # into the space factor: the raw slope exceeds the predicted power by
+        # the slope of ln R over the scales, and value / ln R has the power
+        # alone; the CSV rows and the fit stay raw
+        code, out, err = run(capsys, "scaling", "--law", "annulus", "--lambda-critical",
+                             "--N", str(N), "--a", str(a), "--p", str(p), "--out", str(tmp_path))
+        assert code == 0, out + err
+        doc = json.loads((tmp_path / "scaling.json").read_text())
+        (check,) = doc["checks"]
+        params = ProblemParams(GroupContext(N), critical_lambda(GroupContext(N)), a, p)
+        power = (a + 2.0 * p) / (p - 1.0) - params.Q - alphas(params).alpha_minus
+        log_slope = capacity.scaling_fit([(R, math.log(R)) for R in capacity.DEFAULT_SCALES])
+        assert log_slope.slope == approx(0.194, abs=1e-3)
+        assert check["expected"] == approx(power + log_slope.slope, abs=1e-12)
+        assert check["measured"] == doc["fit"]["slope"]
+        assert abs(check["measured"] - check["expected"]) <= check["tolerance"]
+        lines = (tmp_path / "scaling-annulus.csv").read_text().splitlines()[2:]
+        rows = [tuple(map(float, line.split(","))) for line in lines]
+        assert [R for R, _ in rows] == list(capacity.DEFAULT_SCALES)
+        divided = capacity.scaling_fit([(R, v / math.log(R)) for R, v in rows])
+        assert divided.slope == approx(power, abs=0.01)
+
 
 class TestIntegrateCommand:
     def test_default_monomial(self, capsys):
@@ -377,6 +404,29 @@ class TestLambdaCriticalConfigKey:
         doc = json.loads((by_key / artifact).read_text())
         assert doc["config"]["lambda_critical"] is True
         assert doc == json.loads((by_flag / artifact).read_text())
+
+    @mark.parametrize("argv", [["classify"], ["witness"], ["simulate", "--t-end", "0.02"],
+                                ["scaling", "--law", "annulus"]])
+    def test_a_conflicting_lambda_is_refused(self, capsys, tmp_path, argv):
+        # lambda_critical sets lambda = -N^2; any other explicit lambda is
+        # refused, not overridden while the artifact records it
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--lambda", "3", "--lambda-critical",
+                           "--out", str(out))
+        assert code == 2
+        assert err == "error: lambda = 3 conflicts with lambda_critical, " \
+            "which sets lambda = -1\n"
+        assert not out.exists()
+
+    @mark.parametrize("lam", ["0", "-1"])
+    def test_the_default_or_critical_lambda_goes_with_the_flag(self, capsys, lam):
+        code, out, _ = run(capsys, "classify", "--lambda-critical", "--a", "0", "--p", "3")
+        assert code == 0
+        code, both, _ = run(capsys, "classify", "--lambda", lam, "--lambda-critical",
+                            "--a", "0", "--p", "3")
+        assert code == 0
+        assert json.loads(both)["params"] == json.loads(out)["params"]
+        assert json.loads(both)["params"]["lambda"] == -1.0
 
 
 class TestPhaseSweepCommand:
@@ -809,6 +859,7 @@ class TestArtifactContract:
         cfg_path.write_text(json.dumps(file_cfg))
         # the command's config as it ends the call, with scaling's law defaults filled
         help_text, fn, keys = COMMANDS[command]
+        fn = fn or commands.RUN[command]  # a numerical command's row holds None
         seen = []
         monkeypatch.setitem(COMMANDS, command,
                             (help_text, lambda cfg: seen.append(cfg) or fn(cfg), keys))

@@ -711,6 +711,57 @@ class TestPhaseSweep:
             assert reasons == ({"sup_threshold", "dt_floor", "completed"} if nonlinear
                                else {"completed"})
 
+    def test_without_a_history_a_run_records_its_start_and_end(self):
+        # history=False keeps exactly (0, sup0) and (t_final, sup) for every
+        # end, and changes nothing else; with a history a run that did not
+        # complete ends with the same point
+        g = RadialGrid(rho_min=1e-3, n_cells=32)
+        reasons = set()
+        for k in (1, 2):
+            cells, rho = self.lockstep_cells(k)
+            stall = params(0.0, a=-150.0, p=2.5, k=k)  # a non-finite forcing from t = 0
+            cells.append((stall, *evolve._prepare(stall, layers(np.zeros_like(rho), k), g,
+                                                  0.3, 0.1)))
+            bare = newmark.advance(cells, rho, 0.3, True, history=False)
+            full = newmark.advance(cells, rho, 0.3, True)
+            for (_, start, _), x, y in zip(cells, bare, full):
+                sup0, sup = np.abs(start[0]).max(), np.abs(x.final_layers[0]).max()
+                assert x.sup_norm_history == ((0.0, sup0), (x.t_final, sup))
+                assert (x.status, x.t_final, x.blow_up_time, x.end_reason, x.note, x.steps,
+                        x.rejected) == (y.status, y.t_final, y.blow_up_time, y.end_reason,
+                                        y.note, y.steps, y.rejected)
+                assert np.array_equal(x.final_layers, y.final_layers)
+                assert y.sup_norm_history[0] == x.sup_norm_history[0]
+                if y.status != "completed":
+                    assert y.sup_norm_history[-1] == x.sup_norm_history[-1]
+                reasons.add(x.end_reason)
+        assert reasons == {"completed", "sup_threshold", "dt_floor", "solver_stall"}
+
+    def test_without_a_history_memory_does_not_grow_with_steps(self):
+        # the sweep runs without a history because a run with one keeps each
+        # accepted step until its end; without one the peak of a run's
+        # allocations is the same over 30 times as many steps
+        g = RadialGrid(rho_min=1e-3, n_cells=32, spacing="log")
+        rho = g.nodes()
+        cells = []
+        for a in (-2.0, 0.0, 2.0):
+            pr = params(0.0, a=a, k=2)
+            cells.append((pr, *evolve._prepare(pr, layers(canonical_bump(rho), 2), g, 10.0, 0.1)))
+        peaks, steps = {}, {}
+        for history in (False, True):
+            for t_end in (0.3, 10.0):
+                tracemalloc.start()
+                try:
+                    res = newmark.advance(cells, rho, t_end, False, history=history)
+                    peaks[history, t_end] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert [r.status for r in res] == ["completed"] * 3
+                steps[t_end] = res[0].steps
+        assert steps[10.0] > 25 * steps[0.3]
+        assert peaks[False, 10.0] < 1.25 * peaks[False, 0.3]
+        assert peaks[True, 10.0] > 2.0 * peaks[True, 0.3] > 4.0 * peaks[False, 10.0]
+
     def test_linear_run_is_a_zero_weight_run(self):
         # a linear run has weight 0 and p = 1, so its forcing is 0 to the bit,
         # sign included, wherever rho^a or |u|^(p-1) would overflow
