@@ -17,7 +17,7 @@ On the Heisenberg group the horizontal fields are
     X_i = d/dx_i + 2 y_i d/dphi,      Y_i = d/dy_i - 2 x_i d/dphi,
 
 and the sub-Laplacian L = sum_i (X_i^2 + Y_i^2) is a sum of 2N pure second
-directional derivatives, one order-2 jet evaluation each (see `hlap`).
+directional derivatives, all carried by one order-2 jet evaluation (`hlap`).
 
 Scalar fields are callables f(x, y, phi) written against the N-axis-last
 convention of `hgroup`.  A jet lane is a Python float or an ndarray, and
@@ -28,7 +28,7 @@ same field body runs on float batches, on scalar jets and on array jets
 Every operator below goes through one seeded evaluator, `_eval_seeded`, and
 takes an `HPoint` batch: x and y of shape (*batch, N), phi of shape batch.
 It gives an array over the batch (with a last axis 2N+1 for `egrad`),
-evaluated once per seed direction rather than once per point.
+evaluated once per block of points with every seed direction at once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .hgroup import GroupContext, HPoint, a_apply, knorm_of
 
 DIVFORM_STEP = 1e-4  # central-difference step of `hlap_divform`
+JET_BLOCK = 2**14  # seed values (D directions x rows x 2N+1) per block of `_eval_seeded`
 
 ScalarField = Callable[..., object]
 
@@ -53,9 +54,12 @@ class Jet:
     """Truncated Taylor series c[0] + c[1] e + .. + c[K] e^K, with e^{K+1} = 0.
 
     The lanes c are Python floats (numpy scalars, 0-d arrays and ints are
-    converted), or ndarrays of one shape holding a batch of independent jets;
-    ring operations act elementwise.  Jets that meet in one expression carry
-    the same order K.
+    converted), or ndarrays holding a batch of independent jets; ring
+    operations act elementwise, with broadcasting.  The value lane c[0] has
+    the batch shape; higher lanes may carry a leading axis of seed directions
+    (see `_eval_seeded`), so field bodies index and sum from the right, as in
+    x[..., 0] and sum(axis=-1).  Jets that meet in one expression carry the
+    same order K.
     """
 
     __slots__ = ("c",)
@@ -161,7 +165,7 @@ class Jet:
     # -- array structure (what N-axis-last field bodies need) ---------------
 
     def sum(self, axis=None) -> "Jet":
-        """Sum over an axis of array lanes."""
+        """Sum over an axis of array lanes, given from the right (axis=-1)."""
         return Jet(*[np.add.reduce(x, axis) for x in self.c])
 
     def __getitem__(self, key) -> "Jet":
@@ -208,31 +212,41 @@ def _lanes(u, order: int) -> list:
 # seeded field evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_seeded(f: ScalarField, xi: HPoint, direction, order: int) -> list:
-    """Lanes c[0..order] of f at the points xi with the coordinates seeded
-    along direction: c[j] = D^j f[v, .., v] / j!.
+def _eval_seeded(f: ScalarField, xi: HPoint, seeds: Callable, order: int) -> np.ndarray:
+    """Lane `order` of f at the points xi seeded along each of D directions v,
+    D^order f[v, .., v] / order!, of shape (D, *batch).
 
-    The direction has shape (*batch, 2N+1), ordered (x_1..x_N, y_1..y_N,
-    phi).  Each lane is an array of the batch shape.
+    seeds(x, y) gives the directions at a block of points, shape (D, rows,
+    2N+1) ordered (x_1..x_N, y_1..y_N, phi).  f runs once per block of at most
+    JET_BLOCK seed values, on jets whose value lanes have the block's shape and
+    whose higher lanes lead with D (vector mode; Griewank, Utke & Walther, Math.
+    Comp. 69, 2000), so each value and power, exp or log coefficient is formed once.
     """
     n = xi.N
-    rest = [np.zeros(xi.x.shape)] * (order - 1)
-    x = Jet(xi.x, direction[..., :n], *rest)
-    y = Jet(xi.y, direction[..., n : 2 * n], *rest)
-    phi = Jet(xi.phi, direction[..., 2 * n], *[r[..., 0] for r in rest])
-    lanes = _lanes(f(x, y, phi), order)
-    return [p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in lanes]
+    x, y, phi = xi.x.reshape(-1, n), xi.y.reshape(-1, n), xi.phi.reshape(-1)
+    rows = max(1, JET_BLOCK // (2 * n + 1) ** 2)  # D <= 2N+1
+    lanes = []
+    for lo in range(0, max(len(phi), 1), rows):  # an empty batch runs one empty block
+        b = slice(lo, lo + rows)
+        v = seeds(x[b], y[b])
+        rest = [np.zeros(v.shape[:-1] + (n,))] * (order - 1)
+        lane = _lanes(f(Jet(x[b], v[..., :n], *rest), Jet(y[b], v[..., n : 2 * n], *rest),
+                        Jet(phi[b], v[..., 2 * n], *[r[..., 0] for r in rest])), order)[order]
+        lanes.append(np.broadcast_to(lane, v.shape[:2]))
+    out = np.concatenate(lanes, axis=1)
+    return out.reshape(out.shape[:1] + xi.shape)
 
 
-def _horizontal_direction(xi: HPoint, i: int, which: str) -> np.ndarray:
-    n = xi.N
-    v = np.zeros(xi.shape + (2 * n + 1,))
-    if which == "x":
-        v[..., i - 1] = 1.0
-        v[..., 2 * n] = 2.0 * xi.y[..., i - 1]
-    else:
-        v[..., n + i - 1] = 1.0
-        v[..., 2 * n] = -2.0 * xi.x[..., i - 1]
+def _horizontal_seeds(x, y) -> np.ndarray:
+    """The directions v of X_1, Y_1, .., X_N, Y_N at the points (x, y):
+    e_{x_i} + 2 y_i e_phi and e_{y_i} - 2 x_i e_phi."""
+    rows, n = x.shape
+    i = np.arange(n)
+    v = np.zeros((2 * n, rows, 2 * n + 1))
+    v[2 * i, :, i] = 1.0
+    v[2 * i + 1, :, n + i] = 1.0
+    v[0::2, :, 2 * n] = 2.0 * y.T
+    v[1::2, :, 2 * n] = -2.0 * x.T
     return v
 
 
@@ -244,21 +258,18 @@ def hlap(f: ScalarField, xi: HPoint):
         X_i(2 y_i) = d(2 y_i)/dx_i + 2 y_i d(2 y_i)/dphi = 0, so
         X_i^2 f = D^2 f[v_i, v_i] with v_i = e_{x_i} + 2 y_i e_phi.
     """
-    total = 0.0
-    for i in range(1, xi.N + 1):
-        for which in ("x", "y"):
-            total = total + _eval_seeded(f, xi, _horizontal_direction(xi, i, which), 2)[2]
-    return 2.0 * total
+    return 2.0 * sum(_eval_seeded(f, xi, _horizontal_seeds, 2), 0.0)  # X_1, Y_1, .. in turn
 
 
 def egrad(f: ScalarField, xi: HPoint) -> np.ndarray:
     """Full Euclidean gradient of f on R^{2N+1}, one order-1 seed per axis;
-    last axis 2N+1."""
+    a C-contiguous array with last axis 2N+1."""
     m = 2 * xi.N + 1
-    out = np.empty(xi.shape + (m,))
-    for j, e in enumerate(np.eye(m)):
-        out[..., j] = _eval_seeded(f, xi, np.broadcast_to(e, out.shape), 1)[1]
-    return out
+
+    def axes(x, y):  # the same 2N+1 axes at every point, as a broadcast view
+        return np.broadcast_to(np.eye(m)[:, None, :], (m, len(x), m))
+
+    return np.ascontiguousarray(np.moveaxis(_eval_seeded(f, xi, axes, 1), 0, -1))
 
 
 def hlap_divform(f: ScalarField, xi: HPoint):

@@ -111,8 +111,10 @@ class _Run:
     sup: float = 0.0
     rate: float = 0.0  # caps dt: k = 2's nonlinear rate, k = 1's largest diagonal of J
     sup0: float = 0.0  # sup|u| at t = 0
-    # (t, u, du/dt) at t = 0 and after each accepted step; None without a history
+    # (t, u, du/dt) at t = 0, before and after each step that first reaches a
+    # record time, and at the last accepted step; None without a history
     trail: Optional[list] = None
+    due: int = 0  # index of the first record time past the trail's next-to-last state
     steps: int = 0
     rejected: int = 0
     nonfinite: bool = False  # the last rejected attempt was not finite
@@ -184,8 +186,13 @@ def advance(cells, rho, t_end, nonlinear, extra=None, history=True) -> list:
                 accepted = [_control(run, err, sup, rate, t_end, grow)
                             for run, err, sup, rate in zip(live, errs, sups, rates)]
                 if history:  # both orders keep du/dt as their second state
+                    # `_samples` reads only both ends of the steps that first reach
+                    # a record time, so a state replaces a last one that reached none
                     for run, ok, u, du in zip(live, accepted, new[0], new[1]):
-                        if ok:
+                        if ok and run.t < times[run.due]:
+                            run.trail[-1] = (run.t, u, du)
+                        elif ok:
+                            run.due = int(np.searchsorted(times, run.trail[-1][0], "right"))
                             run.trail.append((run.t, u, du))
                 if all(accepted):
                     state = new

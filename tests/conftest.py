@@ -6,7 +6,7 @@ import pytest
 
 from koranyi import hgroup
 from koranyi.evolve import RadialGrid
-from koranyi.hcalc import egrad
+from koranyi.hcalc import JET_BLOCK, Jet, egrad
 from koranyi.hgroup import GroupContext, HPoint
 from koranyi.spectrum import ProblemParams
 
@@ -78,3 +78,48 @@ def mms_initial_layers(params: ProblemParams, grid: RadialGrid) -> np.ndarray:
     if params.k == 1:
         return u0[None, :]
     return np.stack([u0, -u0])  # du*/dt = -u* at t = 0
+
+
+# ---------------------------------------------------------------------------
+# per-direction oracle of the seeded operators
+# ---------------------------------------------------------------------------
+
+def seeded_one(f, xi, direction, order: int) -> list:
+    """Lanes c[0..order] of f at the points xi seeded along one direction of
+    shape (*batch, 2N+1): one evaluation of f per direction, the reference
+    that `hcalc`'s vector-mode evaluator must reproduce bit for bit."""
+    n = xi.N
+    rest = [np.zeros(xi.x.shape)] * (order - 1)
+    x = Jet(xi.x, direction[..., :n], *rest)
+    y = Jet(xi.y, direction[..., n : 2 * n], *rest)
+    phi = Jet(xi.phi, direction[..., 2 * n], *[r[..., 0] for r in rest])
+    u = f(x, y, phi)
+    lanes = u.c if isinstance(u, Jet) else [u] + [0.0] * order
+    return [p if np.shape(p) == xi.shape else np.full(xi.shape, p) for p in lanes]
+
+
+def block_rows(n: int) -> int:
+    """Points per block of `hcalc._eval_seeded` at N = n: at most JET_BLOCK
+    seed values, with up to 2N+1 directions of 2N+1 coordinates per point."""
+    return max(1, JET_BLOCK // (2 * n + 1) ** 2)
+
+
+def hlap_oracle(f, xi):
+    """Sub-Laplacian from 2N single-direction evaluations, X_1, Y_1, .., Y_N."""
+    n, total = xi.N, 0.0
+    for i in range(n):
+        for axis, phi_coef in ((i, 2.0 * xi.y[..., i]), (n + i, -2.0 * xi.x[..., i])):
+            v = np.zeros(xi.shape + (2 * n + 1,))
+            v[..., axis] = 1.0
+            v[..., 2 * n] = phi_coef
+            total = total + seeded_one(f, xi, v, 2)[2]
+    return 2.0 * total
+
+
+def egrad_oracle(f, xi) -> np.ndarray:
+    """Euclidean gradient from 2N+1 single-axis evaluations."""
+    m = 2 * xi.N + 1
+    out = np.empty(xi.shape + (m,))
+    for j, e in enumerate(np.eye(m)):
+        out[..., j] = seeded_one(f, xi, np.broadcast_to(e, out.shape), 1)[1]
+    return out

@@ -207,6 +207,41 @@ class TestIntegrate:
             assert sups[i] == approx(np.abs(part.final_layers[0]).max(),
                                      rel=1e-5 if k == 1 else newmark.NEWMARK_RTOL)
 
+    @mark.parametrize("k, a, p, status", [(1, -2.0, 3.0, "blown_up"), (2, 2.0, 2.0, "completed")])
+    def test_history_trail_keeps_the_steps_around_record_times(self, monkeypatch, k, a, p, status):
+        # the sampler reads only t = 0, the steps that first reach a record
+        # time and the states just before them, so the 759-step k = 1 blow-up
+        # on the benchmark grid keeps 208 rows for its 144 record times, not
+        # 760; each record time must still fall in one accepted step
+        accepted, trails = [0.0], []
+
+        def control(run, *args):
+            ok = real_control(run, *args)
+            if ok:
+                accepted.append(run.t)
+            return ok
+
+        def samples(run, times):
+            out = real_samples(run, times)
+            trails.append(([t for t, _, _ in run.trail], [tau for tau, _ in out]))
+            return out
+
+        real_control, real_samples = newmark._control, newmark._samples
+        monkeypatch.setattr(newmark, "_control", control)
+        monkeypatch.setattr(newmark, "_samples", samples)
+        g = RadialGrid(rho_min=1e-3, n_cells=64)
+        res = integrate(params(0.0, a=a, p=p, k=k), layers(canonical_bump(g.nodes()), k), g,
+                        t_end=0.25, boundary_value=0.1)
+        ((trail, taus),) = trails
+        assert res.status == status
+        assert len(trail) <= 2 * (newmark.MAX_HISTORY + 1)
+        assert len(trail) <= 2 * len(taus) + 2  # t = 0 and the last accepted state besides
+        assert trail[0] == 0.0 and trail[-1] == res.t_final
+        step = {t: i for i, t in enumerate(accepted)}
+        for tau in taus:
+            end = np.searchsorted(trail, tau)
+            assert step[trail[end]] == step[trail[end - 1]] + 1
+
     def test_policy_string_tracks_time_order(self):
         g = RadialGrid(rho_min=0.05, n_cells=32)
         r1 = integrate(params(0.0), np.zeros(33), g, t_end=0.01)
@@ -738,9 +773,9 @@ class TestPhaseSweep:
         assert reasons == {"completed", "sup_threshold", "dt_floor", "solver_stall"}
 
     def test_without_a_history_memory_does_not_grow_with_steps(self):
-        # the sweep runs without a history because a run with one keeps each
-        # accepted step until its end; without one the peak of a run's
-        # allocations is the same over 30 times as many steps
+        # the sweep runs without a history because a run with one keeps the
+        # steps around each record time until its end; without one the peak
+        # of a run's allocations is the same over 30 times as many steps
         g = RadialGrid(rho_min=1e-3, n_cells=32, spacing="log")
         rho = g.nodes()
         cells = []

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
+from koranyi import hcalc, spectrum, witness
 from koranyi.hgroup import GroupContext, HPoint, knorm, psi
 from koranyi.hgroup import random_points as batch_points
 from koranyi.hcalc import (
@@ -18,8 +20,11 @@ from koranyi.hcalc import (
     radial_lift,
     value_of,
 )
+from koranyi.spectrum import (ProblemParams, check_k_boundary, check_k_harmonic,
+                              critical_lambda)
+from koranyi.witness import build_critical, build_subcritical, verify_witness
 
-from conftest import hgrad, random_points
+from conftest import block_rows, egrad_oracle, hgrad, hlap_oracle, random_points
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 jet_st = st.builds(Jet, small, small, small, small)  # order 3
@@ -309,3 +314,103 @@ def test_abs_field_runs_on_a_batch(n):
     batched = hlap(f, pts)
     per_point = np.concatenate([hlap(f, q) for q in random_points(GroupContext(n), 40, 5)])
     assert np.all(np.abs(batched - per_point) <= 1e-14 * np.abs(per_point))
+
+
+# ---------------------------------------------------------------------------
+# vector mode against the per-direction oracle, and its work and memory
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = {
+    "mixed": BATCH_FIELDS["mixed"],
+    "barrier": BATCH_FIELDS["barrier"],
+    "constant": lambda x, y, phi: 2.5,  # float lanes
+}
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_vector_mode_matches_the_per_direction_oracle_to_the_bit(n):
+    rows = block_rows(n)
+    for size in sorted({1, rows - 1, rows, rows + 1} - {0}):
+        pts = batch_points(GroupContext(n), np.random.default_rng(size), size)
+        for f in ORACLE_FIELDS.values():
+            _same_bits(hlap(f, pts), hlap_oracle(f, pts))
+            grad = egrad(f, pts)
+            assert grad.flags.c_contiguous
+            _same_bits(grad, egrad_oracle(f, pts))
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_divergence_form_matches_the_oracle_to_the_bit(n, monkeypatch):
+    # its shifted points form a 2-D batch of (2(2N+1), P) points
+    pts = batch_points(GroupContext(n), np.random.default_rng(n), 7)
+    f = BATCH_FIELDS["mixed"]
+    got = hlap_divform(f, pts)
+    monkeypatch.setattr(hcalc, "egrad", egrad_oracle)
+    _same_bits(got, hlap_divform(f, pts))
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_barrier_and_witness_checks_match_the_oracle_to_the_bit(n, monkeypatch):
+    ctx = GroupContext(n)
+    # weight exponent a = 2N keeps both existence margins positive
+    params = ProblemParams(ctx, 0.5, 2.0 * n, 2.0)
+    crit = ProblemParams(ctx, critical_lambda(ctx), 2.0 * n, 2.0)
+    points = 3 * block_rows(n) + 1  # crosses block boundaries
+
+    def run():
+        return (check_k_harmonic(params, points, 5), check_k_harmonic(crit, points, 6),
+                check_k_boundary(params, points), verify_witness(build_subcritical(params), 250),
+                verify_witness(build_critical(crit), 250))
+
+    got = run()
+    for module in (spectrum, witness):
+        monkeypatch.setattr(module, "hlap", hlap_oracle)
+    monkeypatch.setattr(spectrum, "egrad", egrad_oracle)
+    assert got == run()
+
+
+@mark.parametrize("n", [1, 2, 4])
+def test_one_field_evaluation_per_block(n):
+    # every seed direction rides in one evaluation, so each point's value
+    # lane is formed once per operator call, not once per direction
+    rows, calls = block_rows(n), []
+
+    def counted(x, y, phi):
+        calls.append(1)
+        return BATCH_FIELDS["mixed"](x, y, phi)
+
+    for size in (1, rows, rows + 1, 3 * rows + 2):
+        pts = batch_points(GroupContext(n), np.random.default_rng(size), size)
+        for op in (hlap, egrad):
+            calls.clear()
+            op(counted, pts)
+            assert len(calls) == math.ceil(size / rows)
+
+
+# tracemalloc peaks at N = 4 (x86-64, numpy 2.4): egrad on 2000 points read
+# 0.38 MB and hlap on 800 points 0.49 MB in blocks of 2^14 seed values,
+# against 0.85 and 1.62 MB in blocks of 2^16, 1.51 and 1.62 MB with every
+# point in one block, and 0.50 and 0.27 MB one direction at a time
+OPERATOR_PEAK_BOUND = 0.8e6  # bytes
+
+
+@mark.parametrize("op, field, size", [
+    (egrad, radial_lift(lambda r: r), 2000),
+    (hlap, BATCH_FIELDS["barrier"], 800),
+])
+def test_operator_memory_stays_blocked(op, field, size):
+    pts = batch_points(GroupContext(4), np.random.default_rng(3), size)
+    op(field, pts)
+    tracemalloc.start()
+    try:
+        op(field, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < OPERATOR_PEAK_BOUND
