@@ -13,8 +13,10 @@ one tridiagonal matrix L per grid and lambda, built from the same stencil
 weights, plus an affine term carrying the inner slope.  `newmark.advance`
 steps runs of one time order in lockstep, RODAS3 for k = 1 and Newmark for
 k = 2, and owns the step and end policy (see its docstring): `phase_sweep`
-sends all its cells in one call, `integrate` one run.  It and LAPACK are
-imported at the first run, so importing this module loads no scipy.
+sends all its cells in one call, `integrate` one run.  It is imported at
+the first run and loads LAPACK from scipy's compiled extension alone, so
+importing this module loads no scipy, and a run loads no `scipy.linalg`
+package.
 
 Before a run, the spectrum of L on the free nodes is checked.  Where it has
 an eigenvalue with positive real part (the uniform grid for every lambda < 0,

@@ -2,8 +2,13 @@
 
 `advance` steps any number of runs of one time order on one grid together,
 with dt, the counters and the end of each run its own; `evolve` imports this
-module at its first run, so LAPACK, imported here, stays off the import path
-of every other command.  Each time order gets the solver that fits it:
+module at its first run, so LAPACK, loaded here, stays off the import path
+of every other command.  Its tridiagonal routines come from scipy's compiled
+extension `scipy.linalg._flapack`, loaded alone: the `scipy.linalg` package's
+array-API layer loads numpy.f2py, numpy.testing and about 300 more modules,
++27 MB of resident memory and 0.15-0.22 s, where the extension costs +2.6 MB
+and 3-4 ms (CPython 3.11.7, scipy 1.17.1, one OpenBLAS thread).  Each time
+order gets the solver that fits it:
 
 - k = 1 (parabolic and stiff near rho_min): RODAS3 (Sandu et al. 1997;
   Hairer & Wanner, Solving ODEs II, IV.7), an L-stable, stiffly accurate
@@ -44,16 +49,42 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 from typing import Optional
 
 import numpy as np
+import scipy
+
+from .evolve import SimResult
+
+
+def _tridiagonal_lapack():
+    """dgtsv, dgttrf and dgttrs, the very objects `scipy.linalg.lapack` exports.
+
+    CPython registers the extension under its dotted name, whichever of the
+    two loads it.  `importlib.util.find_spec` on that name would import the
+    package, so a FileFinder looks in its directory instead.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = machinery.FileFinder(directory, (
+            machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension in {directory}", name=name)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dgtsv, module.dgttrf, module.dgttrs
+
+
 # LAPACK's tridiagonal routines, which scipy.linalg.solve_banded dispatches to
 # for one band on each side.  Called directly, they skip solve_banded's
 # per-call argument checks, which cost several times a 65-node solve.
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
-
-from .evolve import SimResult
+dgtsv, dgttrf, dgttrs = _tridiagonal_lapack()
 
 BLOWUP_SUP = 1e8
 STALL_GROWTH = 100.0  # sup growth that makes a stopped run a blow-up
